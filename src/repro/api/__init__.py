@@ -64,6 +64,13 @@ Public surface
 
 from ..hardware import EYERISS_PAPER, EyerissSpec
 from ..nn.profiler import OpProfile, OpStat, RunProfile
+from ..wire import (
+    canonical_json,
+    data_digest,
+    model_digest,
+    payload_digest,
+    state_digest,
+)
 from . import adapters as _adapters  # noqa: F401  (populates the registry)
 from .adapters import (
     ALFMethod,
@@ -92,13 +99,6 @@ from .cache import (
     default_cache_dir,
     resolve_cache,
     spec_distance,
-)
-from .digests import (
-    canonical_json,
-    data_digest,
-    model_digest,
-    payload_digest,
-    state_digest,
 )
 from .executor import (
     EXECUTOR_ENV_VAR,

@@ -7,8 +7,8 @@ stored under a content address and replayed for free when the same
 submission arrives again:
 
 * :class:`CacheKey` — the address: ``CompressionSpec.digest()`` (canonical
-  JSON), :func:`~repro.api.digests.model_digest` (parameter-byte hash) and
-  :func:`~repro.api.digests.data_digest` (the ``repro-job/1`` base64-npy
+  JSON), :func:`~repro.wire.model_digest` (parameter-byte hash) and
+  :func:`~repro.wire.data_digest` (the ``repro-job/1`` base64-npy
   data recipe), combined into one SHA-256.
 * :class:`FileReportCache` — the persistent store: one atomic
   ``repro-cache-entry/1`` JSON file per report (digest-guarded; a corrupt,
@@ -51,7 +51,8 @@ from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
-from .digests import data_digest, model_digest, payload_digest
+from ..deploy.serialize import PLAN_SCHEMA
+from ..wire import check_schema, data_digest, model_digest, payload_digest
 from .pipeline import CompressionReport
 from .spec import CompressionSpec
 
@@ -280,21 +281,37 @@ class ReportCache:
         }
 
     @staticmethod
-    def _decode(text: str) -> Dict[str, Any]:
-        """Parse + validate raw entry text; raises :class:`CacheEntryError`."""
+    def _parse(text: str, tag: str) -> Dict[str, Any]:
+        """JSON-decode stored text and check its ``tag``."""
         try:
             payload = json.loads(text)
         except json.JSONDecodeError as exc:
-            raise CacheEntryError(f"unreadable entry JSON ({exc})") from None
-        schema = payload.get("schema") if isinstance(payload, dict) else None
-        if schema != CACHE_ENTRY_SCHEMA:
-            raise CacheEntryError(
-                f"unsupported cache-entry schema {schema!r}: expected "
-                f"'{CACHE_ENTRY_SCHEMA}'")
+            raise CacheEntryError(f"unreadable JSON ({exc})") from None
+        try:
+            check_schema(payload, tag)
+        except (TypeError, ValueError) as exc:
+            raise CacheEntryError(str(exc)) from None
+        return payload
+
+    @classmethod
+    def _decode(cls, text: str) -> Dict[str, Any]:
+        """Parse + validate raw entry text; raises :class:`CacheEntryError`."""
+        payload = cls._parse(text, CACHE_ENTRY_SCHEMA)
         report_payload = payload.get("report")
         if payload.get("report_digest") != payload_digest(report_payload):
             raise CacheEntryError(
                 "report digest mismatch: the stored entry was corrupted")
+        return payload
+
+    @classmethod
+    def _decode_plan(cls, text: str) -> Dict[str, Any]:
+        """Parse + validate raw plan text; raises :class:`CacheEntryError`."""
+        payload = cls._parse(text, PLAN_SCHEMA)
+        body = {k: v for k, v in payload.items() if k != "digest"}
+        if payload.get("digest") != payload_digest(body):
+            raise CacheEntryError(
+                "plan payload digest mismatch: the stored artifact was "
+                "corrupted")
         return payload
 
     def _warn(self, combined: str, error: Exception) -> None:
@@ -461,25 +478,9 @@ class ReportCache:
                 self._misses += 1
             return None
         try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            self._warn(address, CacheEntryError(
-                f"unreadable plan JSON ({exc})"))
-            with self._lock:
-                self._misses += 1
-            return None
-        schema = payload.get("schema") if isinstance(payload, dict) else None
-        if not (isinstance(schema, str) and schema.startswith("repro-plan/")):
-            self._warn(address, CacheEntryError(
-                f"unsupported plan schema {schema!r}"))
-            with self._lock:
-                self._misses += 1
-            return None
-        body = {k: v for k, v in payload.items() if k != "digest"}
-        if payload.get("digest") != payload_digest(body):
-            self._warn(address, CacheEntryError(
-                "plan payload digest mismatch: the stored artifact was "
-                "corrupted"))
+            payload = self._decode_plan(text)
+        except CacheEntryError as exc:
+            self._warn(address, exc)
             with self._lock:
                 self._misses += 1
             return None

@@ -32,9 +32,7 @@ the template for ssh / job-queue transports.
 
 from __future__ import annotations
 
-import base64
 import copy
-import io
 import json
 import os
 import queue
@@ -49,7 +47,8 @@ import numpy as np
 from ..data import DataLoader, SyntheticImageDataset
 from ..hardware import EnergyTable, EyerissSpec
 from ..models import build_model
-from .digests import payload_digest
+from ..wire import (array_from_payload, array_to_payload, check_schema,
+                    payload_digest)
 from .executor import (
     EngineState,
     ShardPool,
@@ -85,20 +84,8 @@ class RemoteWorkerError(RuntimeError):
 
 
 # --------------------------------------------------------------------------- #
-# JSON codecs: arrays, datasets, loader plans, hardware specs, engine state
+# JSON codecs: datasets, loader plans, hardware specs, engine state
 # --------------------------------------------------------------------------- #
-def array_to_payload(array: np.ndarray) -> Dict[str, Any]:
-    """Encode an ndarray exactly (dtype, shape and bytes) as JSON-safe text."""
-    buffer = io.BytesIO()
-    np.save(buffer, np.ascontiguousarray(array), allow_pickle=False)
-    return {"npy": base64.b64encode(buffer.getvalue()).decode("ascii")}
-
-
-def array_from_payload(payload: Mapping[str, Any]) -> np.ndarray:
-    return np.load(io.BytesIO(base64.b64decode(payload["npy"])),
-                   allow_pickle=False)
-
-
 def dataset_to_payload(dataset: SyntheticImageDataset) -> Dict[str, Any]:
     return {
         "images": array_to_payload(dataset.images),
@@ -228,19 +215,6 @@ def state_from_payload(payload: Optional[Mapping[str, Any]]
             for name, entry in payload.items()}
 
 
-def dense_digest(dense_payload: Mapping[str, Any]) -> str:
-    """SHA-256 over the canonical JSON form of a dense-baseline payload.
-
-    Jobs carry the digest next to the payload so a worker can prove the
-    broadcast baseline survived the transport intact — a shard evaluated
-    against a corrupted (or wrong sweep's) baseline would silently produce
-    incomparable reductions.  Delegates to the shared
-    :func:`repro.api.digests.payload_digest` canonical encoding, the same
-    one the report cache keys on.
-    """
-    return payload_digest(dense_payload)
-
-
 # --------------------------------------------------------------------------- #
 # The job
 # --------------------------------------------------------------------------- #
@@ -253,7 +227,10 @@ class SweepJob:
     seed it was built with in the parent, so the worker's rebuild is
     bit-identical to the parent's deep copy.  The dense baseline travels
     table-level (:meth:`DenseBaseline.to_dict`) and is integrity-checked
-    against :attr:`dense_digest` on arrival.
+    on arrival against its ``dense_digest``, the
+    :func:`~repro.wire.payload_digest` of that payload: a shard evaluated
+    against a corrupted (or wrong sweep's) baseline would silently
+    produce incomparable reductions.
     """
 
     spec: CompressionSpec
@@ -278,7 +255,7 @@ class SweepJob:
             "model": self.model,
             "seed": int(self.seed),
             "dense": dense_payload,
-            "dense_digest": dense_digest(dense_payload),
+            "dense_digest": payload_digest(dense_payload),
             "engine": engine_to_payload(self.engine),
             "hardware": hardware_to_payload(self.hardware),
             "data": self.data.to_payload(),
@@ -287,13 +264,9 @@ class SweepJob:
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "SweepJob":
-        schema = payload.get("schema")
-        if schema != JOB_SCHEMA:
-            raise ValueError(
-                f"unsupported job schema {schema!r}: expected '{JOB_SCHEMA}'")
+        check_schema(payload, JOB_SCHEMA)
         dense_payload = payload["dense"]
-        digest = payload.get("dense_digest")
-        if digest != dense_digest(dense_payload):
+        if payload.get("dense_digest") != payload_digest(dense_payload):
             raise ValueError(
                 "dense-baseline digest mismatch: the repro-job/1 payload was "
                 "corrupted in transport (or pairs a shard with the wrong "
@@ -467,10 +440,10 @@ class _WorkerProcess:
         except json.JSONDecodeError as exc:
             raise RemoteWorkerError(
                 f"malformed worker protocol line: {exc}") from None
-        if result.get("schema") != JOB_RESULT_SCHEMA:
-            raise RemoteWorkerError(
-                f"unsupported job-result schema {result.get('schema')!r}: "
-                f"expected '{JOB_RESULT_SCHEMA}'")
+        try:
+            check_schema(result, JOB_RESULT_SCHEMA)
+        except (TypeError, ValueError) as exc:
+            raise RemoteWorkerError(str(exc)) from None
         return result
 
     def alive(self) -> bool:

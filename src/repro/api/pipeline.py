@@ -27,6 +27,7 @@ from ..models import build_model, default_input_shape
 from ..nn.backend import get_default_dtype, use_backend
 from ..nn.module import Module
 from ..nn.profiler import RunProfile, collect_profile, profile_inference
+from ..wire import check_schema
 from .adapters import evaluate_accuracy
 from .protocol import CompressedModel, CompressionMethod
 from .registry import create_method, get_method
@@ -260,11 +261,7 @@ class CompressionReport:
         """Rebuild a (model-free) report from :meth:`to_dict` output."""
         from ..hardware.layer import ConvLayerShape
 
-        schema = payload.get("schema")
-        if schema != REPORT_SCHEMA:
-            raise ValueError(
-                f"unsupported report schema {schema!r}: expected "
-                f"'{REPORT_SCHEMA}'")
+        check_schema(payload, REPORT_SCHEMA)
         spec = CompressionSpec.from_dict(payload["spec"])
         compressed = CompressedModel(
             model=None,  # type: ignore[arg-type]  # dropped by the wire format

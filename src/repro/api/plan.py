@@ -27,8 +27,8 @@ from ..deploy import InferencePlan
 from ..deploy import compile as compile_plan
 from ..models import default_input_shape
 from ..nn.backend import current_backend, get_backend, use_backend
+from ..wire import model_digest, payload_digest
 from .cache import CacheArg, CacheIntegrityWarning, resolve_cache
-from .digests import model_digest, payload_digest
 from .pipeline import CompressionReport
 
 #: Versioned kind tag of the plan-artifact content address.

@@ -56,6 +56,7 @@ from ..hardware import EYERISS_PAPER, EyerissSpec
 from ..models import build_model, default_input_shape
 from ..nn.backend import get_default_dtype, use_backend
 from ..nn.module import Module
+from ..wire import data_digest, model_digest
 from .executor import (
     EngineState,
     ExecutorLike,
@@ -72,7 +73,6 @@ from .cache import (
     WarmStart,
     resolve_cache,
 )
-from .digests import data_digest, model_digest
 from .jobs import LoaderPlan, SweepJob, state_to_payload
 from .pipeline import (
     CompressionPipeline,

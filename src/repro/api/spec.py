@@ -16,6 +16,7 @@ from typing import Any, Dict, Mapping, Optional, Sequence, Tuple, Union
 
 from ..core.config import ALFConfig
 from ..nn.module import Module
+from ..wire import check_schema, payload_digest
 
 #: Wire-format identifier of :meth:`CompressionSpec.to_dict` payloads.
 SPEC_SCHEMA = "repro-spec/1"
@@ -319,13 +320,12 @@ class CompressionSpec:
         """SHA-256 content address of this spec's canonical wire payload.
 
         Hashes :meth:`to_dict` through the canonical JSON encoding
-        (:func:`repro.api.digests.payload_digest`), so the digest is
+        (:func:`repro.wire.payload_digest`), so the digest is
         invariant to dict key order and config-field insertion order and
         stable across processes — the spec third of a report-cache key.
         Specs carrying a built ``Module`` have no wire payload and no
         digest (``to_dict`` raises ``TypeError``).
         """
-        from .digests import payload_digest
         return payload_digest(self.to_dict())
 
     @property
@@ -375,11 +375,9 @@ class CompressionSpec:
         as today's fields.  Untagged payloads are accepted for backward
         compatibility with pre-tag dicts.
         """
+        check_schema(payload, SPEC_SCHEMA, untagged=True)
         data = dict(payload)
-        schema = data.pop("schema", SPEC_SCHEMA)
-        if schema != SPEC_SCHEMA:
-            raise ValueError(
-                f"unsupported spec schema {schema!r}: expected '{SPEC_SCHEMA}'")
+        data.pop("schema", None)
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(data) - known
         if unknown:

@@ -28,6 +28,7 @@ from ..metrics.compression import ComparisonTable, MethodResult, pareto_front
 from ..metrics.tables import format_count, format_reduction, render_table
 from ..nn.module import Module
 from ..nn.profiler import OpProfile
+from ..wire import check_schema
 from .cache import CacheArg
 from .executor import ExecutorLike
 from .pipeline import CompressionReport, DataArg, DenseBaseline
@@ -103,11 +104,7 @@ class SweepFailure:
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "SweepFailure":
-        schema = payload.get("schema")
-        if schema != FAILURE_SCHEMA:
-            raise ValueError(
-                f"unsupported sweep-failure schema {schema!r}: expected "
-                f"'{FAILURE_SCHEMA}'")
+        check_schema(payload, FAILURE_SCHEMA)
         category = payload.get("category", "error")
         if category not in ("error", "timeout", "cancelled"):
             raise ValueError(

@@ -1109,40 +1109,29 @@ class InferencePlan:
                 f"plan compiled for dtype {self.input_dtype}, got {data.dtype}")
         return data
 
-    def __call__(self, x) -> Tensor:
+    def _run(self, x, timings: Optional[List[Tuple[str, float, str]]]
+             ) -> Tensor:
+        """The one forward loop; appends per-step timings when given a list.
+
+        An input whose leading dimension matches a bound batch runs on
+        that bound plan.
+        """
         data = x.data if isinstance(x, Tensor) else np.asarray(x)
         if (data.ndim == len(self.input_shape) + 1
                 and data.shape[0] != self.batch
                 and tuple(data.shape[1:]) == self.input_shape):
             bound = self._bound.get(int(data.shape[0]))
             if bound is not None and bound is not self:
-                return bound(data)
+                return bound._run(data, timings)
         data = self._check_input(data)
         registers = self._registers
         registers[self._input_index] = data
         try:
             with use_backend(self._backend):
                 for step in self._steps:
-                    step.run(registers)
-            return Tensor(registers[self._output_index].copy())
-        finally:
-            registers[self._input_index] = None
-
-    def profile_steps(self, x) -> Tuple[Tensor, List[Tuple[str, float, str]]]:
-        """Run once, timing each step.
-
-        Returns ``(output, [(op_name, seconds, layer), ...])`` where
-        ``layer`` is the dot path of the module that produced the step's
-        op in the traced forward — the same paths the eager profiler
-        reports, so per-layer attributions line up.
-        """
-        data = self._check_input(x)
-        registers = self._registers
-        registers[self._input_index] = data
-        timings: List[Tuple[str, float, str]] = []
-        try:
-            with use_backend(self._backend):
-                for step in self._steps:
+                    if timings is None:
+                        step.run(registers)
+                        continue
                     start = time.perf_counter()
                     step.run(registers)
                     elapsed = time.perf_counter() - start
@@ -1150,9 +1139,24 @@ class InferencePlan:
                     if step.activation is not None:
                         name = f"{name}+{step.activation}"
                     timings.append((name, elapsed, step.layer))
-            return Tensor(registers[self._output_index].copy()), timings
+            return Tensor(registers[self._output_index].copy())
         finally:
             registers[self._input_index] = None
+
+    def __call__(self, x) -> Tensor:
+        return self._run(x, None)
+
+    def profile_steps(self, x) -> Tuple[Tensor, List[Tuple[str, float, str]]]:
+        """Run once, timing each step.
+
+        Returns ``(output, [(op_name, seconds, layer), ...])`` where
+        ``layer`` is the dot path of the module that produced the step's
+        op in the traced forward — the same paths the eager profiler
+        reports, so per-layer attributions line up.  Dispatches to a
+        bound batch exactly like a plain call.
+        """
+        timings: List[Tuple[str, float, str]] = []
+        return self._run(x, timings), timings
 
     # ------------------------------------------------------------------ #
     # Batch re-binding

@@ -10,14 +10,15 @@ derived layout to cross-check the rebuild:
 
 * ``values`` — every graph value in deterministic register order, each
   shape dimension as an affine ``[m, c]`` pair (``dim = m·batch + c``,
-  derived from tracing the model at two batch sizes); constants travel as
-  base64-npy exactly like ``repro-job/1`` dataset payloads.
+  derived from tracing the model at two batch sizes); constants travel
+  through the shared base64-npy codec (:func:`repro.wire.array_to_payload`),
+  memory order included.
 * ``nodes`` — op name (resolved from the op registry on load), input and
   output value indices, kwargs in a tagged encoding that preserves exact
   Python types (ints are affine in the batch too), layer path and any
   fused activation.
 * ``weights_digest`` — SHA-256 over all constant arrays (via
-  :func:`repro.api.digests.state_digest`), rejecting weight tampering.
+  :func:`repro.wire.state_digest`), rejecting weight tampering.
 * ``steps`` / ``arena`` — the layout the serializing plan actually used
   (per-step :class:`~repro.deploy.arena.BufferRef`\\ s, streaming band
   parameters, buffer capacities).  Load re-lowers the graph and refuses
@@ -34,8 +35,6 @@ shape at another batch size is just decoding the affine dims at a new
 
 from __future__ import annotations
 
-import base64
-import io
 import json
 import os
 from dataclasses import dataclass
@@ -44,6 +43,8 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 import numpy as np
 
 from ..nn.backend import Backend, get_backend
+from ..wire import (array_from_payload, array_to_payload, canonical_json,
+                    check_schema, payload_digest, state_digest)
 from .plan import InferencePlan, PlanStats, _Graph, _lower, _Node, _Value
 
 __all__ = ["PLAN_SCHEMA", "PlanProgram", "program_from_graphs",
@@ -53,34 +54,8 @@ __all__ = ["PLAN_SCHEMA", "PlanProgram", "program_from_graphs",
 PLAN_SCHEMA = "repro-plan/1"
 
 
-def _digests():
-    # Lazy: repro.api.digests is dependency-light, but importing it runs
-    # the repro.api package __init__, which itself imports repro.deploy —
-    # fine at call time, a cycle at module-import time.
-    from ..api import digests
-    return digests
-
-
 class _NotPolymorphic(Exception):
     """The two traces disagree structurally; fall back to a fixed batch."""
-
-
-# --------------------------------------------------------------------------- #
-# base64-npy array codec (same payload shape as repro-job/1 datasets)
-# --------------------------------------------------------------------------- #
-def _array_to_b64(array: np.ndarray) -> Dict[str, str]:
-    # np.save preserves C/F memory order via the fortran_order header flag,
-    # which matters for bit-identity: BLAS kernels round differently for
-    # different layouts, so a transposed (F-order) linear weight must come
-    # back F-ordered.
-    buffer = io.BytesIO()
-    np.save(buffer, array, allow_pickle=False)
-    return {"npy": base64.b64encode(buffer.getvalue()).decode("ascii")}
-
-
-def _array_from_b64(payload: Mapping[str, str]) -> np.ndarray:
-    raw = base64.b64decode(payload["npy"])
-    return np.load(io.BytesIO(raw), allow_pickle=False)
 
 
 # --------------------------------------------------------------------------- #
@@ -441,7 +416,7 @@ def _arena_payload(plan: InferencePlan) -> Dict[str, Any]:
 
 
 def _weights_digest(consts: List[np.ndarray]) -> str:
-    return _digests().state_digest(
+    return state_digest(
         {f"{i:06d}": array for i, array in enumerate(consts)})
 
 
@@ -452,7 +427,6 @@ def plan_payload(plan: InferencePlan) -> Dict[str, Any]:
         raise ValueError(
             "plan is not serializable: the traced graph contains values "
             "the repro-plan/1 codec cannot represent")
-    digests = _digests()
     values_payload: List[Dict[str, Any]] = []
     for entry in program.values:
         wire: Dict[str, Any] = {
@@ -461,7 +435,7 @@ def plan_payload(plan: InferencePlan) -> Dict[str, Any]:
             "dims": [[int(m), int(c)] for m, c in entry["dims"]],
         }
         if entry["const"] is not None:
-            wire["data"] = _array_to_b64(program.consts[entry["const"]])
+            wire["data"] = array_to_payload(program.consts[entry["const"]])
         values_payload.append(wire)
     budget = program.memory_budget
     payload: Dict[str, Any] = {
@@ -481,7 +455,7 @@ def plan_payload(plan: InferencePlan) -> Dict[str, Any]:
         "steps": _steps_payload(plan),
         "arena": _arena_payload(plan),
     }
-    payload["digest"] = digests.payload_digest(
+    payload["digest"] = payload_digest(
         {key: value for key, value in payload.items() if key != "digest"})
     return payload
 
@@ -498,7 +472,7 @@ def _program_from_payload(payload: Mapping[str, Any]) -> PlanProgram:
         }
         if "data" in wire:
             entry["const"] = len(consts)
-            consts.append(_array_from_b64(wire["data"]))
+            consts.append(array_from_payload(wire["data"]))
         values.append(entry)
     budget = payload.get("memory_budget")
     return PlanProgram(
@@ -523,18 +497,9 @@ def plan_from_payload(payload: Mapping[str, Any]) -> InferencePlan:
     Every failure is a ``ValueError`` (``TypeError`` for non-mappings) —
     a loaded plan is trustworthy or absent, never silently different.
     """
-    if not isinstance(payload, Mapping):
-        raise TypeError(
-            f"repro-plan payload must be a mapping, "
-            f"got {type(payload).__name__}")
-    schema = payload.get("schema")
-    if schema != PLAN_SCHEMA:
-        raise ValueError(
-            f"unsupported plan schema {schema!r}; this build reads "
-            f"{PLAN_SCHEMA!r} only")
-    digests = _digests()
+    check_schema(payload, PLAN_SCHEMA)
     body = {key: value for key, value in payload.items() if key != "digest"}
-    if payload.get("digest") != digests.payload_digest(body):
+    if payload.get("digest") != payload_digest(body):
         raise ValueError(
             "repro-plan/1 payload digest mismatch: the payload was "
             "tampered with or corrupted in transit")
@@ -558,7 +523,7 @@ def plan_from_payload(payload: Mapping[str, Any]) -> InferencePlan:
 
 def save_plan(plan: InferencePlan, path) -> str:
     """Write the canonical-JSON payload to ``path`` (byte-deterministic)."""
-    text = _digests().canonical_json(plan.to_dict())
+    text = canonical_json(plan.to_dict())
     path = os.fspath(path)
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(text)

@@ -32,6 +32,7 @@ from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
 
 import numpy as np
 
+from ..wire import check_schema
 from .backend import get_default_dtype
 from .tensor import Tensor, add_op_hook, no_grad, remove_op_hook
 
@@ -158,11 +159,7 @@ class OpProfile:
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "OpProfile":
-        schema = payload.get("schema")
-        if schema != PROFILE_SCHEMA:
-            raise ValueError(
-                f"unsupported op-profile schema {schema!r}: expected "
-                f"'{PROFILE_SCHEMA}'")
+        check_schema(payload, PROFILE_SCHEMA)
         profile = cls()
         for op, stat in payload.get("ops", {}).items():
             profile.ops[op] = OpStat(int(stat["calls"]), float(stat["seconds"]))
@@ -263,11 +260,7 @@ class RunProfile:
         compatibility) — a future ``repro-run-profile/2`` must fail loudly
         instead of being misparsed.
         """
-        schema = payload.get("schema", RUN_PROFILE_SCHEMA)
-        if schema != RUN_PROFILE_SCHEMA:
-            raise ValueError(
-                f"unsupported run-profile schema {schema!r}: expected "
-                f"'{RUN_PROFILE_SCHEMA}'")
+        check_schema(payload, RUN_PROFILE_SCHEMA, untagged=True)
         kwargs = {}
         for name in ("dense", "train", "eval"):
             phase = payload.get(name)

@@ -168,8 +168,7 @@ class Op:
 
     __slots__ = ("name", "forward", "backward")
 
-    def __init__(self, name: str, forward: Optional[Callable],
-                 backward: Optional[Callable]):
+    def __init__(self, name: str, forward: Callable, backward: Callable):
         self.name = name
         self.forward = forward
         self.backward = backward
@@ -192,11 +191,6 @@ def register_op(name: str, forward: Callable, backward: Callable) -> Op:
 
 def registered_ops() -> List[str]:
     return sorted(_OP_REGISTRY)
-
-
-#: Sentinel op for legacy closure-style nodes created via ``Tensor._make``;
-#: its tape node stores the backward closure as ``ctx``.
-_CLOSURE_OP = Op("closure", None, None)
 
 
 class TapeNode:
@@ -805,10 +799,6 @@ class Tensor:
             node = tensor._node
             if node is None or tensor.grad is None:
                 continue
-            if node.op is _CLOSURE_OP:
-                # Legacy closure node: the closure accumulates by itself.
-                node.ctx(tensor.grad)
-                continue
             grads = node.op.backward(node.ctx, tensor.grad, node.needs)
             for parent, parent_grad in zip(node.inputs, grads):
                 if parent_grad is not None and parent.requires_grad:
@@ -817,24 +807,6 @@ class Tensor:
     # ------------------------------------------------------------------ #
     # Helpers to build graph nodes
     # ------------------------------------------------------------------ #
-    @staticmethod
-    def _make(data: np.ndarray, parents: Tuple["Tensor", ...],
-              backward: Callable) -> "Tensor":
-        """Compatibility shim: attach a closure-style backward to ``data``.
-
-        Prefer :func:`register_op` + :func:`apply_op` for new code; this
-        exists so external closure-style ops keep working on the tape.
-        """
-        if _grad_mode() is False:
-            return Tensor(data)
-        needs = tuple(p.requires_grad for p in parents)
-        if not any(needs):
-            return Tensor(data)
-        _bump_tape_counter()
-        out = Tensor(data, requires_grad=True)
-        out._node = TapeNode(_CLOSURE_OP, tuple(parents), backward, needs)
-        return out
-
     @staticmethod
     def as_tensor(value: Union["Tensor", ArrayLike],
                   like: Optional["Tensor"] = None) -> "Tensor":

@@ -1,37 +1,82 @@
-"""Content digests shared by the wire protocol and the result cache.
+"""The payload machinery every versioned wire kind shares.
 
 Everything a sweep computes is a deterministic function of (spec, model,
-data recipe, engine state), so SHA-256 over *canonical* encodings of those
-inputs is a sound content address:
+data recipe, engine state), and everything that travels or is stored —
+specs, reports, jobs, cache entries, compiled plans, profiles — is a JSON
+object tagged with a versioned ``schema`` string such as ``repro-plan/1``.
+This module is the one home of what those kinds have in common:
 
+* :func:`check_schema` — the one tag check.  A payload must be a JSON
+  object (``TypeError`` otherwise) carrying exactly its kind's tag
+  (``ValueError`` otherwise, worded ``unsupported <kind> schema <got>:
+  expected '<tag>'``), so a future ``/2`` payload fails loudly instead of
+  being misparsed.
+* :func:`array_to_payload` / :func:`array_from_payload` — the one
+  base64-npy array codec (job datasets, checkpoints, plan constants).
 * :func:`canonical_json` / :func:`payload_digest` — the one canonical JSON
-  form (sorted keys, no whitespace) every digest in the repository hashes.
-  ``repro-job/1`` guards its dense baseline with it
-  (:func:`repro.api.jobs.dense_digest` delegates here) and
-  :meth:`CompressionSpec.digest() <repro.api.CompressionSpec.digest>` keys
-  the report cache with it.
+  form (sorted keys, no whitespace) every digest in the repository
+  hashes: ``repro-job/1`` guards its dense baseline with it,
+  :meth:`CompressionSpec.digest() <repro.api.CompressionSpec.digest>`
+  keys the report cache with it and ``repro-plan/1`` seals its payload
+  with it.
 * :func:`model_digest` — a parameter-byte hash of a built
   :class:`~repro.nn.module.Module`: every named parameter and buffer
   contributes its name, dtype, shape and raw little-endian bytes, sorted by
   name so the digest is independent of registration order.
 * :func:`data_digest` — a hash of a
-  :class:`~repro.api.jobs.LoaderPlan`'s JSON recipe (the same base64-npy
-  encoding ``repro-job/1`` ships to workers).  Plans wrapping live user
-  loaders have no canonical encoding and digest to ``None`` — submissions
-  over them are uncacheable.
+  :class:`~repro.api.jobs.LoaderPlan`'s JSON recipe.  Plans wrapping live
+  user loaders have no canonical encoding and digest to ``None`` —
+  submissions over them are uncacheable.
+* :func:`state_digest` — the same byte hash over a name → array mapping.
 
-The module is dependency-light on purpose (no imports from the rest of
-``repro.api``), so every layer — jobs, cache, session — can share it
-without cycles.
+The module imports only the standard library and numpy, so ``repro.nn``,
+``repro.deploy`` and ``repro.api`` can all share it without cycles.
 """
 
 from __future__ import annotations
 
+import base64
 import hashlib
+import io
 import json
-from typing import Any, Mapping, Optional
+from typing import Any, Dict, Mapping, Optional
 
 import numpy as np
+
+
+def check_schema(payload: Any, tag: str, *, untagged: bool = False) -> None:
+    """Raise unless ``payload`` is a JSON object tagged ``tag``.
+
+    The kind named in errors is the tag without its ``repro-`` prefix and
+    version (``repro-cache-entry/1`` → ``cache-entry``).  ``untagged``
+    accepts payloads with no ``schema`` key, for kinds that predate their
+    tag.
+    """
+    kind = tag[len("repro-"):].split("/", 1)[0]
+    if not isinstance(payload, Mapping):
+        raise TypeError(
+            f"{kind} payload must be a JSON object, "
+            f"got {type(payload).__name__}")
+    schema = payload.get("schema", tag if untagged else None)
+    if schema != tag:
+        raise ValueError(
+            f"unsupported {kind} schema {schema!r}: expected '{tag}'")
+
+
+def array_to_payload(array: np.ndarray) -> Dict[str, str]:
+    """Encode an ndarray exactly (dtype, shape, memory order and bytes)."""
+    # np.save preserves C/F memory order via the fortran_order header flag,
+    # which matters for bit-identity: BLAS kernels round differently for
+    # different layouts, so a transposed (F-order) linear weight must come
+    # back F-ordered.
+    buffer = io.BytesIO()
+    np.save(buffer, array, allow_pickle=False)
+    return {"npy": base64.b64encode(buffer.getvalue()).decode("ascii")}
+
+
+def array_from_payload(payload: Mapping[str, Any]) -> np.ndarray:
+    return np.load(io.BytesIO(base64.b64decode(payload["npy"])),
+                   allow_pickle=False)
 
 
 def canonical_json(payload: Any) -> str:

@@ -167,6 +167,16 @@ def test_bound_batches_dispatch_through_the_parent_plan():
         plan(np.zeros((3,) + INPUT_SHAPE, dtype=plan.input_dtype))
 
 
+def test_profile_steps_dispatches_bound_batches_like_a_call():
+    _, plan = _lenet_plan(batch=2)
+    bound = plan.bind(batch=4)
+    x = _input(plan, batch=4, seed=9)
+    out, timings = plan.profile_steps(x)
+    assert out.data.tobytes() == plan(x).data.tobytes()
+    assert len(timings) == len(bound.steps)
+    assert all(seconds >= 0.0 for _, seconds, _ in timings)
+
+
 def test_loaded_plan_binds_too():
     model, plan = _lenet_plan(batch=2)
     loaded = InferencePlan.from_dict(plan.to_dict())

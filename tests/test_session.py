@@ -33,7 +33,6 @@ import pytest
 import repro.api as api
 from repro.api.executor import resolve_executor
 from repro.data import DataLoader, make_synthetic_dataset
-from repro.nn.profiler import RunProfile
 
 INPUT_SHAPE = (1, 16, 16)  # lenet's native geometry: registry-name sweeps
 EXECUTORS = ["serial", "thread", "process", "remote"]
@@ -594,24 +593,6 @@ class TestJobWireFormat:
         bad_category = dict(payload, category="melted")
         with pytest.raises(ValueError, match="category"):
             api.SweepFailure.from_dict(bad_category)
-
-    def test_spec_rejects_unknown_schema_version(self):
-        payload = api.CompressionSpec(method="magnitude").to_dict()
-        assert payload["schema"] == "repro-spec/1"
-        payload["schema"] = "repro-spec/2"
-        with pytest.raises(ValueError, match="repro-spec/1"):
-            api.CompressionSpec.from_dict(payload)
-
-    def test_run_profile_rejects_unknown_schema_version(self):
-        payload = RunProfile().to_dict()
-        assert payload["schema"] == "repro-run-profile/1"
-        payload["schema"] = "repro-run-profile/2"
-        with pytest.raises(ValueError, match="repro-run-profile/1"):
-            RunProfile.from_dict(payload)
-
-    def test_report_schema_error_names_expected_tag(self):
-        with pytest.raises(ValueError, match="repro-report/1"):
-            api.CompressionReport.from_dict({"schema": "repro-report/9"})
 
 
 class TestWorkerProtocol:

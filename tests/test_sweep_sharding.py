@@ -446,9 +446,3 @@ class TestSerialization:
     def test_report_dict_is_model_free(self, report):
         restored = api.CompressionReport.from_dict(report.to_dict())
         assert restored.compressed.model is None
-
-    def test_report_dict_rejects_unknown_schema(self, report):
-        payload = report.to_dict()
-        payload["schema"] = "repro-report/99"
-        with pytest.raises(ValueError, match="schema"):
-            api.CompressionReport.from_dict(payload)
