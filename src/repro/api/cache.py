@@ -10,13 +10,18 @@ submission arrives again:
   JSON), :func:`~repro.wire.model_digest` (parameter-byte hash) and
   :func:`~repro.wire.data_digest` (the ``repro-job/1`` base64-npy
   data recipe), combined into one SHA-256.
-* :class:`FileReportCache` — the persistent store: one atomic
-  ``repro-cache-entry/1`` JSON file per report (digest-guarded; a corrupt,
-  truncated or unknown-version entry is a warning and a *miss*, never a
-  crash) plus an ``.npz`` checkpoint of the finalized compressed model's
-  parameters.  The root defaults to ``~/.cache/repro`` and is overridden by
-  the ``REPRO_CACHE_DIR`` environment variable.
-* :class:`MemoryReportCache` — the same contract in a dict, for tests and
+* :class:`ReportCache` — the store contract: five byte-level primitives
+  (``_read`` / ``_write`` / ``_remove`` / ``_keys`` / ``_nbytes``) keyed by
+  ``(kind, key)`` over three artifact kinds — ``entry`` (a digest-guarded
+  ``repro-cache-entry/1`` JSON report), ``checkpoint`` (an ``.npz`` of the
+  finalized compressed model's parameters) and ``plan`` (a ``repro-plan/1``
+  payload).  Every codec and all validation is shared: a corrupt,
+  truncated, non-UTF-8 or unknown-version artifact is a warning and a
+  *miss*, never a crash.
+* :class:`FileReportCache` — the persistent store: one atomically written
+  file per artifact.  The root defaults to ``~/.cache/repro`` and is
+  overridden by the ``REPRO_CACHE_DIR`` environment variable.
+* :class:`MemoryReportCache` — the same bytes in dicts, for tests and
   single-process warm layers.
 * Warm starts — :meth:`ReportCache.nearest_checkpoint` finds the entry with
   the same (method, model, data) whose spec payload is *closest* to a new
@@ -41,6 +46,7 @@ Maintenance from the command line::
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import tempfile
@@ -198,17 +204,36 @@ def spec_distance(a: Mapping[str, Any], b: Mapping[str, Any]) -> float:
 
 
 # --------------------------------------------------------------------------- #
-# The store contract + shared entry codec
+# The store contract + shared artifact codecs
 # --------------------------------------------------------------------------- #
-class ReportCache:
-    """Content-addressed report + checkpoint store.
+#: Every artifact kind a store holds: kind -> (directory, file suffix).  A
+#: :class:`FileReportCache` keeps ``<root>/<directory>/<key><suffix>``; this
+#: table is the one place the on-disk layout is spelled.  Entries and
+#: checkpoints are keyed by the combined cache key, plans by plan address.
+_KINDS: Dict[str, Tuple[str, str]] = {
+    "entry": ("entries", ".json"),          # repro-cache-entry/1
+    "checkpoint": ("checkpoints", ".npz"),  # finalized model parameters
+    "plan": ("plans", ".json"),             # repro-plan/1
+}
 
-    Subclasses implement the raw primitives (``_read_entry`` /
-    ``_write_entry`` / ``_read_state`` / ``_write_state`` / ``_keys`` /
-    ``_remove``); validation, the ``repro-cache-entry/1`` codec, traffic
-    counters and near-miss search are shared here.  ``get`` never raises on
-    a damaged entry: a bad digest, truncated JSON or unknown schema version
-    is reported as a :class:`CacheIntegrityWarning` and treated as a miss.
+
+def _dump(payload: Mapping[str, Any]) -> bytes:
+    return json.dumps(dict(payload), sort_keys=True).encode("utf-8")
+
+
+class ReportCache:
+    """Content-addressed report + checkpoint + plan store.
+
+    A store is five byte-level primitives over ``(kind, key)``, where
+    ``kind`` is one of the artifact kinds in ``_KINDS`` (``"entry"``,
+    ``"checkpoint"``, ``"plan"``): :meth:`_read`, :meth:`_write`,
+    :meth:`_remove`, :meth:`_keys` and :meth:`_nbytes`.  Everything else —
+    the UTF-8/JSON ``repro-cache-entry/1`` and ``repro-plan/1`` codecs, the
+    ``.npz`` checkpoint codec, validation, traffic counters, stats, LRU
+    eviction and near-miss search — is shared here.  ``get`` never raises on
+    a damaged entry: a bad digest, truncated JSON, non-UTF-8 bytes or an
+    unknown schema version is reported as a :class:`CacheIntegrityWarning`
+    and treated as a miss.
     """
 
     def __init__(self) -> None:
@@ -218,22 +243,20 @@ class ReportCache:
         self._writes = 0
 
     # -- primitives (subclass responsibility) ---------------------------- #
-    def _read_entry(self, combined: str) -> Optional[str]:
-        """The entry's raw JSON text, or ``None`` when absent."""
+    def _read(self, kind: str, key: str) -> Optional[bytes]:
+        """The stored bytes of one artifact, or ``None`` when absent."""
         raise NotImplementedError
 
-    def _write_entry(self, combined: str, text: str) -> None:
+    def _write(self, kind: str, key: str, data: bytes) -> None:
+        """Store one artifact atomically: readers see old or new bytes."""
         raise NotImplementedError
 
-    def _read_state(self, combined: str) -> Optional[Dict[str, np.ndarray]]:
+    def _remove(self, kind: str, key: str) -> None:
+        """Drop one artifact (missing artifacts are fine)."""
         raise NotImplementedError
 
-    def _write_state(self, combined: str,
-                     state: Mapping[str, np.ndarray]) -> None:
-        raise NotImplementedError
-
-    def _keys(self) -> List[str]:
-        """Combined keys of every stored entry (no particular order).
+    def _keys(self, kind: str) -> List[str]:
+        """Keys of every stored artifact of ``kind``, sorted.
 
         Recency does **not** live here: filesystem mtimes are too coarse
         (1 s on some filesystems) to order same-second writes, so age is
@@ -242,29 +265,11 @@ class ReportCache:
         """
         raise NotImplementedError
 
-    def _remove(self, combined: str) -> None:
-        """Drop one entry and its checkpoint (missing entries are fine)."""
+    def _nbytes(self, kind: str, key: str) -> int:
+        """Stored size of one artifact in bytes (``0`` when absent)."""
         raise NotImplementedError
 
-    def _read_plan(self, address: str) -> Optional[str]:
-        """The raw JSON text of one stored plan artifact, or ``None``."""
-        raise NotImplementedError
-
-    def _write_plan(self, address: str, text: str) -> None:
-        raise NotImplementedError
-
-    def _plan_keys(self) -> List[str]:
-        """Addresses of every stored plan artifact."""
-        raise NotImplementedError
-
-    def _remove_plan(self, address: str) -> None:
-        raise NotImplementedError
-
-    def _content_stats(self) -> Tuple[int, int, int, int]:
-        """(entries, checkpoints, plans, total_bytes) of the stored content."""
-        raise NotImplementedError
-
-    # -- entry codec ------------------------------------------------------ #
+    # -- artifact codecs --------------------------------------------------- #
     @staticmethod
     def _encode(key: CacheKey, report: CompressionReport,
                 has_checkpoint: bool,
@@ -281,11 +286,11 @@ class ReportCache:
         }
 
     @staticmethod
-    def _parse(text: str, tag: str) -> Dict[str, Any]:
-        """JSON-decode stored text and check its ``tag``."""
+    def _parse(data: bytes, tag: str) -> Dict[str, Any]:
+        """UTF-8 + JSON decode stored bytes and check their ``tag``."""
         try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
+            payload = json.loads(data.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise CacheEntryError(f"unreadable JSON ({exc})") from None
         try:
             check_schema(payload, tag)
@@ -294,9 +299,9 @@ class ReportCache:
         return payload
 
     @classmethod
-    def _decode(cls, text: str) -> Dict[str, Any]:
-        """Parse + validate raw entry text; raises :class:`CacheEntryError`."""
-        payload = cls._parse(text, CACHE_ENTRY_SCHEMA)
+    def _decode(cls, data: bytes) -> Dict[str, Any]:
+        """Parse + validate raw entry bytes; raises :class:`CacheEntryError`."""
+        payload = cls._parse(data, CACHE_ENTRY_SCHEMA)
         report_payload = payload.get("report")
         if payload.get("report_digest") != payload_digest(report_payload):
             raise CacheEntryError(
@@ -304,15 +309,28 @@ class ReportCache:
         return payload
 
     @classmethod
-    def _decode_plan(cls, text: str) -> Dict[str, Any]:
-        """Parse + validate raw plan text; raises :class:`CacheEntryError`."""
-        payload = cls._parse(text, PLAN_SCHEMA)
+    def _decode_plan(cls, data: bytes) -> Dict[str, Any]:
+        """Parse + validate raw plan bytes; raises :class:`CacheEntryError`."""
+        payload = cls._parse(data, PLAN_SCHEMA)
         body = {k: v for k, v in payload.items() if k != "digest"}
         if payload.get("digest") != payload_digest(body):
             raise CacheEntryError(
                 "plan payload digest mismatch: the stored artifact was "
                 "corrupted")
         return payload
+
+    def _load_checkpoint(self, combined: str
+                         ) -> Optional[Dict[str, np.ndarray]]:
+        """The decoded checkpoint of one entry, or ``None`` — never raises."""
+        try:
+            data = self._read("checkpoint", combined)
+            if data is None:
+                return None
+            with np.load(io.BytesIO(data), allow_pickle=False) as archive:
+                return {name: archive[name] for name in archive.files}
+        except Exception as exc:
+            self._warn(combined, exc)
+            return None
 
     def _warn(self, combined: str, error: Exception) -> None:
         warnings.warn(
@@ -323,20 +341,19 @@ class ReportCache:
     # -- recency ----------------------------------------------------------- #
     def _entry_seq(self, combined: str) -> int:
         """The persisted ``seq`` of one entry; ``-1`` for damaged/legacy."""
-        text = self._read_entry(combined)
-        if text is None:
+        data = self._read("entry", combined)
+        if data is None:
             return -1
         try:
-            payload = json.loads(text)
-        except json.JSONDecodeError:
+            seq = self._parse(data, CACHE_ENTRY_SCHEMA).get("seq")
+        except CacheEntryError:
             return -1
-        seq = payload.get("seq") if isinstance(payload, dict) else None
         return seq if isinstance(seq, int) and not isinstance(seq, bool) else -1
 
     def _next_seq(self) -> int:
         """One more than the highest ``seq`` stored anywhere in this store."""
         highest = -1
-        for combined in self._keys():
+        for combined in self._keys("entry"):
             highest = max(highest, self._entry_seq(combined))
         return highest + 1
 
@@ -348,7 +365,7 @@ class ReportCache:
         deterministic tie-break; legacy entries without a ``seq`` sort
         first and are evicted before anything stamped.
         """
-        return sorted(self._keys(),
+        return sorted(self._keys("entry"),
                       key=lambda combined: (self._entry_seq(combined),
                                             combined))
 
@@ -372,7 +389,7 @@ class ReportCache:
             # least-recently-*used*, not write-order.  Best effort — a
             # read-only store must not turn a hit into a crash.
             entry["seq"] = self._next_seq()
-            self._write_entry(key.combined, json.dumps(entry, sort_keys=True))
+            self._write("entry", key.combined, _dump(entry))
         except Exception:
             pass
         with self._lock:
@@ -381,11 +398,11 @@ class ReportCache:
 
     def entry(self, key: CacheKey) -> Optional[Dict[str, Any]]:
         """The validated raw entry payload, or ``None`` — never raises."""
-        text = self._read_entry(key.combined)
-        if text is None:
+        data = self._read("entry", key.combined)
+        if data is None:
             return None
         try:
-            return self._decode(text)
+            return self._decode(data)
         except CacheEntryError as exc:
             self._warn(key.combined, exc)
             return None
@@ -400,21 +417,19 @@ class ReportCache:
         atomic per artifact.
         """
         if checkpoint is not None:
-            self._write_state(key.combined, checkpoint)
+            buffer = io.BytesIO()
+            np.savez(buffer, **{name: np.ascontiguousarray(array)
+                                for name, array in checkpoint.items()})
+            self._write("checkpoint", key.combined, buffer.getvalue())
         entry = self._encode(key, report, checkpoint is not None, warm_source)
         entry["seq"] = self._next_seq()
-        self._write_entry(key.combined,
-                          json.dumps(entry, sort_keys=True))
+        self._write("entry", key.combined, _dump(entry))
         with self._lock:
             self._writes += 1
 
     def checkpoint(self, key: CacheKey) -> Optional[Dict[str, np.ndarray]]:
         """The stored parameter/buffer arrays for ``key``, or ``None``."""
-        try:
-            return self._read_state(key.combined)
-        except Exception as exc:
-            self._warn(key.combined, exc)
-            return None
+        return self._load_checkpoint(key.combined)
 
     def nearest_checkpoint(self, key: CacheKey,
                            spec_payload: Mapping[str, Any]
@@ -431,14 +446,14 @@ class ReportCache:
         write order or filesystem timestamps.
         """
         best: Optional[Tuple[float, str, Dict[str, Any]]] = None
-        for combined in self._keys():
+        for combined in self._keys("entry"):
             if combined == key.combined:
                 continue
-            text = self._read_entry(combined)
-            if text is None:
+            data = self._read("entry", combined)
+            if data is None:
                 continue
             try:
-                entry = self._decode(text)
+                entry = self._decode(data)
             except CacheEntryError:
                 continue  # damaged entries never seed anything
             entry_key = entry.get("key") or {}
@@ -453,11 +468,7 @@ class ReportCache:
         if best is None:
             return None
         _, combined, entry = best
-        try:
-            state = self._read_state(combined)
-        except Exception as exc:
-            self._warn(combined, exc)
-            return None
+        state = self._load_checkpoint(combined)
         if state is None:
             return None
         return WarmStart(source=combined,
@@ -472,13 +483,13 @@ class ReportCache:
         or a payload-digest mismatch is a :class:`CacheIntegrityWarning`
         plus a miss, so a corrupt artifact can only cost a recompile.
         """
-        text = self._read_plan(address)
-        if text is None:
+        data = self._read("plan", address)
+        if data is None:
             with self._lock:
                 self._misses += 1
             return None
         try:
-            payload = self._decode_plan(text)
+            payload = self._decode_plan(data)
         except CacheEntryError as exc:
             self._warn(address, exc)
             with self._lock:
@@ -493,16 +504,19 @@ class ReportCache:
         if not isinstance(payload, Mapping):
             raise TypeError(
                 f"plan payload must be a mapping, got {type(payload).__name__}")
-        self._write_plan(address, json.dumps(dict(payload), sort_keys=True))
+        self._write("plan", address, _dump(payload))
         with self._lock:
             self._writes += 1
 
     # -- maintenance ------------------------------------------------------- #
     def stats(self) -> CacheStats:
-        entries, checkpoints, plans, total_bytes = self._content_stats()
+        keys = {kind: self._keys(kind) for kind in _KINDS}
+        total_bytes = sum(self._nbytes(kind, key)
+                          for kind, names in keys.items() for key in names)
         with self._lock:
-            return CacheStats(entries=entries, checkpoints=checkpoints,
-                              plans=plans, total_bytes=total_bytes,
+            return CacheStats(entries=len(keys["entry"]),
+                              checkpoints=len(keys["checkpoint"]),
+                              plans=len(keys["plan"]), total_bytes=total_bytes,
                               hits=self._hits, misses=self._misses,
                               writes=self._writes)
 
@@ -522,90 +536,56 @@ class ReportCache:
         keys = self._lru_keys()
         if clear:
             doomed = keys
-            for address in self._plan_keys():
-                self._remove_plan(address)
+            for address in self._keys("plan"):
+                self._remove("plan", address)
         elif max_entries is not None and len(keys) > max_entries:
             doomed = keys[:len(keys) - max_entries]
         else:
             doomed = []
         for combined in doomed:
-            self._remove(combined)
+            self._remove("entry", combined)
+            self._remove("checkpoint", combined)
         return len(doomed)
 
     def __len__(self) -> int:
-        return len(self._keys())
+        return len(self._keys("entry"))
 
 
 # --------------------------------------------------------------------------- #
 # In-memory store (tests / single-process warm layer)
 # --------------------------------------------------------------------------- #
 class MemoryReportCache(ReportCache):
-    """The store contract over plain dicts — nothing touches the filesystem.
+    """The store contract over one dict of bytes per artifact kind.
 
-    Entries still round-trip through their JSON text, so everything the
-    persistent store guarantees (schema validation, digest guarding,
-    wire-format fidelity of replayed reports) holds here too.
+    Nothing touches the filesystem, but every artifact is stored as the
+    same bytes the file store would write, so everything the persistent
+    store guarantees (schema validation, digest guarding, wire-format
+    fidelity of replayed reports, byte accounting) holds here too.
     """
 
     def __init__(self) -> None:
         super().__init__()
-        self._entries: "Dict[str, str]" = {}
-        self._states: Dict[str, Dict[str, np.ndarray]] = {}
-        self._plans: "Dict[str, str]" = {}
+        self._blobs: Dict[str, Dict[str, bytes]] = {kind: {} for kind in _KINDS}
 
-    def _read_entry(self, combined: str) -> Optional[str]:
+    def _read(self, kind: str, key: str) -> Optional[bytes]:
         with self._lock:
-            return self._entries.get(combined)
+            return self._blobs[kind].get(key)
 
-    def _write_entry(self, combined: str, text: str) -> None:
+    def _write(self, kind: str, key: str, data: bytes) -> None:
         with self._lock:
-            self._entries[combined] = text
+            self._blobs[kind][key] = bytes(data)
 
-    def _read_state(self, combined: str) -> Optional[Dict[str, np.ndarray]]:
+    def _remove(self, kind: str, key: str) -> None:
         with self._lock:
-            state = self._states.get(combined)
-            return None if state is None else {name: array.copy()
-                                               for name, array in state.items()}
+            self._blobs[kind].pop(key, None)
 
-    def _write_state(self, combined: str,
-                     state: Mapping[str, np.ndarray]) -> None:
+    def _keys(self, kind: str) -> List[str]:
         with self._lock:
-            self._states[combined] = {name: np.ascontiguousarray(array).copy()
-                                      for name, array in state.items()}
+            return sorted(self._blobs[kind])
 
-    def _keys(self) -> List[str]:
+    def _nbytes(self, kind: str, key: str) -> int:
         with self._lock:
-            return list(self._entries)
-
-    def _remove(self, combined: str) -> None:
-        with self._lock:
-            self._entries.pop(combined, None)
-            self._states.pop(combined, None)
-
-    def _read_plan(self, address: str) -> Optional[str]:
-        with self._lock:
-            return self._plans.get(address)
-
-    def _write_plan(self, address: str, text: str) -> None:
-        with self._lock:
-            self._plans[address] = text
-
-    def _plan_keys(self) -> List[str]:
-        with self._lock:
-            return list(self._plans)
-
-    def _remove_plan(self, address: str) -> None:
-        with self._lock:
-            self._plans.pop(address, None)
-
-    def _content_stats(self) -> Tuple[int, int, int, int]:
-        with self._lock:
-            text_bytes = sum(len(text) for text in self._entries.values())
-            state_bytes = sum(array.nbytes for state in self._states.values()
-                              for array in state.values())
-            plan_bytes = sum(len(text) for text in self._plans.values())
-            return (len(self._entries), len(self._states), len(self._plans),
-                    text_bytes + state_bytes + plan_bytes)
+            return len(self._blobs[kind].get(key, b""))
 
 
 # --------------------------------------------------------------------------- #
@@ -614,44 +594,41 @@ class MemoryReportCache(ReportCache):
 class FileReportCache(ReportCache):
     """Persistent content-addressed store under one root directory.
 
-    Layout::
-
-        <root>/entries/<combined>.json       repro-cache-entry/1 payloads
-        <root>/checkpoints/<combined>.npz    finalized model parameters
-        <root>/plans/<address>.json          repro-plan/1 compiled plans
-
-    Both artifact kinds are written atomically (temp file + ``os.replace``)
-    so concurrent sessions — or a crash mid-write — can never leave a
-    half-written entry that parses; anything damaged on disk is handled by
-    the read-side validation (warning + miss).
+    Each artifact is one file, ``<root>/<directory>/<key><suffix>`` per the
+    kind table ``_KINDS``.  Writes are atomic (temp file + ``os.replace``) so
+    concurrent sessions — or a crash mid-write — can never leave a
+    half-written artifact that parses; anything damaged on disk is handled
+    by the read-side validation (warning + miss), and an unreadable file is
+    a warning plus a miss too.
     """
 
     def __init__(self, root: Union[str, "os.PathLike[str]"]):
         super().__init__()
         self.root = os.path.abspath(os.fspath(root))
-        self._entries_dir = os.path.join(self.root, "entries")
-        self._states_dir = os.path.join(self.root, "checkpoints")
-        self._plans_dir = os.path.join(self.root, "plans")
 
-    # -- paths ------------------------------------------------------------- #
-    def _entry_path(self, combined: str) -> str:
-        return os.path.join(self._entries_dir, f"{combined}.json")
+    def _path(self, kind: str, key: str) -> str:
+        directory, suffix = _KINDS[kind]
+        return os.path.join(self.root, directory, key + suffix)
 
-    def _state_path(self, combined: str) -> str:
-        return os.path.join(self._states_dir, f"{combined}.npz")
+    def _read(self, kind: str, key: str) -> Optional[bytes]:
+        try:
+            with open(self._path(kind, key), "rb") as stream:
+                return stream.read()
+        except (FileNotFoundError, NotADirectoryError):
+            return None
+        except OSError as exc:
+            self._warn(key, exc)
+            return None
 
-    def _plan_path(self, address: str) -> str:
-        return os.path.join(self._plans_dir, f"{address}.json")
-
-    @staticmethod
-    def _atomic_write(path: str, writer) -> None:
+    def _write(self, kind: str, key: str, data: bytes) -> None:
+        path = self._path(kind, key)
         directory = os.path.dirname(path)
         os.makedirs(directory, exist_ok=True)
-        handle, tmp_path = tempfile.mkstemp(
-            dir=directory, prefix=".tmp-", suffix=os.path.splitext(path)[1])
+        handle, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-",
+                                            suffix=_KINDS[kind][1])
         try:
             with os.fdopen(handle, "wb") as stream:
-                writer(stream)
+                stream.write(data)
             os.replace(tmp_path, path)
         except BaseException:
             try:
@@ -660,105 +637,27 @@ class FileReportCache(ReportCache):
                 pass
             raise
 
-    # -- primitives -------------------------------------------------------- #
-    def _read_entry(self, combined: str) -> Optional[str]:
+    def _remove(self, kind: str, key: str) -> None:
         try:
-            with open(self._entry_path(combined), "r", encoding="utf-8") as f:
-                return f.read()
-        except (FileNotFoundError, NotADirectoryError):
-            return None
-        except OSError as exc:
-            self._warn(combined, exc)
-            return None
-
-    def _write_entry(self, combined: str, text: str) -> None:
-        self._atomic_write(self._entry_path(combined),
-                           lambda stream: stream.write(text.encode("utf-8")))
-
-    def _read_state(self, combined: str) -> Optional[Dict[str, np.ndarray]]:
-        path = self._state_path(combined)
-        if not os.path.exists(path):
-            return None
-        with np.load(path, allow_pickle=False) as archive:
-            return {name: archive[name] for name in archive.files}
-
-    def _write_state(self, combined: str,
-                     state: Mapping[str, np.ndarray]) -> None:
-        arrays = {name: np.ascontiguousarray(array)
-                  for name, array in state.items()}
-        self._atomic_write(self._state_path(combined),
-                           lambda stream: np.savez(stream, **arrays))
-
-    @staticmethod
-    def _listing(directory: str, suffix: str) -> List[str]:
-        try:
-            names = os.listdir(directory)
-        except (FileNotFoundError, NotADirectoryError):
-            return []
-        # Sorted filenames, not mtimes: getmtime is 1 s-coarse on some
-        # filesystems, so mtime order for same-second writes was really
-        # digest-alphabetical — and never "least recently used" anyway,
-        # since reads don't bump mtime.  Recency lives in the entry's
-        # persisted seq (see ReportCache._lru_keys).
-        return sorted(name[:-len(suffix)] for name in names
-                      if name.endswith(suffix) and not name.startswith("."))
-
-    def _keys(self) -> List[str]:
-        return self._listing(self._entries_dir, ".json")
-
-    def _remove(self, combined: str) -> None:
-        for path in (self._entry_path(combined), self._state_path(combined)):
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
-
-    def _read_plan(self, address: str) -> Optional[str]:
-        try:
-            with open(self._plan_path(address), "r", encoding="utf-8") as f:
-                return f.read()
-        except (FileNotFoundError, NotADirectoryError):
-            return None
-        except OSError as exc:
-            self._warn(address, exc)
-            return None
-
-    def _write_plan(self, address: str, text: str) -> None:
-        self._atomic_write(self._plan_path(address),
-                           lambda stream: stream.write(text.encode("utf-8")))
-
-    def _plan_keys(self) -> List[str]:
-        return self._listing(self._plans_dir, ".json")
-
-    def _remove_plan(self, address: str) -> None:
-        try:
-            os.unlink(self._plan_path(address))
+            os.unlink(self._path(kind, key))
         except OSError:
             pass
 
-    def _content_stats(self) -> Tuple[int, int, int, int]:
-        entries = checkpoints = plans = total_bytes = 0
-        for directory, suffix in ((self._entries_dir, ".json"),
-                                  (self._states_dir, ".npz"),
-                                  (self._plans_dir, ".json")):
-            try:
-                names = os.listdir(directory)
-            except (FileNotFoundError, NotADirectoryError):
-                continue
-            for name in names:
-                if not name.endswith(suffix) or name.startswith("."):
-                    continue
-                try:
-                    total_bytes += os.path.getsize(os.path.join(directory, name))
-                except OSError:
-                    continue
-                if directory is self._entries_dir:
-                    entries += 1
-                elif directory is self._states_dir:
-                    checkpoints += 1
-                else:
-                    plans += 1
-        return entries, checkpoints, plans, total_bytes
+    def _keys(self, kind: str) -> List[str]:
+        directory, suffix = _KINDS[kind]
+        try:
+            names = os.listdir(os.path.join(self.root, directory))
+        except (FileNotFoundError, NotADirectoryError):
+            return []
+        # Temp files of in-flight writes start with "." and never count.
+        return sorted(name[:-len(suffix)] for name in names
+                      if name.endswith(suffix) and not name.startswith("."))
+
+    def _nbytes(self, kind: str, key: str) -> int:
+        try:
+            return os.path.getsize(self._path(kind, key))
+        except OSError:
+            return 0
 
 
 # --------------------------------------------------------------------------- #

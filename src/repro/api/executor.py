@@ -32,7 +32,7 @@ from concurrent.futures import Executor as _FuturesExecutor
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Type, Union
+from typing import Any, Callable, Dict, List, Optional, Type, Union
 
 from ..nn.backend import ExecutionState, capture_execution_state
 from ..nn.tensor import (
@@ -154,9 +154,8 @@ class ShardPool:
 class _InlineShardPool(ShardPool):
     """Run every shard synchronously in the submitting thread.
 
-    The default ``open`` surface for strategies that only implement the
-    batch ``run`` (and for :class:`SerialExecutor`, where it is exactly the
-    reference semantics): ``submit`` blocks until the shard finishes and
+    The default ``open`` surface (for :class:`SerialExecutor` it is exactly
+    the reference semantics): ``submit`` blocks until the shard finishes and
     returns an already-resolved future.
     """
 
@@ -186,19 +185,15 @@ class _FuturesShardPool(ShardPool):
 # Executors
 # --------------------------------------------------------------------------- #
 class SweepExecutor:
-    """Strategy interface: map ``fn`` over tasks, results in task order.
+    """Strategy interface: how a sweep's shards run.
 
-    ``run`` never raises for a *shard* failure — each failure is returned
-    as a :class:`ShardResult` carrying the exception, so the caller decides
-    the policy (``run_sweep``'s ``on_error``).  ``fail_fast=True`` allows a
-    strategy to stop scheduling new shards after the first failure (the
-    serial executor honours it exactly; pools may run shards to completion).
-
-    :meth:`open` is the incremental counterpart used by
-    :class:`~repro.api.session.SweepSession`: it returns a
-    :class:`ShardPool` accepting one submission at a time, so specs can be
-    scheduled, retried and cancelled individually.  Strategies that do not
-    override it fall back to inline (submit-runs-the-shard) execution.
+    :meth:`open` returns the :class:`ShardPool` that
+    :class:`~repro.api.session.SweepSession` submits to, one shard at a
+    time, so specs can be scheduled, retried and cancelled individually.
+    A shard failure is never raised out of the pool — it comes back as a
+    :class:`ShardResult` carrying the exception, so the caller decides the
+    policy (``run_sweep``'s ``on_error``).  Strategies that do not override
+    :meth:`open` fall back to inline (submit-runs-the-shard) execution.
     """
 
     name: str = "abstract"
@@ -213,11 +208,6 @@ class SweepExecutor:
     #: session converts tasks to :class:`~repro.api.jobs.SweepJob`
     #: payloads before submitting to such a strategy.
     wire: bool = False
-
-    def run(self, fn: Callable[[Any], Any], tasks: Sequence[Any],
-            max_workers: Optional[int] = None,
-            fail_fast: bool = False) -> List[ShardResult]:
-        raise NotImplementedError
 
     def open(self, max_workers: Optional[int] = None) -> ShardPool:
         """An incremental-submission pool over this strategy."""
@@ -234,14 +224,6 @@ class SweepExecutor:
             raise ValueError("max_workers must be at least 1")
         return max_workers if max_workers is not None else (os.cpu_count() or 1)
 
-    def resolved_workers(self, num_tasks: int,
-                         max_workers: Optional[int]) -> int:
-        if max_workers is not None:
-            if max_workers < 1:
-                raise ValueError("max_workers must be at least 1")
-            return min(max_workers, max(1, num_tasks))
-        return min(max(1, num_tasks), os.cpu_count() or 1)
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"
 
@@ -252,48 +234,15 @@ class SerialExecutor(SweepExecutor):
     name = "serial"
     inline = True
 
-    def run(self, fn, tasks, max_workers=None, fail_fast=False):
-        results: List[ShardResult] = []
-        for index, task in enumerate(tasks):
-            result = _call_shard(fn, index, task)
-            results.append(result)
-            if fail_fast and not result.ok:
-                break
-        return results
-
 
 class _PoolExecutor(SweepExecutor):
-    """Shared submit/collect logic for the thread and process pools."""
+    """Shared pool wrapping for the thread and process strategies."""
 
     def _make_pool(self, workers: int) -> _FuturesExecutor:
         raise NotImplementedError
 
     def open(self, max_workers: Optional[int] = None) -> ShardPool:
         return _FuturesShardPool(self._make_pool(self.pool_capacity(max_workers)))
-
-    def run(self, fn, tasks, max_workers=None, fail_fast=False):
-        tasks = list(tasks)
-        if not tasks:
-            return []
-        # A single worker still runs through the pool: executor="process"
-        # must always mean real process isolation (pickled tasks, crash
-        # containment), even on one-CPU hosts where the default worker
-        # count resolves to 1.
-        workers = self.resolved_workers(len(tasks), max_workers)
-        results: List[ShardResult] = []
-        with self._make_pool(workers) as pool:
-            futures = [pool.submit(_call_shard, fn, index, task)
-                       for index, task in enumerate(tasks)]
-            # Collect in submission (= spec) order: the merge must not
-            # depend on completion order.
-            for future in futures:
-                try:
-                    results.append(future.result())
-                except Exception as exc:
-                    # The pool failed to round-trip the shard itself (e.g.
-                    # an unpicklable task); surface it as that shard's error.
-                    results.append(ShardResult(index=len(results), error=exc))
-        return results
 
 
 class ThreadExecutor(_PoolExecutor):

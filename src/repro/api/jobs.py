@@ -364,7 +364,10 @@ def worker_main(stdin: Optional[IO[str]] = None,
             continue
         try:
             message = json.loads(line)
-        except json.JSONDecodeError as exc:
+            if not isinstance(message, dict):
+                raise TypeError(f"job frame must be a JSON object, got "
+                                f"{type(message).__name__}")
+        except (json.JSONDecodeError, TypeError) as exc:
             proto_out.write(json.dumps(job_result_payload(-1, error=exc)) + "\n")
             proto_out.flush()
             continue
@@ -613,29 +616,6 @@ class RemoteExecutor(SweepExecutor):
 
     def open(self, max_workers: Optional[int] = None) -> ShardPool:
         return _RemoteShardPool(self.pool_capacity(max_workers))
-
-    def run(self, fn, tasks, max_workers=None, fail_fast=False):
-        """Batch surface over the same transport (``fn`` is unused).
-
-        ``tasks`` must be :class:`SweepJob` instances or their ``to_dict``
-        payloads — validated up front, so a caller handing this strategy
-        in-process task objects gets one clear ``TypeError`` instead of a
-        per-shard transport failure.
-        """
-        tasks = [_coerce_job_payload(task) for task in tasks]
-        if not tasks:
-            return []
-        workers = self.resolved_workers(len(tasks), max_workers)
-        results: List[ShardResult] = []
-        with self.open(workers) as pool:
-            futures = [pool.submit(fn, index, task)
-                       for index, task in enumerate(tasks)]
-            for index, future in enumerate(futures):
-                try:
-                    results.append(future.result())
-                except Exception as exc:
-                    results.append(ShardResult(index=index, error=exc))
-        return results
 
 
 register_executor("remote", RemoteExecutor)

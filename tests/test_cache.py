@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 import warnings
@@ -34,7 +35,9 @@ import repro.api as api
 from repro.api.cache import CacheEntryError
 from repro.api.jobs import LoaderPlan
 from repro.data import DataLoader, make_synthetic_dataset
+from repro.deploy import InferencePlan
 from repro.models import build_model
+from repro.nn.backend import use_backend
 
 INPUT_SHAPE = (1, 16, 16)  # lenet's native geometry
 EXECUTORS = ["serial", "thread", "process", "remote"]
@@ -244,9 +247,9 @@ class TestReportCacheStores:
                                key=lambda k: k.combined, reverse=True)
         store.put(first, report)
         store.put(second, report)
-        stamp = os.path.getmtime(store._entry_path(first.combined))
+        stamp = os.path.getmtime(store._path("entry", first.combined))
         for entry_key in (first, second):
-            os.utime(store._entry_path(entry_key.combined), (stamp, stamp))
+            os.utime(store._path("entry", entry_key.combined), (stamp, stamp))
         assert store.gc(max_entries=1) == 1
         assert store.entry(first) is None    # oldest write evicted
         assert store.entry(second) is not None
@@ -389,7 +392,7 @@ class TestCorruptEntries:
         store = api.FileReportCache(tmp_path / "cache")
         report, key = report_and_key
         store.put(key, report)
-        path = store._entry_path(key.combined)
+        path = store._path("entry", key.combined)
         assert os.path.exists(path)
         return store, key, path
 
@@ -435,13 +438,103 @@ class TestCorruptEntries:
 
     def test_decode_error_reasons_are_specific(self):
         with pytest.raises(CacheEntryError, match="unreadable"):
-            api.ReportCache._decode("{truncated")
+            api.ReportCache._decode(b"{truncated")
         with pytest.raises(CacheEntryError, match="schema"):
-            api.ReportCache._decode(json.dumps({"schema": "bogus/1"}))
+            api.ReportCache._decode(json.dumps({"schema": "bogus/1"}).encode())
         with pytest.raises(CacheEntryError, match="digest"):
             api.ReportCache._decode(json.dumps(
                 {"schema": api.CACHE_ENTRY_SCHEMA, "report": {"a": 1},
-                 "report_digest": "0" * 64}))
+                 "report_digest": "0" * 64}).encode())
+
+    def test_non_utf8_bytes_are_a_warned_miss_everywhere(self, store,
+                                                         report_and_key):
+        report, key = report_and_key
+        damaged = b'{"schema": "repro-cache-entry/1", "x": "\xff"}'
+        store._write("entry", key.combined, damaged)
+        store._write("plan", "a" * 64, damaged)
+        with pytest.warns(api.CacheIntegrityWarning, match="unreadable"):
+            assert store.get(key) is None
+        with pytest.warns(api.CacheIntegrityWarning, match="unreadable"):
+            assert store.entry(key) is None
+        query = cost_spec(config=api.MagnitudeSpec(prune_ratio=0.4))
+        query_key = api.CacheKey(method=key.method, spec=query.digest(),
+                                 model=key.model, data=key.data)
+        assert store.nearest_checkpoint(query_key, query.to_dict()) is None
+        # The damaged entry sorts as seq -1: put stamps seq 0 and gc evicts
+        # the damaged entry first.
+        store.put(query_key, report)
+        assert store.entry(query_key)["seq"] == 0
+        assert store.gc(max_entries=1) == 1
+        assert store._keys("entry") == [query_key.combined]
+        with pytest.warns(api.CacheIntegrityWarning, match="unreadable"):
+            assert store.get_plan("a" * 64) is None
+
+
+# --------------------------------------------------------------------------- #
+# On-disk layout: stores written by earlier releases stay readable
+# --------------------------------------------------------------------------- #
+#: A FileReportCache holding one lenet magnitude report (the
+#: ``report_and_key`` fixture), its checkpoint and its compiled plan,
+#: written before the store moved onto byte-level primitives.
+FIXTURE_STORE = os.path.join(os.path.dirname(__file__), "data", "cache_store")
+FIXTURE_PLAN = "9be5e5672cbd23b9ddbdbe046346dccc233da44f42b2c9f8d2d906123a790223"
+
+
+def _store_files(root):
+    return sorted(os.path.relpath(os.path.join(directory, name), root)
+                  for directory, _, names in os.walk(root) for name in names)
+
+
+def _read_bytes(path):
+    with open(path, "rb") as f:
+        return f.read()
+
+
+class TestOnDiskLayout:
+    @pytest.fixture(autouse=True)
+    def _float64(self):
+        # The fixture store was written under the float64 default dtype;
+        # the report, checkpoint and plan depend on it.
+        with use_backend(dtype="float64"):
+            yield
+
+    def test_fixture_store_reads_back_fully(self, tmp_path, report_and_key):
+        report, key = report_and_key
+        root = tmp_path / "old"
+        shutil.copytree(FIXTURE_STORE, root)
+        store = api.FileReportCache(root)
+        stats = store.stats()
+        assert (stats.entries, stats.checkpoints, stats.plans) == (1, 1, 1)
+        assert stats.total_bytes == sum(
+            os.path.getsize(os.path.join(root, name))
+            for name in _store_files(root))
+
+        assert store.get(key).to_dict() == report.to_dict()
+        state = store.checkpoint(key)
+        expected = report.compressed.model.state_dict()
+        assert sorted(state) == sorted(expected)
+        for name, array in expected.items():
+            assert state[name].dtype == array.dtype
+            assert state[name].tobytes() == np.ascontiguousarray(array).tobytes()
+
+        plan = InferencePlan.from_dict(store.get_plan(FIXTURE_PLAN))
+        fresh = api.compile_report(report)
+        x = np.random.default_rng(0).standard_normal(
+            (fresh.batch,) + fresh.input_shape).astype(fresh.input_dtype)
+        assert plan(x).data.tobytes() == fresh(x).data.tobytes()
+
+    def test_fresh_put_writes_the_fixture_layout(self, tmp_path,
+                                                 report_and_key):
+        report, key = report_and_key
+        store = api.FileReportCache(tmp_path / "new")
+        store.put(key, report, checkpoint=report.compressed.model.state_dict())
+        api.compile_report(report, cache=(store, "write"))
+        names = _store_files(store.root)
+        assert names == _store_files(FIXTURE_STORE)
+        for name in names:
+            if name.endswith(".json"):  # entry + plan bytes are unchanged
+                assert _read_bytes(os.path.join(store.root, name)) == \
+                    _read_bytes(os.path.join(FIXTURE_STORE, name))
 
 
 # --------------------------------------------------------------------------- #

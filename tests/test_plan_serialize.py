@@ -238,8 +238,8 @@ def test_plan_address_tracks_model_and_options(report):
 def test_corrupt_stored_plan_recompiles_with_warning(tmp_path, report):
     cache = api.FileReportCache(tmp_path / "cache")
     plan = api.compile_report(report, cache=cache)
-    address = cache._plan_keys()[0]
-    path = cache._plan_path(address)
+    address = cache._keys("plan")[0]
+    path = cache._path("plan", address)
     with open(path, "r", encoding="utf-8") as f:
         text = f.read()
     with open(path, "w", encoding="utf-8") as f:

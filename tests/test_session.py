@@ -640,6 +640,19 @@ class TestWorkerProtocol:
         result = json.loads(stdout.getvalue().splitlines()[0])
         assert result["ok"] is False
 
+    def test_worker_answers_non_object_frames_and_keeps_serving(self):
+        stdin = io.StringIO("[1, 2]\n\"x\"\n3\nnull\n"
+                            + json.dumps({"op": "shutdown"}) + "\n")
+        stdout = io.StringIO()
+        assert api.worker_main(stdin, stdout) == 0
+        results = [json.loads(line) for line in stdout.getvalue().splitlines()]
+        assert len(results) == 4
+        for result in results:
+            assert result["schema"] == api.JOB_RESULT_SCHEMA
+            assert result["ok"] is False
+            assert result["job_id"] == -1
+            assert "JSON object" in result["error"]["message"]
+
 
 class TestRemoteExecutor:
     def test_remote_requires_model_registry_name(self):
@@ -676,8 +689,6 @@ class TestRemoteExecutor:
                 pool.submit(None, 0, object())
         finally:
             pool.close()
-        with pytest.raises(TypeError, match="repro-job/1"):
-            api.RemoteExecutor().run(None, [object()])
 
     def test_transport_failure_fails_the_shard_without_stranding_workers(self):
         """A worker slot must come back even when the round-trip itself dies."""

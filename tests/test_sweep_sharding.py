@@ -94,7 +94,7 @@ class TestExecutorRegistry:
 
     def test_invalid_worker_count_rejected(self):
         with pytest.raises(ValueError, match="max_workers"):
-            SerialExecutor().resolved_workers(4, 0)
+            SerialExecutor().pool_capacity(0)
 
 
 # --------------------------------------------------------------------------- #

@@ -36,7 +36,7 @@ def _stored_entry(payload):
     store = api.MemoryReportCache()
     key = api.CacheKey(method="magnitude", spec="a" * 64, model="b" * 64,
                        data="c" * 64)
-    store._write_entry(key.combined, json.dumps(payload))
+    store._write("entry", key.combined, json.dumps(payload).encode())
     with pytest.warns(api.CacheIntegrityWarning) as caught:
         assert store.get(key) is None
     assert store.stats().misses == 1
@@ -45,7 +45,7 @@ def _stored_entry(payload):
 
 def _stored_plan(payload):
     store = api.MemoryReportCache()
-    store._write_plan("a" * 64, json.dumps(payload))
+    store._write("plan", "a" * 64, json.dumps(payload).encode())
     with pytest.warns(api.CacheIntegrityWarning) as caught:
         assert store.get_plan("a" * 64) is None
     assert store.stats().misses == 1
