@@ -524,8 +524,7 @@ class _ConvStep(_Step):
                 source = x
             self.backend.im2col_out(source, self.kernel, self.stride, (0, 0),
                                     out=self.cols)
-            self.backend.einsum_out("of,nfl->nol", self.w_mat, self.cols,
-                                    out=self.out3d)
+            self.backend.matmul_out(self.w_mat, self.cols, out=self.out3d)
         out = self.out4
         if self.bias_r is not None:
             np.add(out, self.bias_r, out=out)

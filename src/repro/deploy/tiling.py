@@ -13,10 +13,11 @@ exactly this way — a static per-layer row-stationary dataflow over on-chip
 buffers — so this module is the software mirror of that schedule.
 
 Numerical note: each output element is still the same contraction over the
-same reduction axis, but BLAS may pick a different micro-kernel for very
-narrow bands, so banded results are not guaranteed bit-identical to the
-unbanded einsum (they agree to normal floating-point tolerance).  The plan
-compiler therefore only bands convolutions whose column block exceeds the
+same reduction axis, but BLAS rounds a ragged edge tile of GEMM output
+columns with another micro-kernel, so bands are cut at whole tiles where the
+row count allows (:func:`aligned_band_rows`) and then reproduce the unbanded
+GEMM's bits; ragged bands agree with it to normal floating-point tolerance.
+The plan compiler only bands convolutions whose column block exceeds the
 budget, and never bands below :data:`MIN_BAND_ROWS` output rows.
 """
 
@@ -31,6 +32,10 @@ import numpy as np
 #: waste the whole point of the lowering (and amplify the numerical
 #: difference between banded and unbanded contraction paths).
 MIN_BAND_ROWS = 4
+
+#: Widest tile of GEMM output columns a BLAS micro-kernel computes at once
+#: (16 for OpenBLAS's Haswell sgemm kernel; its dgemm tile divides it).
+GEMM_COLUMN_TILE = 16
 
 
 def band_plan(out_h: int, cols_row_bytes: int,
@@ -64,6 +69,14 @@ def band_overrun(band_rows: int, cols_row_bytes: int,
     if memory_budget is None:
         return 0
     return max(0, band_rows * cols_row_bytes - int(memory_budget))
+
+
+def aligned_band_rows(band_rows: int, out_w: int) -> int:
+    """Most rows, at most ``band_rows``, spanning whole column tiles, or
+    ``band_rows`` if none do.  Qualifying counts are the multiples of a
+    power of two, so this keeps ``band_rows >= MIN_BAND_ROWS`` true."""
+    return next((rows for rows in range(band_rows, 0, -1)
+                 if rows * out_w % GEMM_COLUMN_TILE == 0), band_rows)
 
 
 def iter_bands(out_h: int, band_rows: int) -> Iterator[Tuple[int, int]]:
@@ -107,14 +120,13 @@ class StreamedConv:
         shape = (n, c, kh, kw, out_h, out_w)
         windows = np.lib.stride_tricks.as_strided(
             source, shape=shape, strides=strides)
-        for r0, r1 in iter_bands(out_h, self.band_rows):
+        for r0, r1 in iter_bands(out_h, aligned_band_rows(self.band_rows,
+                                                          out_w)):
             rows = r1 - r0
             band_cols = cols[:, :, :rows * out_w]
             np.copyto(
                 band_cols.reshape(n, c, kh, kw, rows, out_w),
                 windows[:, :, :, :, r0:r1, :],
             )
-            backend.einsum_out(
-                "of,nfl->nol", w_mat, band_cols,
-                out=out3d[:, :, r0 * out_w:r1 * out_w],
-            )
+            backend.matmul_out(w_mat, band_cols,
+                               out=out3d[:, :, r0 * out_w:r1 * out_w])

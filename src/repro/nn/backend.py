@@ -113,11 +113,6 @@ class Backend:
         out[...] = self.matmul(a, b)
         return out
 
-    def einsum_out(self, subscripts: str, *operands: np.ndarray,
-                   out: np.ndarray) -> np.ndarray:
-        out[...] = self.einsum(subscripts, *operands)
-        return out
-
     def im2col_out(self, x: np.ndarray, kernel: Tuple[int, int],
                    stride: Tuple[int, int], padding: Tuple[int, int],
                    out: np.ndarray) -> Tuple[np.ndarray, Tuple[int, int]]:
@@ -170,7 +165,7 @@ def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
 
 
 class NumpyBackend(Backend):
-    """Reference backend: plain numpy, einsum-lowered convolutions."""
+    """Reference backend: plain numpy, matmul-lowered convolutions."""
 
     name = "numpy"
     supports_inplace = True
@@ -203,10 +198,6 @@ class NumpyBackend(Backend):
     def matmul_out(self, a: np.ndarray, b: np.ndarray,
                    out: np.ndarray) -> np.ndarray:
         return np.matmul(a, b, out=out)
-
-    def einsum_out(self, subscripts: str, *operands: np.ndarray,
-                   out: np.ndarray) -> np.ndarray:
-        return np.einsum(subscripts, *operands, out=out, optimize=True)
 
     def im2col_out(self, x: np.ndarray, kernel: Tuple[int, int],
                    stride: Tuple[int, int], padding: Tuple[int, int],

@@ -3,7 +3,7 @@
 Every function takes and returns :class:`~repro.nn.tensor.Tensor` objects
 and participates in the recorded-op tape.  Convolutions are implemented
 with an im2col lowering (owned by the active :mod:`repro.nn.backend`) so
-that the heavy lifting is a single einsum/matrix multiply, which keeps
+that the heavy lifting is a single matrix multiply, which keeps
 pure-numpy training of the small CNNs used in the ALF paper tractable.
 
 The conv/pool primitives are **registered ops** (see
@@ -59,13 +59,11 @@ def _conv2d_fwd(x, weight, *bias, stride, padding):
         raise ValueError(f"input channels ({ci}) do not match weight channels ({ci_w})")
     cols, (out_h, out_w) = backend.im2col(x, (kh, kw), stride, padding)
     w_mat = weight.reshape(co, -1)
-    out = backend.einsum("of,nfl->nol", w_mat, cols)
-    # einsum may hand back a transposed GEMM view; canonicalize to C order
-    # so downstream reductions see one deterministic iteration order (the
-    # same one the compiled-plan arena buffers use).
-    out = backend.ascontiguousarray(out.reshape(n, co, out_h, out_w))
+    # (o, f) @ (n, f, l) -> (n, o, l): the same GEMM call the compiled plan
+    # makes into its arena buffers, so both reduce in one order.
+    out = backend.matmul(w_mat, cols).reshape(n, co, out_h, out_w)
     if bias:
-        # The einsum output is fresh and unshared, so backends that allow
+        # The GEMM output is fresh and unshared, so backends that allow
         # in-place ufuncs can add the bias without materializing a second
         # full activation array.
         if backend.supports_inplace:

@@ -23,6 +23,7 @@ from repro.deploy import (
     compile,
     iter_bands,
 )
+from repro.deploy.tiling import aligned_band_rows
 from repro.models import available_models, bench_input_shape, build_model
 from repro.nn import Tensor, no_grad
 from repro.nn.backend import NumpyBackend, get_backend, use_backend
@@ -64,6 +65,44 @@ def test_plan_bit_identical_across_zoo(name, backend):
         assert out.tobytes() == ref.tobytes(), (
             f"{name} batch={batch} on {backend}: plan diverged from eager")
         assert plan.stats.steps == len(plan.steps) > 0
+
+
+def _degenerate_gemm_net(seed=0):
+    """Convs whose GEMMs are the shapes BLAS may route differently: one
+    filter (``o == 1``), a 1x1 stride-2 conv, and a 1x1 spatial output
+    (``l == 1``)."""
+    rng = np.random.default_rng(seed)
+    return Sequential(
+        Conv2d(3, 1, 3, padding=1, rng=rng),    # o == 1, 16x16 out
+        ReLU(),
+        Conv2d(1, 4, 1, stride=2, rng=rng),     # 1x1 stride 2, 8x8 out
+        Conv2d(4, 5, 8, rng=rng),               # l == 1
+    )
+
+
+@pytest.mark.parametrize("backend", ["numpy32", "numpy64"])
+def test_plan_bit_identical_on_degenerate_gemm_shapes(backend):
+    model = _degenerate_gemm_net()
+    for batch in (1, 3):
+        out, ref, _ = _compile_and_run(model, (3, 16, 16), batch, backend)
+        assert out.shape == (batch, 5, 1, 1)
+        assert out.tobytes() == ref.tobytes(), (
+            f"batch={batch} on {backend}: plan diverged from eager")
+
+
+@pytest.mark.parametrize("backend", ["numpy32", "numpy64"])
+def test_streamed_degenerate_gemm_stays_close_to_eager(backend):
+    # Four rows of the o == 1 conv's columns: it streams in four bands,
+    # each GEMM writing a strided slice of the output.
+    itemsize = get_backend(backend).default_dtype.itemsize
+    budget = 4 * 3 * 27 * 16 * itemsize
+    out, ref, plan = _compile_and_run(_degenerate_gemm_net(), (3, 16, 16), 3,
+                                      backend, memory_budget=budget)
+    streamed = [s.streamed for s in plan.steps
+                if getattr(s, "streamed", None) is not None]
+    assert plan.stats.streamed_convs == len(streamed) >= 1
+    assert all(s.out_hw[0] >= 2 * s.band_rows for s in streamed)
+    np.testing.assert_allclose(out, ref, rtol=1e-6, atol=1e-9)
 
 
 def test_plan_rejects_wrong_shape_and_dtype():
@@ -173,6 +212,10 @@ def test_band_plan_respects_budget_and_floor():
     assert band_plan(32, row, 40_000) == 4
     # floor: never stream below MIN_BAND_ROWS
     assert band_plan(32, row, 1) == MIN_BAND_ROWS
+    # bands are cut at whole GEMM column tiles where the rows allow
+    assert aligned_band_rows(5, 8) == 4
+    assert aligned_band_rows(14, 32) == 14
+    assert aligned_band_rows(6, 6) == 6  # no aligned count: keep the plan's
     bands = list(iter_bands(10, 4))
     assert bands[0] == (0, 4) and bands[-1][1] == 10
     assert sum(hi - lo for lo, hi in bands) == 10

@@ -86,18 +86,18 @@ class TestBackendRegistry:
     def test_custom_backend_plugs_in_by_name(self):
         class TracingBackend(NumpyBackend):
             name = "tracing"
-            einsum_calls = 0
+            matmul_calls = 0
 
-            def einsum(self, subscripts, *operands):
-                TracingBackend.einsum_calls += 1
-                return super().einsum(subscripts, *operands)
+            def matmul(self, a, b):
+                TracingBackend.matmul_calls += 1
+                return super().matmul(a, b)
 
         register_backend("tracing-test", TracingBackend, overwrite=True)
         with use_backend("tracing-test"):
             x = Tensor(np.random.default_rng(0).standard_normal((1, 2, 5, 5)))
             w = Tensor(np.random.default_rng(1).standard_normal((3, 2, 3, 3)))
             F.conv2d(x, w)
-        assert TracingBackend.einsum_calls >= 1
+        assert TracingBackend.matmul_calls >= 1
 
     def test_models_built_under_float32_backend_are_float32(self, rng):
         with use_backend("numpy32"):
