@@ -32,7 +32,8 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from operator import itemgetter, methodcaller
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -92,16 +93,18 @@ def _noop_hook(name: str, seconds: float, layer: str) -> None:
 # Graph IR
 # --------------------------------------------------------------------------- #
 class _Value:
-    """One array in the traced dataflow: input, constant or op temporary."""
+    """One array in the traced dataflow: input, constant or op temporary.
 
-    __slots__ = ("kind", "shape", "dtype", "producer", "array", "is_const",
-                 "index")
+    Values hold no link back to the node producing them, so a graph is
+    acyclic and its traced arrays are freed by reference counting.
+    """
+
+    __slots__ = ("kind", "shape", "dtype", "array", "is_const", "index")
 
     def __init__(self, kind: str, shape, dtype, array=None, is_const=False):
         self.kind = kind                    # "input" | "const" | "temp"
         self.shape = tuple(shape)
         self.dtype = np.dtype(dtype)
-        self.producer: Optional["_Node"] = None
         self.array = array                  # traced/bound array (may be None)
         self.is_const = is_const
         self.index: Optional[int] = None    # register slot, set at lowering
@@ -160,10 +163,9 @@ def _build_graph(records: List[_TraceRecord], input_array: np.ndarray,
         out = _Value("temp", record.out.shape, record.out.dtype,
                      array=record.out,
                      is_const=all(v.is_const for v in inputs))
-        node = _Node(record.op, inputs, record.kwargs, out, record.layer)
-        out.producer = node
         values[id(record.out)] = out
-        nodes.append(node)
+        nodes.append(_Node(record.op, inputs, record.kwargs, out,
+                           record.layer))
 
     output_value = values.get(id(output_array))
     if output_value is None:
@@ -174,26 +176,31 @@ def _build_graph(records: List[_TraceRecord], input_array: np.ndarray,
 # --------------------------------------------------------------------------- #
 # Optimization passes
 # --------------------------------------------------------------------------- #
+def _is_const(value: _Value) -> bool:
+    return value.is_const and value.array is not None
+
+
+def _const_conv_params(node: _Node):
+    """``(weight, bias)`` of a conv whose parameters are all constants, else
+    ``None``.  Only such a conv is folded, elided, fused or specialized, so
+    a fused activation always lands on a step that applies it."""
+    weight = node.inputs[1]
+    bias = node.inputs[2] if len(node.inputs) > 2 else None
+    if _is_const(weight) and (bias is None or _is_const(bias)):
+        return weight, bias
+    return None
+
+
 def _freeze_consts(graph: _Graph) -> int:
-    """Turn const-valued temporaries into leaves holding their traced array.
+    """Count the const-valued temporaries: leaves holding their traced array.
 
     The traced array *is* the op's exact result, so this is bit-identical
     constant folding for free: inference-mode BatchNorm scale chains,
     masked-weight products and reshaped parameters all collapse to a
-    single bound array, and dead-code elimination removes their producer
-    chains from the per-call step list.
+    single bound array, and dead-code elimination, which stops at these
+    leaves, removes their producer chains from the per-call step list.
     """
-    frozen = 0
-    for node in graph.nodes:
-        if node.out.is_const and node.out.array is not None \
-                and node.out.producer is not None:
-            node.out.producer = None
-            frozen += 1
-    return frozen
-
-
-def _is_const(value: _Value) -> bool:
-    return value.is_const and value.array is not None
+    return sum(_is_const(node.out) for node in graph.nodes)
 
 
 def _fold_affine_chains(graph: _Graph) -> int:
@@ -212,10 +219,10 @@ def _fold_affine_chains(graph: _Graph) -> int:
         for node in graph.nodes:
             if node.op_name != "conv2d" or node.activation is not None:
                 continue
-            weight = node.inputs[1]
-            bias = node.inputs[2] if len(node.inputs) > 2 else None
-            if not _is_const(weight) or (bias is not None and not _is_const(bias)):
+            params = _const_conv_params(node)
+            if params is None:
                 continue
+            weight, bias = params
             co = weight.shape[0]
             dtype = weight.dtype
             scale = np.ones(co, dtype=dtype)
@@ -264,7 +271,6 @@ def _fold_affine_chains(graph: _Graph) -> int:
                                 array=new_bias, is_const=True)
             node.inputs = [node.inputs[0], weight_value, bias_value]
             node.out = chain[-1].out
-            node.out.producer = node
             removed = set(chain)
             graph.nodes = [n for n in graph.nodes if n not in removed]
             folded += len(chain)
@@ -292,10 +298,10 @@ def _elide_dead_filters(graph: _Graph) -> int:
         for node in graph.nodes:
             if node.op_name != "conv2d":
                 continue
-            weight = node.inputs[1]
-            bias = node.inputs[2] if len(node.inputs) > 2 else None
-            if not _is_const(weight) or (bias is not None and not _is_const(bias)):
+            params = _const_conv_params(node)
+            if params is None:
                 continue
+            weight, bias = params
             w = weight.array
             co = w.shape[0]
             zero = ~w.reshape(co, -1).any(axis=1)
@@ -364,9 +370,7 @@ def _fuse_activations(graph: _Graph) -> int:
         for node in graph.nodes:
             if node.op_name != "conv2d" or node.activation is not None:
                 continue
-            if not _is_const(node.inputs[1]):
-                continue
-            if node.out is graph.output:
+            if _const_conv_params(node) is None or node.out is graph.output:
                 continue
             consumers = uses.get(node.out, [])
             if len(consumers) != 1:
@@ -376,7 +380,6 @@ def _fuse_activations(graph: _Graph) -> int:
                 continue
             node.activation = act.op_name
             node.out = act.out
-            node.out.producer = node
             graph.nodes = [n for n in graph.nodes if n is not act]
             fused += 1
             applied = True
@@ -386,9 +389,11 @@ def _fuse_activations(graph: _Graph) -> int:
 
 
 def _eliminate_dead_code(graph: _Graph) -> int:
-    # Walk producers from the output; frozen constants have no producer, so
+    # Walk producers from the output; frozen constants count as leaves, so
     # the chains that computed them at trace time are never reached and drop
     # out of the per-call step list.
+    producer = {node.out: node for node in graph.nodes
+                if not _is_const(node.out)}
     needed_nodes: set = set()
     seen: set = set()
     stack = [graph.output]
@@ -397,9 +402,10 @@ def _eliminate_dead_code(graph: _Graph) -> int:
         if value in seen:
             continue
         seen.add(value)
-        if value.producer is not None:
-            needed_nodes.add(value.producer)
-            stack.extend(value.producer.inputs)
+        node = producer.get(value)
+        if node is not None:
+            needed_nodes.add(node)
+            stack.extend(node.inputs)
     before = len(graph.nodes)
     graph.nodes = [n for n in graph.nodes if n in needed_nodes]
     return before - len(graph.nodes)
@@ -411,401 +417,90 @@ def _eliminate_dead_code(graph: _Graph) -> int:
 class _Step:
     """One executable unit of a plan.
 
-    ``run(regs)`` reads input registers and produces the output register;
-    ``bind(arena, regs)`` resolves arena references to concrete arrays
-    once, after the arena is finalized.  ``kind`` distinguishes
-    specialized (arena-backed, in-place) steps from view and generic
-    fallback steps.
+    ``refs`` names the arena buffers the step owns (``cols_ref``,
+    ``mask_ref``, ``argmax_ref``, ``out_ref``) in reservation order; all
+    but ``out_ref`` are scratch, free again once the step has run.
+    ``bind(arena, regs)`` resolves them after the arena is finalized,
+    publishes ``out_ref`` as the step's output register and builds
+    ``run(regs)`` as a closure over the concrete arrays.  ``kind``
+    distinguishes specialized (arena-backed, in-place) steps from ``view``
+    and ``generic`` fallback steps; ``streamed`` is a streamed conv's
+    row-band schedule.
     """
 
-    kind = "generic"
-    op_name = "?"
-    layer = ""
-    activation: Optional[str] = None
+    def __init__(self, kind: str, node: _Node,
+                 build: Callable[[Dict[str, np.ndarray]], Callable],
+                 refs: Optional[Dict[str, BufferRef]] = None, *,
+                 activation: Optional[str] = None,
+                 streamed: Optional[StreamedConv] = None):
+        self.kind = kind
+        self.op_name = node.op_name
+        self.layer = node.layer
+        self.activation = activation
+        self.streamed = streamed
+        self.refs: Dict[str, BufferRef] = refs or {}
+        self.run: Optional[Callable[[List[Optional[np.ndarray]]], None]] = None
+        self._out = node.out.index
+        self._build = build
 
     def bind(self, arena: BufferArena, regs: List[Optional[np.ndarray]]) -> None:
-        pass
-
-    def run(self, regs: List[Optional[np.ndarray]]) -> None:
-        raise NotImplementedError
-
-
-class _GenericStep(_Step):
-    """Fallback: execute the op's own forward, fresh output per call."""
-
-    def __init__(self, node: _Node, in_indices: List[int], out_index: int):
-        self.op = node.op
-        self.op_name = node.op_name
-        self.layer = node.layer
-        self.kwargs = node.kwargs
-        self.in_indices = in_indices
-        self.out_index = out_index
-
-    def run(self, regs):
-        data, _ctx = self.op.forward(
-            *[regs[i] for i in self.in_indices], **self.kwargs)
-        regs[self.out_index] = data
+        arrays = {name: arena.array(ref) for name, ref in self.refs.items()}
+        if "out_ref" in arrays:
+            regs[self._out] = arrays["out_ref"]
+        self.run = self._build(arrays)
 
 
-class _ViewStep(_Step):
-    """reshape/transpose/getitem: rebind the output register per call."""
+def _activation(name: str, mask: Optional[np.ndarray]):
+    """``act(src, out)``: the eager bits of a fusable activation written into
+    ``out``, which may be ``src``.  relu replays ``a * (a > 0)`` through the
+    bool buffer ``mask``."""
+    if name == "relu":
+        def relu(src, out):
+            np.greater(src, 0, out=mask)
+            np.multiply(src, mask, out=out)
+        return relu
+    if name == "tanh":
+        return lambda src, out: np.tanh(src, out=out)
 
-    kind = "view"
-
-    def __init__(self, node: _Node, in_index: int, out_index: int):
-        self.op_name = node.op_name
-        self.layer = node.layer
-        self.in_index = in_index
-        self.out_index = out_index
-        if node.op_name == "reshape":
-            shape = node.kwargs["shape"]
-            self.run = lambda regs: regs.__setitem__(
-                out_index, regs[in_index].reshape(shape))
-        elif node.op_name == "transpose":
-            axes = node.kwargs["axes"]
-            self.run = lambda regs: regs.__setitem__(
-                out_index, regs[in_index].transpose(axes))
-        else:  # getitem
-            index = node.kwargs["index"]
-            self.run = lambda regs: regs.__setitem__(
-                out_index, regs[in_index][index])
-
-
-class _ConvStep(_Step):
-    """im2col convolution into arena memory, with optional fused activation
-    and optional row-band streaming."""
-
-    kind = "conv"
-
-    def __init__(self, backend, node: _Node, in_index: int, out_index: int,
-                 cols_ref: BufferRef, out_ref: BufferRef,
-                 mask_ref: Optional[BufferRef],
-                 padded: Optional[np.ndarray], center,
-                 streamed: Optional[StreamedConv]):
-        self.backend = backend
-        self.op_name = node.op_name
-        self.layer = node.layer
-        self.activation = node.activation
-        self.in_index = in_index
-        self.out_index = out_index
-        self.cols_ref = cols_ref
-        self.out_ref = out_ref
-        self.mask_ref = mask_ref
-        self.padded = padded
-        self.center = center
-        self.streamed = streamed
-        weight = node.inputs[1].array
-        self.kernel = weight.shape[2:4]
-        self.stride = node.kwargs["stride"]
-        self.w_mat = weight.reshape(weight.shape[0], -1)
-        bias = node.inputs[2].array if len(node.inputs) > 2 else None
-        self.bias_r = (bias.reshape(1, weight.shape[0], 1, 1)
-                       if bias is not None else None)
-
-    def bind(self, arena, regs):
-        self.cols = arena.array(self.cols_ref)
-        self.out4 = arena.array(self.out_ref)
-        n, co, oh, ow = self.out4.shape
-        self.out3d = self.out4.reshape(n, co, oh * ow)
-        self.mask = arena.array(self.mask_ref) if self.mask_ref else None
-        regs[self.out_index] = self.out4
-
-    def run(self, regs):
-        x = regs[self.in_index]
-        if self.streamed is not None:
-            self.streamed.run(self.backend, x, self.padded if
-                              self.padded is not None else x,
-                              self.cols, self.w_mat, self.out3d)
-        else:
-            if self.padded is not None:
-                self.padded[self.center] = x
-                source = self.padded
-            else:
-                source = x
-            self.backend.im2col_out(source, self.kernel, self.stride, (0, 0),
-                                    out=self.cols)
-            self.backend.matmul_out(self.w_mat, self.cols, out=self.out3d)
-        out = self.out4
-        if self.bias_r is not None:
-            np.add(out, self.bias_r, out=out)
-        if self.activation == "relu":
-            np.greater(out, 0, out=self.mask)
-            np.multiply(out, self.mask, out=out)
-        elif self.activation == "tanh":
-            np.tanh(out, out=out)
-        elif self.activation == "sigmoid":
-            np.negative(out, out=out)
-            np.exp(out, out=out)
-            np.add(out, 1.0, out=out)
-            np.divide(1.0, out, out=out)
-
-
-class _MaxPoolStep(_Step):
-    kind = "max_pool"
-
-    def __init__(self, backend, node: _Node, in_index: int, out_index: int,
-                 cols_ref: BufferRef, argmax_ref: BufferRef,
-                 out_ref: BufferRef):
-        self.backend = backend
-        self.op_name = node.op_name
-        self.layer = node.layer
-        self.in_index = in_index
-        self.out_index = out_index
-        self.cols_ref = cols_ref
-        self.argmax_ref = argmax_ref
-        self.out_ref = out_ref
-        self.kernel = node.kwargs["kernel"]
-        self.stride = node.kwargs["stride"]
-
-    def bind(self, arena, regs):
-        cols = arena.array(self.cols_ref)
-        n = cols.shape[0]
-        window = self.kernel[0] * self.kernel[1]
-        self.cols = cols
-        self.cols4 = cols.reshape(n, cols.shape[1] // window, window,
-                                  cols.shape[2])
-        self.argmax = arena.array(self.argmax_ref)
-        self.out4 = arena.array(self.out_ref)
-        regs[self.out_index] = self.out4
-
-    def run(self, regs):
-        x = regs[self.in_index]
-        self.backend.im2col_out(x, self.kernel, self.stride, (0, 0),
-                                out=self.cols)
-        np.argmax(self.cols4, axis=2, out=self.argmax)
-        taken = self.backend.take_along_axis(
-            self.cols4, self.argmax[:, :, None, :], axis=2)
-        np.copyto(self.out4, taken.reshape(self.out4.shape))
-
-
-class _AvgPoolStep(_Step):
-    kind = "avg_pool"
-
-    def __init__(self, backend, node: _Node, in_index: int, out_index: int,
-                 cols_ref: BufferRef, out_ref: BufferRef):
-        self.backend = backend
-        self.op_name = node.op_name
-        self.layer = node.layer
-        self.in_index = in_index
-        self.out_index = out_index
-        self.cols_ref = cols_ref
-        self.out_ref = out_ref
-        self.kernel = node.kwargs["kernel"]
-        self.stride = node.kwargs["stride"]
-
-    def bind(self, arena, regs):
-        cols = arena.array(self.cols_ref)
-        n = cols.shape[0]
-        window = self.kernel[0] * self.kernel[1]
-        self.cols = cols
-        self.cols4 = cols.reshape(n, cols.shape[1] // window, window,
-                                  cols.shape[2])
-        self.out4 = arena.array(self.out_ref)
-        self.out3 = self.out4.reshape(self.out4.shape[0], self.out4.shape[1],
-                                      -1)
-        regs[self.out_index] = self.out4
-
-    def run(self, regs):
-        x = regs[self.in_index]
-        self.backend.im2col_out(x, self.kernel, self.stride, (0, 0),
-                                out=self.cols)
-        np.mean(self.cols4, axis=2, out=self.out3)
-
-
-class _MatmulStep(_Step):
-    kind = "matmul"
-
-    def __init__(self, backend, node: _Node, in_indices, out_index,
-                 out_ref: BufferRef):
-        self.backend = backend
-        self.op_name = node.op_name
-        self.layer = node.layer
-        self.a_index, self.b_index = in_indices
-        self.out_index = out_index
-        self.out_ref = out_ref
-
-    def bind(self, arena, regs):
-        self.out = arena.array(self.out_ref)
-        regs[self.out_index] = self.out
-
-    def run(self, regs):
-        self.backend.matmul_out(regs[self.a_index], regs[self.b_index],
-                                out=self.out)
-
-
-class _ConcatStep(_Step):
-    kind = "concat"
-
-    def __init__(self, node: _Node, in_indices, out_index,
-                 out_ref: BufferRef):
-        self.op_name = node.op_name
-        self.layer = node.layer
-        self.in_indices = in_indices
-        self.out_index = out_index
-        self.out_ref = out_ref
-        self.axis = node.kwargs["axis"]
-
-    def bind(self, arena, regs):
-        self.out = arena.array(self.out_ref)
-        regs[self.out_index] = self.out
-
-    def run(self, regs):
-        np.concatenate([regs[i] for i in self.in_indices], axis=self.axis,
-                       out=self.out)
-
-
-class _PadStep(_Step):
-    """pad2d into a dedicated zero buffer: borders are written once at
-    compile time, only the center is copied per call."""
-
-    kind = "pad"
-
-    def __init__(self, node: _Node, in_index, out_index,
-                 out_array: np.ndarray):
-        self.op_name = node.op_name
-        self.layer = node.layer
-        self.in_index = in_index
-        self.out_index = out_index
-        self.out = out_array
-        padding = node.kwargs["padding"]
-        ndim = len(node.out.shape)
-        self.center = tuple(
-            slice(None) if i < ndim - 2 else slice(padding, -padding)
-            for i in range(ndim))
-
-    def bind(self, arena, regs):
-        regs[self.out_index] = self.out
-
-    def run(self, regs):
-        self.out[self.center] = regs[self.in_index]
-
-
-class _EltwiseStep(_Step):
-    """One numpy ufunc with an ``out=`` destination in the arena."""
-
-    kind = "eltwise"
-
-    def __init__(self, node: _Node, ufunc, in_indices, out_index,
-                 out_ref: BufferRef):
-        self.op_name = node.op_name
-        self.layer = node.layer
-        self.ufunc = ufunc
-        self.in_indices = tuple(in_indices)
-        self.out_index = out_index
-        self.out_ref = out_ref
-
-    def bind(self, arena, regs):
-        self.out = arena.array(self.out_ref)
-        regs[self.out_index] = self.out
-
-    def run(self, regs):
-        self.ufunc(*[regs[i] for i in self.in_indices], out=self.out)
-
-
-class _ReluStep(_Step):
-    """Standalone relu replaying the eager ``a * (a > 0)`` bit pattern."""
-
-    kind = "relu"
-
-    def __init__(self, node: _Node, in_index, out_index,
-                 mask_ref: BufferRef, out_ref: BufferRef):
-        self.op_name = node.op_name
-        self.layer = node.layer
-        self.in_index = in_index
-        self.out_index = out_index
-        self.mask_ref = mask_ref
-        self.out_ref = out_ref
-
-    def bind(self, arena, regs):
-        self.mask = arena.array(self.mask_ref)
-        self.out = arena.array(self.out_ref)
-        regs[self.out_index] = self.out
-
-    def run(self, regs):
-        a = regs[self.in_index]
-        np.greater(a, 0, out=self.mask)
-        np.multiply(a, self.mask, out=self.out)
-
-
-class _SigmoidStep(_Step):
-    kind = "sigmoid"
-
-    def __init__(self, node: _Node, in_index, out_index, out_ref: BufferRef):
-        self.op_name = node.op_name
-        self.layer = node.layer
-        self.in_index = in_index
-        self.out_index = out_index
-        self.out_ref = out_ref
-
-    def bind(self, arena, regs):
-        self.out = arena.array(self.out_ref)
-        regs[self.out_index] = self.out
-
-    def run(self, regs):
-        out = self.out
-        np.negative(regs[self.in_index], out=out)
+    def sigmoid(src, out):
+        np.negative(src, out=out)
         np.exp(out, out=out)
         np.add(out, 1.0, out=out)
         np.divide(1.0, out, out=out)
+    return sigmoid
 
 
-class _ClipStep(_Step):
-    kind = "clip"
+def _view_step(node: _Node, ins: List[int]) -> _Step:
+    """reshape/transpose/getitem: rebind the output register per call."""
+    kwargs, src, out = node.kwargs, ins[0], node.out.index
+    if node.op_name == "reshape":
+        view = methodcaller("reshape", kwargs["shape"])
+    elif node.op_name == "transpose":
+        view = methodcaller("transpose", kwargs["axes"])
+    else:  # getitem
+        view = itemgetter(kwargs["index"])
 
-    def __init__(self, node: _Node, in_index, out_index, out_ref: BufferRef):
-        self.op_name = node.op_name
-        self.layer = node.layer
-        self.in_index = in_index
-        self.out_index = out_index
-        self.out_ref = out_ref
-        self.low = node.kwargs["low"]
-        self.high = node.kwargs["high"]
-
-    def bind(self, arena, regs):
-        self.out = arena.array(self.out_ref)
-        regs[self.out_index] = self.out
-
-    def run(self, regs):
-        np.clip(regs[self.in_index], self.low, self.high, out=self.out)
+    def run(regs):
+        regs[out] = view(regs[src])
+    return _Step("view", node, lambda arrays: run)
 
 
-class _ReduceStep(_Step):
-    """max reduction into the arena.
+def _generic_step(node: _Node, ins: List[int]) -> _Step:
+    """Fallback: execute the op's own forward, fresh output per call."""
+    forward, kwargs, out = node.op.forward, node.kwargs, node.out.index
 
-    Only ``max`` lowers here: it is exact (no rounding), so the reduction
-    order an ``out=`` destination induces cannot change bits.  ``sum``
-    with ``out=`` skips numpy's pairwise accumulation and *does* change
-    bits, so sum reductions stay on the generic path.
-    """
-
-    kind = "reduce"
-
-    def __init__(self, node: _Node, in_index, out_index, out_ref: BufferRef):
-        self.op_name = node.op_name
-        self.layer = node.layer
-        self.in_index = in_index
-        self.out_index = out_index
-        self.out_ref = out_ref
-        self.axis = node.kwargs["axis"]
-        self.keepdims = node.kwargs["keepdims"]
-
-    def bind(self, arena, regs):
-        self.out = arena.array(self.out_ref)
-        regs[self.out_index] = self.out
-
-    def run(self, regs):
-        np.max(regs[self.in_index], axis=self.axis, keepdims=self.keepdims,
-               out=self.out)
+    def run(regs):
+        regs[out] = forward(*[regs[i] for i in ins], **kwargs)[0]
+    return _Step("generic", node, lambda arrays: run)
 
 
 # --------------------------------------------------------------------------- #
 # Lowering
 # --------------------------------------------------------------------------- #
 _VIEW_OPS = ("reshape", "transpose", "getitem")
-_UNARY_UFUNCS = {"neg": np.negative, "exp": np.exp, "log": np.log,
-                 "abs": np.absolute, "tanh": np.tanh}
-_BINARY_UFUNCS = {"add": np.add, "mul": np.multiply, "div": np.true_divide,
-                  "maximum": np.maximum}
+_UFUNCS = {"add": np.add, "mul": np.multiply, "div": np.true_divide,
+           "maximum": np.maximum, "neg": np.negative, "exp": np.exp,
+           "log": np.log, "abs": np.absolute, "tanh": np.tanh}
 
 
 @dataclass
@@ -834,22 +529,258 @@ class PlanStats:
     batch_peaks: Dict[int, int] = field(default_factory=dict)
 
 
+@dataclass
+class _Lowering:
+    """What an op lowering reserves buffers in and compiles against."""
+
+    arena: BufferArena
+    backend: Backend
+    memory_budget: Optional[int]
+    stats: PlanStats
+    registers: List[Optional[np.ndarray]]
+
+    def output(self, node: _Node) -> BufferRef:
+        return self.arena.reserve(node.out.shape, node.out.dtype)
+
+
+def _out_step(kind: str, cx: _Lowering, node: _Node, make_run) -> _Step:
+    """A step whose one buffer is its output; ``make_run(out)`` is its run."""
+    return _Step(kind, node, lambda arrays: make_run(arrays["out_ref"]),
+                 {"out_ref": cx.output(node)})
+
+
+def _lower_conv(cx: _Lowering, node: _Node, ins: List[int]) -> Optional[_Step]:
+    """im2col convolution into arena memory, with the fused activation as an
+    epilogue and row-band streaming over ``memory_budget``."""
+    params = _const_conv_params(node)
+    if params is None:
+        return None
+    weight, bias = params
+    arena, memory_budget, stats = cx.arena, cx.memory_budget, cx.stats
+    nb, ci, h, w = node.inputs[0].shape
+    co, _, kh, kw = weight.array.shape
+    oh, ow = node.out.shape[2], node.out.shape[3]
+    x_dtype = node.inputs[0].dtype
+    feat = ci * kh * kw
+    cols_shape = (nb, feat, oh * ow)
+    stream = None
+    if memory_budget and oh > 1:
+        cols_bytes = nb * feat * oh * ow * x_dtype.itemsize
+        if cols_bytes > memory_budget:
+            row_bytes = nb * feat * ow * x_dtype.itemsize
+            band_rows = band_plan(oh, row_bytes, memory_budget)
+            if band_rows < oh:
+                band_bytes = band_rows * row_bytes
+                overrun = band_overrun(band_rows, row_bytes, memory_budget)
+                if overrun:
+                    warnings.warn(
+                        f"memory_budget={memory_budget} is not achievable "
+                        f"for conv layer '{node.layer or '<root>'}': the "
+                        f"MIN_BAND_ROWS={MIN_BAND_ROWS} floor needs "
+                        f"{band_bytes} bytes per band ({overrun} over "
+                        f"budget)", UserWarning, stacklevel=3)
+                stats.streaming_peak_bytes = max(stats.streaming_peak_bytes,
+                                                 band_bytes)
+                stream = StreamedConv(kernel=(kh, kw),
+                                      stride=tuple(node.kwargs["stride"]),
+                                      band_rows=band_rows, out_hw=(oh, ow))
+                cols_shape = (nb, feat, band_rows * ow)
+                stats.streamed_convs += 1
+    padded = center = None
+    ph, pw = node.kwargs["padding"]
+    if ph or pw:
+        padded = arena.zeros_array((nb, ci, h + 2 * ph, w + 2 * pw), x_dtype)
+        center = (slice(None), slice(None),
+                  slice(ph, ph + h), slice(pw, pw + w))
+    refs = {"cols_ref": arena.reserve(cols_shape, x_dtype)}
+    if node.activation == "relu":
+        refs["mask_ref"] = arena.reserve(node.out.shape, np.bool_)
+    refs["out_ref"] = cx.output(node)
+
+    backend, activation = cx.backend, node.activation
+    src, kernel, stride = ins[0], (kh, kw), node.kwargs["stride"]
+    w_mat = weight.array.reshape(co, -1)
+    bias_r = None if bias is None else bias.array.reshape(1, co, 1, 1)
+
+    def build(arrays):
+        cols, out4 = arrays["cols_ref"], arrays["out_ref"]
+        out3d = out4.reshape(nb, co, oh * ow)
+        epilogue = (_activation(activation, arrays.get("mask_ref"))
+                    if activation else None)
+
+        def run(regs):
+            x = regs[src]
+            if stream is not None:
+                stream.run(backend, x, x if padded is None else padded,
+                           cols, w_mat, out3d)
+            else:
+                if padded is not None:
+                    padded[center] = x
+                    x = padded
+                backend.im2col_out(x, kernel, stride, (0, 0), out=cols)
+                backend.matmul_out(w_mat, cols, out=out3d)
+            if bias_r is not None:
+                np.add(out4, bias_r, out=out4)
+            if epilogue is not None:
+                epilogue(out4, out4)
+        return run
+
+    return _Step("conv", node, build, refs, activation=activation,
+                 streamed=stream)
+
+
+def _lower_pool(cx: _Lowering, node: _Node, ins: List[int]) -> _Step:
+    """Max or avg pooling over an im2col window block in arena memory."""
+    nb, c = node.inputs[0].shape[:2]
+    kernel, stride = node.kwargs["kernel"], node.kwargs["stride"]
+    oh, ow = node.out.shape[2], node.out.shape[3]
+    window = kernel[0] * kernel[1]
+    is_max = node.op_name == "max_pool2d"
+    refs = {"cols_ref": cx.arena.reserve((nb, c * window, oh * ow),
+                                         node.inputs[0].dtype)}
+    if is_max:
+        refs["argmax_ref"] = cx.arena.reserve((nb, c, oh * ow), np.intp)
+    refs["out_ref"] = cx.output(node)
+    backend, src = cx.backend, ins[0]
+
+    def build(arrays):
+        cols, out4 = arrays["cols_ref"], arrays["out_ref"]
+        cols4 = cols.reshape(nb, c, window, oh * ow)
+        if not is_max:
+            out3 = out4.reshape(nb, c, oh * ow)
+
+            def run(regs):
+                backend.im2col_out(regs[src], kernel, stride, (0, 0),
+                                   out=cols)
+                np.mean(cols4, axis=2, out=out3)
+            return run
+        argmax = arrays["argmax_ref"]
+        index = argmax[:, :, None, :]
+
+        def run(regs):
+            backend.im2col_out(regs[src], kernel, stride, (0, 0), out=cols)
+            np.argmax(cols4, axis=2, out=argmax)
+            taken = backend.take_along_axis(cols4, index, axis=2)
+            np.copyto(out4, taken.reshape(out4.shape))
+        return run
+
+    return _Step("max_pool" if is_max else "avg_pool", node, build, refs)
+
+
+def _lower_activation(cx: _Lowering, node: _Node, ins: List[int]) -> _Step:
+    """Standalone relu/sigmoid through the epilogue the conv step fuses."""
+    name, src = node.op_name, ins[0]
+    refs = {}
+    if name == "relu":
+        refs["mask_ref"] = cx.arena.reserve(node.inputs[0].shape, np.bool_)
+    refs["out_ref"] = cx.output(node)
+
+    def build(arrays):
+        act, out = _activation(name, arrays.get("mask_ref")), arrays["out_ref"]
+        return lambda regs: act(regs[src], out)
+    return _Step(name, node, build, refs)
+
+
+def _lower_pad(cx: _Lowering, node: _Node, ins: List[int]) -> _Step:
+    """pad2d into a dedicated zero buffer: borders are written once at
+    compile time, only the center is copied per call."""
+    out = cx.arena.zeros_array(node.out.shape, node.out.dtype)
+    cx.registers[node.out.index] = out
+    padding, ndim, src = node.kwargs["padding"], len(node.out.shape), ins[0]
+    center = tuple(slice(None) if i < ndim - 2 else slice(padding, -padding)
+                   for i in range(ndim))
+
+    def run(regs):
+        out[center] = regs[src]
+    return _Step("pad", node, lambda arrays: run)
+
+
+def _lower_ufunc(cx: _Lowering, node: _Node,
+                 ins: List[int]) -> Optional[_Step]:
+    """One numpy ufunc with an ``out=`` destination in the arena."""
+    ufunc = _UFUNCS[node.op_name]
+    if len(ins) != ufunc.nin:
+        return None
+    if ufunc.nin == 2:
+        a, b = ins
+        return _out_step("eltwise", cx, node, lambda out: lambda regs: ufunc(
+            regs[a], regs[b], out=out))
+    a, = ins
+    return _out_step("eltwise", cx, node,
+                     lambda out: lambda regs: ufunc(regs[a], out=out))
+
+
+def _lower_matmul(cx: _Lowering, node: _Node,
+                  ins: List[int]) -> Optional[_Step]:
+    if any(len(v.shape) < 2 for v in node.inputs):
+        return None
+    a, b = ins
+    matmul_out = cx.backend.matmul_out
+    return _out_step("matmul", cx, node, lambda out: lambda regs: matmul_out(
+        regs[a], regs[b], out=out))
+
+
+def _lower_concat(cx: _Lowering, node: _Node, ins: List[int]) -> _Step:
+    axis = node.kwargs["axis"]
+    return _out_step("concat", cx, node, lambda out: lambda regs:
+                     np.concatenate([regs[i] for i in ins], axis=axis,
+                                    out=out))
+
+
+def _lower_clip(cx: _Lowering, node: _Node, ins: List[int]) -> _Step:
+    src, low, high = ins[0], node.kwargs["low"], node.kwargs["high"]
+    return _out_step("clip", cx, node, lambda out: lambda regs: np.clip(
+        regs[src], low, high, out=out))
+
+
+def _lower_max(cx: _Lowering, node: _Node, ins: List[int]) -> _Step:
+    """max reduction into the arena.
+
+    Only ``max`` lowers here: it is exact (no rounding), so the reduction
+    order an ``out=`` destination induces cannot change bits.  ``sum``
+    with ``out=`` skips numpy's pairwise accumulation and *does* change
+    bits, so sum reductions stay on the generic path.
+    """
+    src, axis, keepdims = ins[0], node.kwargs["axis"], node.kwargs["keepdims"]
+    return _out_step("reduce", cx, node, lambda out: lambda regs: np.max(
+        regs[src], axis=axis, keepdims=keepdims, out=out))
+
+
+#: Op name -> lowering onto the arena; a lowering returns ``None`` when this
+#: node needs the generic fallback.  Only backends with verified in-place
+#: kernels (``supports_inplace``) use the table.
+_LOWERINGS = {
+    "conv2d": _lower_conv,
+    "max_pool2d": _lower_pool,
+    "avg_pool2d": _lower_pool,
+    "relu": _lower_activation,
+    "sigmoid": _lower_activation,
+    "pad2d": _lower_pad,
+    "matmul": _lower_matmul,
+    "concatenate": _lower_concat,
+    "clip": _lower_clip,
+    "max": _lower_max,
+    **dict.fromkeys(_UFUNCS, _lower_ufunc),
+}
+
+
+def _value_order(graph: _Graph) -> List[_Value]:
+    """Every graph value once, in register order: the input, each node's
+    inputs then output, and the output.  The lowering and the wire form
+    both index values by it."""
+    values = [graph.input]
+    for node in graph.nodes:
+        values.extend(node.inputs)
+        values.append(node.out)
+    values.append(graph.output)
+    return list(dict.fromkeys(values))
+
+
 def _lower(graph: _Graph, backend: Backend, *, input_shape, batch,
            memory_budget, stats: PlanStats) -> "InferencePlan":
-    values: List[_Value] = []
-
-    def reg(value: _Value) -> int:
-        if value.index is None:
-            value.index = len(values)
-            values.append(value)
-        return value.index
-
-    reg(graph.input)
-    for node in graph.nodes:
-        for value in node.inputs:
-            reg(value)
-        reg(node.out)
-    reg(graph.output)
+    values = _value_order(graph)
+    for index, value in enumerate(values):
+        value.index = index
 
     # View outputs alias their base value's storage; liveness is tracked on
     # the base so a buffer is only recycled once every view of it is dead.
@@ -870,136 +801,28 @@ def _lower(graph: _Graph, backend: Backend, *, input_shape, batch,
 
     out_base = base_of(graph.output)
     arena = BufferArena()
+    registers: List[Optional[np.ndarray]] = [None] * len(values)
+    cx = _Lowering(arena, backend, memory_budget, stats, registers)
+    lowerings = _LOWERINGS if backend.supports_inplace else {}
     live: Dict[_Value, BufferRef] = {}
     steps: List[_Step] = []
-    specialize = backend.supports_inplace
-
-    def reserve_out(value: _Value) -> BufferRef:
-        ref = arena.reserve(value.shape, value.dtype)
-        live[value] = ref
-        return ref
 
     for i, node in enumerate(graph.nodes):
-        scratch: List[BufferRef] = []
-        in_indices = [v.index for v in node.inputs]
-        out_index = node.out.index
-        name = node.op_name
-        step: Optional[_Step] = None
-
-        if name in _VIEW_OPS:
-            step = _ViewStep(node, in_indices[0], out_index)
-        elif specialize and name == "conv2d":
-            weight = node.inputs[1]
-            bias = node.inputs[2] if len(node.inputs) > 2 else None
-            if _is_const(weight) and (bias is None or _is_const(bias)):
-                nb, ci, h, w = node.inputs[0].shape
-                co, _, kh, kw = weight.array.shape
-                oh, ow = node.out.shape[2], node.out.shape[3]
-                x_dtype = node.inputs[0].dtype
-                feat = ci * kh * kw
-                cols_shape = (nb, feat, oh * ow)
-                stream = None
-                if memory_budget and oh > 1:
-                    cols_bytes = nb * feat * oh * ow * x_dtype.itemsize
-                    if cols_bytes > memory_budget:
-                        row_bytes = nb * feat * ow * x_dtype.itemsize
-                        band_rows = band_plan(oh, row_bytes, memory_budget)
-                        if band_rows < oh:
-                            band_bytes = band_rows * row_bytes
-                            overrun = band_overrun(band_rows, row_bytes,
-                                                   memory_budget)
-                            if overrun:
-                                warnings.warn(
-                                    f"memory_budget={memory_budget} is not "
-                                    f"achievable for conv layer "
-                                    f"'{node.layer or '<root>'}': the "
-                                    f"MIN_BAND_ROWS={MIN_BAND_ROWS} floor "
-                                    f"needs {band_bytes} bytes per band "
-                                    f"({overrun} over budget)",
-                                    UserWarning, stacklevel=2)
-                            stats.streaming_peak_bytes = max(
-                                stats.streaming_peak_bytes, band_bytes)
-                            stream = StreamedConv(
-                                kernel=(kh, kw),
-                                stride=tuple(node.kwargs["stride"]),
-                                band_rows=band_rows, out_hw=(oh, ow))
-                            cols_shape = (nb, feat, band_rows * ow)
-                            stats.streamed_convs += 1
-                padded = None
-                center = None
-                ph, pw = node.kwargs["padding"]
-                if ph or pw:
-                    padded = arena.zeros_array(
-                        (nb, ci, h + 2 * ph, w + 2 * pw), x_dtype)
-                    center = (slice(None), slice(None),
-                              slice(ph, ph + h), slice(pw, pw + w))
-                cols_ref = arena.reserve(cols_shape, x_dtype)
-                scratch.append(cols_ref)
-                mask_ref = None
-                if node.activation == "relu":
-                    mask_ref = arena.reserve(node.out.shape, np.bool_)
-                    scratch.append(mask_ref)
-                step = _ConvStep(backend, node, in_indices[0], out_index,
-                                 cols_ref, reserve_out(node.out), mask_ref,
-                                 padded, center, stream)
-        elif specialize and name == "max_pool2d":
-            nb, c = node.inputs[0].shape[:2]
-            kernel = node.kwargs["kernel"]
-            oh, ow = node.out.shape[2], node.out.shape[3]
-            window = kernel[0] * kernel[1]
-            cols_ref = arena.reserve((nb, c * window, oh * ow),
-                                     node.inputs[0].dtype)
-            argmax_ref = arena.reserve((nb, c, oh * ow), np.intp)
-            scratch += [cols_ref, argmax_ref]
-            step = _MaxPoolStep(backend, node, in_indices[0], out_index,
-                                cols_ref, argmax_ref, reserve_out(node.out))
-        elif specialize and name == "avg_pool2d":
-            nb, c = node.inputs[0].shape[:2]
-            kernel = node.kwargs["kernel"]
-            oh, ow = node.out.shape[2], node.out.shape[3]
-            window = kernel[0] * kernel[1]
-            cols_ref = arena.reserve((nb, c * window, oh * ow),
-                                     node.inputs[0].dtype)
-            scratch.append(cols_ref)
-            step = _AvgPoolStep(backend, node, in_indices[0], out_index,
-                                cols_ref, reserve_out(node.out))
-        elif specialize and name == "matmul":
-            if all(len(v.shape) >= 2 for v in node.inputs):
-                step = _MatmulStep(backend, node, in_indices, out_index,
-                                   reserve_out(node.out))
-        elif specialize and name == "concatenate":
-            step = _ConcatStep(node, in_indices, out_index,
-                               reserve_out(node.out))
-        elif specialize and name == "pad2d":
-            out_array = arena.zeros_array(node.out.shape, node.out.dtype)
-            step = _PadStep(node, in_indices[0], out_index, out_array)
-        elif specialize and name in _BINARY_UFUNCS and len(in_indices) == 2:
-            step = _EltwiseStep(node, _BINARY_UFUNCS[name], in_indices,
-                                out_index, reserve_out(node.out))
-        elif specialize and name in _UNARY_UFUNCS and len(in_indices) == 1:
-            step = _EltwiseStep(node, _UNARY_UFUNCS[name], in_indices,
-                                out_index, reserve_out(node.out))
-        elif specialize and name == "relu":
-            mask_ref = arena.reserve(node.inputs[0].shape, np.bool_)
-            scratch.append(mask_ref)
-            step = _ReluStep(node, in_indices[0], out_index, mask_ref,
-                             reserve_out(node.out))
-        elif specialize and name == "sigmoid":
-            step = _SigmoidStep(node, in_indices[0], out_index,
-                                reserve_out(node.out))
-        elif specialize and name == "clip":
-            step = _ClipStep(node, in_indices[0], out_index,
-                             reserve_out(node.out))
-        elif specialize and name == "max":
-            step = _ReduceStep(node, in_indices[0], out_index,
-                               reserve_out(node.out))
-
+        ins = [v.index for v in node.inputs]
+        step = None
+        if node.op_name in _VIEW_OPS:
+            step = _view_step(node, ins)
+        elif node.op_name in lowerings:
+            step = lowerings[node.op_name](cx, node, ins)
         if step is None:
-            step = _GenericStep(node, in_indices, out_index)
+            step = _generic_step(node, ins)
         steps.append(step)
 
-        for ref in scratch:
-            arena.release(ref)
+        for name, ref in step.refs.items():
+            if name == "out_ref":
+                live[node.out] = ref
+            else:
+                arena.release(ref)
         # Deduplicate in input order, not via a set: set iteration follows
         # object ids, which would make the free-list order — and therefore
         # tie-breaks between equal-capacity buffers — nondeterministic
@@ -1017,24 +840,20 @@ def _lower(graph: _Graph, backend: Backend, *, input_shape, batch,
                 arena.release(live.pop(value))
 
     arena.finalize()
-    registers: List[Optional[np.ndarray]] = [None] * len(values)
     for value in values:
-        if value.is_const and value.array is not None:
+        if _is_const(value):
             registers[value.index] = value.array
     for step in steps:
         step.bind(arena, registers)
 
-    stats.steps = len(steps)
+    counts = stats.step_counts
     for step in steps:
-        stats.step_counts[step.kind] = stats.step_counts.get(step.kind, 0) + 1
-        if step.kind == "view":
-            stats.views += 1
-        elif step.kind == "generic":
-            stats.generic += 1
-        else:
-            stats.specialized += 1
-        if step.activation is not None:
-            stats.fused_activations += 1
+        counts[step.kind] = counts.get(step.kind, 0) + 1
+    stats.steps = len(steps)
+    stats.views = counts.get("view", 0)
+    stats.generic = counts.get("generic", 0)
+    stats.specialized = stats.steps - stats.views - stats.generic
+    stats.fused_activations = sum(s.activation is not None for s in steps)
     stats.arena = arena.stats
     stats.batch_peaks[int(batch)] = arena.stats.peak_bytes
 
@@ -1201,10 +1020,6 @@ class InferencePlan:
     # ------------------------------------------------------------------ #
     def to_dict(self) -> Dict[str, Any]:
         """The versioned ``repro-plan/1`` wire payload of this plan."""
-        if self._program is None:
-            raise ValueError(
-                "plan is not serializable: the traced graph contains values "
-                "the repro-plan/1 codec cannot represent")
         from . import serialize as _serialize
         return _serialize.plan_payload(self)
 

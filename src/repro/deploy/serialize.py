@@ -45,7 +45,8 @@ import numpy as np
 from ..nn.backend import Backend, get_backend
 from ..wire import (array_from_payload, array_to_payload, canonical_json,
                     check_schema, payload_digest, state_digest)
-from .plan import InferencePlan, PlanStats, _Graph, _lower, _Node, _Value
+from .plan import (InferencePlan, PlanStats, _Graph, _lower, _Node, _Value,
+                   _value_order)
 
 __all__ = ["PLAN_SCHEMA", "PlanProgram", "program_from_graphs",
            "bind_program", "plan_payload", "plan_from_payload",
@@ -176,25 +177,6 @@ class PlanProgram:
     output: int
 
 
-def _ordered_values(graph: _Graph):
-    """Graph values in the deterministic order ``_lower``'s reg() assigns."""
-    order: List[_Value] = []
-    index: Dict[int, int] = {}
-
-    def reg(value: _Value) -> None:
-        if id(value) not in index:
-            index[id(value)] = len(order)
-            order.append(value)
-
-    reg(graph.input)
-    for node in graph.nodes:
-        for value in node.inputs:
-            reg(value)
-        reg(node.out)
-    reg(graph.output)
-    return order, index
-
-
 def _affine_dims(shape, other_shape, batch: int,
                  batch_next: int) -> List[List[int]]:
     dims: List[List[int]] = []
@@ -215,23 +197,26 @@ def _build_program(graph: _Graph, graph_next: Optional[_Graph], *,
                    batch: int, batch_next: int, backend: Backend,
                    input_shape, memory_budget) -> PlanProgram:
     from ..nn.tensor import _OP_REGISTRY
-    order, index = _ordered_values(graph)
+    order = _value_order(graph)
+    index = {value: position for position, value in enumerate(order)}
     pair: Optional[List[_Value]] = None
     if graph_next is not None:
-        order_next, index_next = _ordered_values(graph_next)
+        order_next = _value_order(graph_next)
+        index_next = {value: position
+                      for position, value in enumerate(order_next)}
         if (len(order_next) != len(order)
                 or len(graph_next.nodes) != len(graph.nodes)
-                or index_next[id(graph_next.input)] != index[id(graph.input)]
-                or index_next[id(graph_next.output)] != index[id(graph.output)]):
+                or index_next[graph_next.input] != index[graph.input]
+                or index_next[graph_next.output] != index[graph.output]):
             raise _NotPolymorphic
         for node, node_next in zip(graph.nodes, graph_next.nodes):
             if (node.op_name != node_next.op_name
                     or node.layer != node_next.layer
                     or node.activation != node_next.activation
                     or len(node.inputs) != len(node_next.inputs)
-                    or [index[id(v)] for v in node.inputs]
-                    != [index_next[id(v)] for v in node_next.inputs]
-                    or index[id(node.out)] != index_next[id(node_next.out)]
+                    or [index[v] for v in node.inputs]
+                    != [index_next[v] for v in node_next.inputs]
+                    or index[node.out] != index_next[node_next.out]
                     or set(node.kwargs) != set(node_next.kwargs)):
                 raise _NotPolymorphic
         pair = order_next
@@ -275,8 +260,8 @@ def _build_program(graph: _Graph, graph_next: Optional[_Graph], *,
             kwargs[key] = _encode_kwarg(node.kwargs[key], other_value,
                                         batch, batch_next)
         nodes.append({"op": node.op_name,
-                      "inputs": [index[id(v)] for v in node.inputs],
-                      "out": index[id(node.out)],
+                      "inputs": [index[v] for v in node.inputs],
+                      "out": index[node.out],
                       "kwargs": kwargs,
                       "layer": node.layer,
                       "activation": node.activation})
@@ -290,7 +275,7 @@ def _build_program(graph: _Graph, graph_next: Optional[_Graph], *,
         memory_budget=int(memory_budget) if memory_budget else None,
         polymorphic=pair is not None,
         values=values, consts=consts, nodes=nodes,
-        input=index[id(graph.input)], output=index[id(graph.output)])
+        input=index[graph.input], output=index[graph.output])
 
 
 def program_from_graphs(graph: _Graph, graph_next: Optional[_Graph], *,
@@ -340,7 +325,6 @@ def program_to_graph(program: PlanProgram, batch: int) -> _Graph:
         node = _Node(op, [values[i] for i in wire["inputs"]], kwargs,
                      values[wire["out"]], wire["layer"])
         node.activation = wire["activation"]
-        node.out.producer = node
         nodes.append(node)
     return _Graph(nodes, values[program.input], values[program.output])
 
@@ -387,16 +371,12 @@ def _steps_payload(plan: InferencePlan) -> List[Dict[str, Any]]:
             "layer": step.layer,
             "activation": step.activation,
         }
-        refs: Dict[str, Any] = {}
-        for attr in ("cols_ref", "out_ref", "mask_ref", "argmax_ref"):
-            ref = getattr(step, attr, None)
-            if ref is not None:
-                refs[attr] = {"buffer": int(ref.buffer),
-                              "shape": [int(s) for s in ref.shape],
-                              "dtype": str(ref.dtype)}
-        if refs:
-            entry["refs"] = refs
-        streamed = getattr(step, "streamed", None)
+        if step.refs:
+            entry["refs"] = {name: {"buffer": int(ref.buffer),
+                                    "shape": [int(s) for s in ref.shape],
+                                    "dtype": str(ref.dtype)}
+                             for name, ref in step.refs.items()}
+        streamed = step.streamed
         if streamed is not None:
             entry["stream"] = {
                 "kernel": [int(k) for k in streamed.kernel],

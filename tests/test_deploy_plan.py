@@ -9,6 +9,10 @@ numpy backend, at batch 1 and batch 8.
 
 from __future__ import annotations
 
+import gc
+import hashlib
+import warnings
+
 import numpy as np
 import pytest
 
@@ -18,18 +22,22 @@ from repro.core.deploy import CompressedConv2d, compress_model
 from repro.deploy import (
     MIN_BAND_ROWS,
     BufferArena,
+    InferencePlan,
     band_overrun,
     band_plan,
     compile,
     iter_bands,
 )
+from repro.deploy.plan import _Node
 from repro.deploy.tiling import aligned_band_rows
 from repro.models import available_models, bench_input_shape, build_model
 from repro.nn import Tensor, no_grad
+from repro.nn import functional as F
 from repro.nn.backend import NumpyBackend, get_backend, use_backend
 from repro.nn.layers import BatchNorm2d, Conv2d, Linear, MaxPool2d, ReLU
-from repro.nn.module import Sequential
+from repro.nn.module import Module, Sequential
 from repro.nn.profiler import profile_inference
+from repro.nn.tensor import concatenate
 
 
 def _eager(model, x):
@@ -103,6 +111,170 @@ def test_streamed_degenerate_gemm_stays_close_to_eager(backend):
     assert plan.stats.streamed_convs == len(streamed) >= 1
     assert all(s.out_hw[0] >= 2 * s.band_rows for s in streamed)
     np.testing.assert_allclose(out, ref, rtol=1e-6, atol=1e-9)
+
+
+# --------------------------------------------------------------------------- #
+# Lowering coverage: one net that lowers every step kind
+# --------------------------------------------------------------------------- #
+class _CoverageNet(Module):
+    """Lowers every step kind: a conv with each fused activation, standalone
+    relu/sigmoid/tanh, pad2d, max and avg pool, concatenate, clip,
+    transpose/reshape views, a linear layer and a softmax head (max reduce,
+    eltwise, generic sum)."""
+
+    def __init__(self, rng):
+        super().__init__()
+        self.conv_tanh = Conv2d(3, 4, 3, padding=1, rng=rng)
+        self.conv_sigmoid = Conv2d(3, 4, 3, rng=rng)
+        self.conv_relu = Conv2d(8, 8, 1, rng=rng)
+        self.fc = Linear(8 * 4 * 4, 5, rng=rng)
+
+    def forward(self, x):
+        a = self.conv_tanh(x).tanh()
+        b = self.conv_sigmoid(x.pad2d(1)).sigmoid()
+        y = self.conv_relu(concatenate([a, b], axis=1)).relu()
+        y = y.clip(-0.5, 0.75)
+        p, q = F.max_pool2d(y, 2), F.avg_pool2d(y, 2)
+        h = (p - q).relu() + (p * q).sigmoid() + q.tanh()
+        h = h.transpose(0, 2, 3, 1).reshape(h.shape[0], -1)
+        return F.softmax(self.fc(h), axis=-1)
+
+
+COVERAGE_SHAPE = (3, 8, 8)
+ALL_STEP_KINDS = {"conv", "pad", "concat", "clip", "max_pool", "avg_pool",
+                  "eltwise", "relu", "sigmoid", "view", "matmul", "reduce",
+                  "generic"}
+#: SHA-256 of the saved ``repro-plan/1`` file of the coverage net, keyed by
+#: (dtype, batch, streamed); the wire bytes must never drift.
+COVERAGE_DIGESTS = {
+    ("float32", 1, False):
+        "4854a8d5cacfdabf817e5b1da644df99926ce0fa2231bb430f5e3ad2fa49680d",
+    ("float32", 3, False):
+        "75e24b0d25c0302882b9baa8dc7f007542eeb9b3410cb4d41d6101886807d3e8",
+    ("float32", 3, True):
+        "bbe13bd0111a7b0f4bb5aeacff8e03169717c5c546b0739f1e7477bea9e6461f",
+    ("float64", 1, False):
+        "353077580bc4a0cf3ab9da2d3857c13a07610e768565c10205e2f847a1713768",
+    ("float64", 3, False):
+        "12041da80fd39530d6cb271aa065220b25d33f50088359b1d14706076b984961",
+    ("float64", 3, True):
+        "3fec86c60b37acb7d23ee1fb8110d6fbbefb1ebde1c29312039dace7f7e6dfef",
+}
+
+
+def _coverage_net(backend):
+    # Parameters take the backend's dtype, so the saved bytes do not depend
+    # on REPRO_DEFAULT_DTYPE.
+    with use_backend(backend):
+        return _CoverageNet(np.random.default_rng(11))
+
+
+def _coverage_budget(backend, batch):
+    # Four of conv_tanh's eight output rows per band: both 3x3 convs stream.
+    return 4 * batch * 27 * 8 * backend.default_dtype.itemsize
+
+
+def _assert_saved_fixed_point(plan, x, tmp_path, digest):
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    plan.save(first)
+    loaded = InferencePlan.load(first)
+    loaded.save(second)
+    assert first.read_bytes() == second.read_bytes()
+    assert hashlib.sha256(first.read_bytes()).hexdigest() == digest
+    assert loaded(x).data.tobytes() == plan(x).data.tobytes()
+
+
+@pytest.mark.parametrize("backend", ["numpy32", "numpy64"])
+def test_coverage_net_lowers_every_kind_bit_identically(backend, tmp_path):
+    backend = get_backend(backend)
+    model = _coverage_net(backend)
+    x3 = np.random.default_rng(5).standard_normal((3,) + COVERAGE_SHAPE)
+    x3 = x3.astype(backend.default_dtype)
+    ref3 = _eager(model, x3)
+    for batch in (1, 3):
+        out, ref, plan = _compile_and_run(model, COVERAGE_SHAPE, batch,
+                                          backend)
+        assert set(plan.stats.step_counts) == ALL_STEP_KINDS
+        assert {s.activation for s in plan.steps if s.kind == "conv"} \
+            == {"relu", "tanh", "sigmoid"}
+        assert out.tobytes() == ref.tobytes()
+        assert plan.bind(3)(x3).data.tobytes() == ref3.tobytes()
+        x = x3[:batch]
+        _assert_saved_fixed_point(
+            plan, x, tmp_path,
+            COVERAGE_DIGESTS[str(backend.default_dtype), batch, False])
+
+
+@pytest.mark.parametrize("backend", ["numpy32", "numpy64"])
+def test_coverage_net_streamed_round_trips(backend, tmp_path):
+    backend = get_backend(backend)
+    model = _coverage_net(backend)
+    budget = _coverage_budget(backend, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out, ref, plan = _compile_and_run(model, COVERAGE_SHAPE, 3, backend,
+                                          memory_budget=budget)
+    assert plan.stats.streamed_convs == 2
+    assert sum("stream" in step for step in plan.to_dict()["steps"]) == 2
+    np.testing.assert_allclose(out, ref, rtol=1e-6, atol=1e-9)
+    x = np.random.default_rng(0).standard_normal((3,) + COVERAGE_SHAPE)
+    _assert_saved_fixed_point(
+        plan, x.astype(backend.default_dtype), tmp_path,
+        COVERAGE_DIGESTS[str(backend.default_dtype), 3, True])
+
+
+class _NoInplaceBackend(NumpyBackend):
+    """A numpy backend that claims no verified in-place kernels."""
+
+    supports_inplace = False
+
+
+def test_backend_without_inplace_lowers_only_generic_and_view_steps():
+    backend = _NoInplaceBackend()
+    model = _coverage_net(backend)
+    for batch in (1, 3):
+        out, ref, plan = _compile_and_run(model, COVERAGE_SHAPE, batch,
+                                          backend)
+        assert set(plan.stats.step_counts) == {"generic", "view"}
+        assert plan.stats.specialized == 0
+        assert out.tobytes() == ref.tobytes()
+
+
+class _InputBiasConv(Module):
+    """A conv whose bias is computed from the input, then relu."""
+
+    def __init__(self, rng):
+        super().__init__()
+        self.conv = Conv2d(3, 3, 3, padding=1, bias=False, rng=rng)
+
+    def forward(self, x):
+        bias = x[0, :, 0, 0]
+        return F.conv2d(x, self.conv.weight, bias, padding=1).relu()
+
+
+def test_activation_is_not_fused_into_a_conv_that_stays_generic():
+    # The conv cannot specialize (its bias is not a constant), so fusing
+    # the relu into it would drop the relu.
+    out, ref, plan = _compile_and_run(
+        _InputBiasConv(np.random.default_rng(0)), (3, 8, 8), 2, "numpy")
+    assert [s.kind for s in plan.steps] == ["view", "generic", "relu"]
+    assert out.tobytes() == ref.tobytes()
+
+
+def test_compile_frees_its_traced_graphs():
+    # Traced graphs hold every traced activation; they must die by
+    # reference counting when compile returns, not whenever the cyclic
+    # GC happens to run.
+    model = _coverage_net(get_backend("numpy"))
+    gc.collect()
+    gc.disable()
+    try:
+        plan = compile(model, COVERAGE_SHAPE, batch=2)
+        alive = sum(isinstance(o, _Node) for o in gc.get_objects())
+    finally:
+        gc.enable()
+    assert plan.stats.steps > 0
+    assert alive == 0
 
 
 def test_plan_rejects_wrong_shape_and_dtype():

@@ -31,6 +31,8 @@ from repro.deploy import InferencePlan, PLAN_SCHEMA, compile
 from repro.models import available_models, bench_input_shape, build_model
 from repro.nn import Tensor, no_grad
 from repro.nn.backend import get_backend, use_backend
+from repro.nn.layers import Conv2d
+from repro.nn.module import Module
 
 INPUT_SHAPE = (1, 16, 16)  # lenet's native geometry
 
@@ -189,6 +191,32 @@ def test_bind_rejects_bad_batches():
     _, plan = _lenet_plan(batch=2)
     with pytest.raises(ValueError, match=">= 1"):
         plan.bind(batch=0)
+
+
+class _ChannelPick(Module):
+    """Picks channels with a numpy array: a kwarg the wire cannot encode."""
+
+    def __init__(self, rng):
+        super().__init__()
+        self.conv = Conv2d(3, 4, 3, padding=1, rng=rng)
+
+    def forward(self, x):
+        return self.conv(x)[:, np.array([2, 0])]
+
+
+def test_unencodable_graph_serves_but_does_not_serialize(tmp_path):
+    model = _ChannelPick(np.random.default_rng(0))
+    plan = compile(model, (3, 8, 8), batch=2)
+    assert plan._program is None
+    x = np.random.default_rng(1).standard_normal((2, 3, 8, 8))
+    x = x.astype(plan.input_dtype)
+    assert plan(x).data.tobytes() == _eager(model, x).tobytes()
+    with pytest.raises(ValueError, match="plan is not serializable"):
+        plan.to_dict()
+    with pytest.raises(ValueError, match="plan is not serializable"):
+        plan.save(tmp_path / "plan.json")
+    with pytest.raises(ValueError, match="plan has no symbolic-batch program"):
+        plan.bind(3)
 
 
 # --------------------------------------------------------------------------- #
