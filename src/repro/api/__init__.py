@@ -105,8 +105,6 @@ from .executor import (
     EngineState,
     ProcessExecutor,
     SerialExecutor,
-    ShardPool,
-    ShardResult,
     SweepExecutor,
     ThreadExecutor,
     available_executors,
@@ -131,12 +129,10 @@ from .jobs import (
 from .session import (
     RetryPolicy,
     SessionEvent,
-    ShardTask,
     SweepCancelledError,
     SweepFuture,
     SweepSession,
     SweepTimeoutError,
-    execute_shard,
     print_progress,
 )
 from .pipeline import (
@@ -183,8 +179,7 @@ __all__ = [
     "resolve_loaders", "compile_report", "plan_address", "PLAN_ADDRESS_KIND",
     # sessions
     "SweepSession", "SweepFuture", "RetryPolicy", "SessionEvent",
-    "SweepTimeoutError", "SweepCancelledError", "ShardTask",
-    "execute_shard", "print_progress",
+    "SweepTimeoutError", "SweepCancelledError", "print_progress",
     # wire protocol / remote workers
     "SweepJob", "RemoteExecutor", "RemoteJobError", "RemoteWorkerError",
     "LoaderPlan", "execute_job", "worker_main",
@@ -199,7 +194,7 @@ __all__ = [
     "state_digest",
     # executors
     "SweepExecutor", "SerialExecutor", "ThreadExecutor", "ProcessExecutor",
-    "ShardPool", "ShardResult", "EngineState", "register_executor",
+    "EngineState", "register_executor",
     "get_executor", "available_executors", "resolve_executor",
     "EXECUTOR_ENV_VAR",
     # protocol

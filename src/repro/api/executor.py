@@ -9,7 +9,15 @@ the shards run:
 * :class:`ThreadExecutor` — a thread pool, overlapping shards whose time is
   dominated by GIL-releasing numpy kernels or blocking I/O;
 * :class:`ProcessExecutor` — a process pool, sidestepping the GIL entirely
-  (shards and their results travel by pickle).
+  (shards and their results travel by pickle);
+* :class:`~repro.api.jobs.RemoteExecutor` (``"remote"``) — persistent
+  ``python -m repro.api.worker`` subprocesses, shards travelling as
+  ``repro-job/1`` JSON lines over stdio.
+
+Every pooled strategy's :meth:`SweepExecutor.open` returns a stock
+:class:`concurrent.futures.Executor`, and every shard is one
+:class:`~repro.api.jobs.SweepJob` run by
+:func:`~repro.api.jobs.execute_job`.
 
 Executors are registered by name exactly like ``repro.nn`` backends —
 :func:`register_executor` / :func:`get_executor` — and selected per sweep
@@ -28,11 +36,10 @@ execution state into its neighbours.
 from __future__ import annotations
 
 import os
-from concurrent.futures import Executor as _FuturesExecutor
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Type, Union
+from typing import Dict, List, Optional, Type, Union
 
 from ..nn.backend import ExecutionState, capture_execution_state
 from ..nn.tensor import (
@@ -100,125 +107,45 @@ class EngineState:
 
 
 # --------------------------------------------------------------------------- #
-# Shard results
-# --------------------------------------------------------------------------- #
-@dataclass
-class ShardResult:
-    """Outcome of one shard: a value or the exception that killed it."""
-
-    index: int
-    value: Any = None
-    error: Optional[BaseException] = None
-
-    @property
-    def ok(self) -> bool:
-        return self.error is None
-
-
-def _call_shard(fn: Callable[[Any], Any], index: int, task: Any) -> ShardResult:
-    try:
-        return ShardResult(index=index, value=fn(task))
-    except Exception as exc:  # deliberate: shard failures are data, not control flow
-        return ShardResult(index=index, error=exc)
-
-
-# --------------------------------------------------------------------------- #
-# Incremental submission (the session scheduler's view of an executor)
-# --------------------------------------------------------------------------- #
-class ShardPool:
-    """One *open* executor instance accepting shard submissions over time.
-
-    :meth:`SweepExecutor.open` returns one of these; a
-    :class:`~repro.api.session.SweepSession` submits shards as specs arrive
-    instead of handing the executor a closed batch.  ``submit`` returns a
-    ``concurrent.futures.Future`` resolving to a :class:`ShardResult` — a
-    shard failure is *data* on the result, never an exception out of the
-    future (transport failures, e.g. an unpicklable task, are the
-    exception-raising case the caller must still guard).
-    """
-
-    def submit(self, fn: Callable[[Any], Any], index: int,
-               task: Any) -> "Future[ShardResult]":
-        raise NotImplementedError
-
-    def close(self, wait: bool = True) -> None:
-        """Release the pool's workers (idempotent)."""
-
-    def __enter__(self) -> "ShardPool":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-class _InlineShardPool(ShardPool):
-    """Run every shard synchronously in the submitting thread.
-
-    The default ``open`` surface (for :class:`SerialExecutor` it is exactly
-    the reference semantics): ``submit`` blocks until the shard finishes and
-    returns an already-resolved future.
-    """
-
-    def submit(self, fn, index, task):
-        future: "Future[ShardResult]" = Future()
-        future.set_result(_call_shard(fn, index, task))
-        return future
-
-
-class _FuturesShardPool(ShardPool):
-    """A :mod:`concurrent.futures` pool wrapped as a :class:`ShardPool`."""
-
-    def __init__(self, pool: _FuturesExecutor):
-        self._pool = pool
-        self._closed = False
-
-    def submit(self, fn, index, task):
-        return self._pool.submit(_call_shard, fn, index, task)
-
-    def close(self, wait: bool = True) -> None:
-        if not self._closed:
-            self._closed = True
-            self._pool.shutdown(wait=wait)
-
-
-# --------------------------------------------------------------------------- #
 # Executors
 # --------------------------------------------------------------------------- #
 class SweepExecutor:
     """Strategy interface: how a sweep's shards run.
 
-    :meth:`open` returns the :class:`ShardPool` that
-    :class:`~repro.api.session.SweepSession` submits to, one shard at a
-    time, so specs can be scheduled, retried and cancelled individually.
-    A shard failure is never raised out of the pool — it comes back as a
-    :class:`ShardResult` carrying the exception, so the caller decides the
-    policy (``run_sweep``'s ``on_error``).  Strategies that do not override
-    :meth:`open` fall back to inline (submit-runs-the-shard) execution.
+    A strategy sets :attr:`name` and implements :meth:`open`, which returns
+    a stock :class:`concurrent.futures.Executor`.
+    :class:`~repro.api.session.SweepSession` submits one shard at a time as
+    ``pool.submit(execute_job, job)`` — ``job`` a
+    :class:`~repro.api.jobs.SweepJob` (its ``repro-job/1`` payload for
+    :attr:`wire` strategies) — so specs can be scheduled, retried and
+    cancelled individually.  A shard failure is the future's exception; the
+    session decides the policy (``run_sweep``'s ``on_error``).
     """
 
     name: str = "abstract"
 
     #: True for strategies that run every shard in the caller's thread and
     #: therefore inherit its ambient engine state; parallel strategies need
-    #: a shippable :class:`EngineState` snapshot instead.
+    #: a shippable :class:`EngineState` snapshot instead.  The session never
+    #: opens an inline strategy.
     inline: bool = False
 
     #: True for strategies whose shards travel as ``repro-job/1`` wire
-    #: payloads (JSON dicts) instead of pickled live task objects; the
-    #: session converts tasks to :class:`~repro.api.jobs.SweepJob`
-    #: payloads before submitting to such a strategy.
+    #: payloads (JSON dicts) instead of pickled :class:`SweepJob` objects
+    #: carrying the live model.
     wire: bool = False
 
-    def open(self, max_workers: Optional[int] = None) -> ShardPool:
-        """An incremental-submission pool over this strategy."""
-        return _InlineShardPool()
+    def open(self, max_workers: Optional[int] = None) -> Executor:
+        """A pool accepting ``submit(execute_job, job)`` over this strategy."""
+        raise NotImplementedError(
+            f"the '{self.name}' executor does not open a pool")
 
     def pool_capacity(self, max_workers: Optional[int]) -> int:
-        """Worker capacity of an incremental pool (task count unknown).
+        """Worker capacity of a pool (the sweep's task count is unknown).
 
-        Shared by every pooled strategy so the validation and the default
-        sizing rule (explicit cap, else the host's CPU count) cannot drift
-        between transports.
+        Shared by every strategy so the validation and the default sizing
+        rule (explicit cap, else the host's CPU count) cannot drift between
+        transports.
         """
         if max_workers is not None and max_workers < 1:
             raise ValueError("max_workers must be at least 1")
@@ -235,28 +162,18 @@ class SerialExecutor(SweepExecutor):
     inline = True
 
 
-class _PoolExecutor(SweepExecutor):
-    """Shared pool wrapping for the thread and process strategies."""
-
-    def _make_pool(self, workers: int) -> _FuturesExecutor:
-        raise NotImplementedError
-
-    def open(self, max_workers: Optional[int] = None) -> ShardPool:
-        return _FuturesShardPool(self._make_pool(self.pool_capacity(max_workers)))
-
-
-class ThreadExecutor(_PoolExecutor):
+class ThreadExecutor(SweepExecutor):
     """Thread-pool shards: cheap fan-out, shared memory, GIL-bound compute."""
 
     name = "thread"
 
-    def _make_pool(self, workers: int) -> _FuturesExecutor:
-        return ThreadPoolExecutor(max_workers=workers,
+    def open(self, max_workers: Optional[int] = None) -> Executor:
+        return ThreadPoolExecutor(max_workers=self.pool_capacity(max_workers),
                                   thread_name_prefix="repro-sweep")
 
 
-class ProcessExecutor(_PoolExecutor):
-    """Process-pool shards: true parallelism; tasks/results travel by pickle.
+class ProcessExecutor(SweepExecutor):
+    """Process-pool shards: true parallelism; jobs/reports travel by pickle.
 
     Uses the ``fork`` start method where available (Linux): workers inherit
     the parent's imported modules and registries (methods, backends,
@@ -266,13 +183,13 @@ class ProcessExecutor(_PoolExecutor):
 
     name = "process"
 
-    def _make_pool(self, workers: int) -> _FuturesExecutor:
+    def open(self, max_workers: Optional[int] = None) -> Executor:
         import multiprocessing as mp
 
-        if "fork" in mp.get_all_start_methods():
-            return ProcessPoolExecutor(max_workers=workers,
-                                       mp_context=mp.get_context("fork"))
-        return ProcessPoolExecutor(max_workers=workers)
+        context = (mp.get_context("fork")
+                   if "fork" in mp.get_all_start_methods() else None)
+        return ProcessPoolExecutor(max_workers=self.pool_capacity(max_workers),
+                                   mp_context=context)
 
 
 # --------------------------------------------------------------------------- #

@@ -7,7 +7,8 @@ module), the parent's table-level dense baseline guarded by a SHA-256
 digest, the engine snapshot (backend / dtype / grad mode, by name), the
 accelerator spec, and the data *recipe*.  The whole job round-trips
 through JSON, so any transport that moves text — stdio, ssh, a job queue
-— can move sweep shards.
+— can move sweep shards.  In-process executors run the same
+:class:`SweepJob` carrying the live model instead of its registry name.
 
 Two result schemas complete the protocol:
 
@@ -35,24 +36,23 @@ from __future__ import annotations
 import copy
 import json
 import os
-import queue
 import subprocess
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Dict, IO, List, Mapping, Optional
+from typing import Any, Dict, IO, List, Mapping, Optional, Union
 
 import numpy as np
 
 from ..data import DataLoader, SyntheticImageDataset
 from ..hardware import EnergyTable, EyerissSpec
 from ..models import build_model
+from ..nn.module import Module
 from ..wire import (array_from_payload, array_to_payload, check_schema,
                     payload_digest)
 from .executor import (
     EngineState,
-    ShardPool,
-    ShardResult,
     SweepExecutor,
     op_hook_isolation,
     register_executor,
@@ -220,13 +220,16 @@ def state_from_payload(payload: Optional[Mapping[str, Any]]
 # --------------------------------------------------------------------------- #
 @dataclass
 class SweepJob:
-    """One sweep shard, fully described without any live python object.
+    """One sweep shard: the one task type of every executor.
 
-    The worker bootstrap is *by name and seed*: ``model`` is a
-    :func:`repro.models.build_model` registry name and ``seed`` the RNG
-    seed it was built with in the parent, so the worker's rebuild is
-    bit-identical to the parent's deep copy.  The dense baseline travels
-    table-level (:meth:`DenseBaseline.to_dict`) and is integrity-checked
+    In-process strategies (serial, thread, process) carry the parent's
+    live base model in ``model``; :func:`execute_job` runs the shard on a
+    deep copy of it.  On the wire the shard is fully described without any
+    live python object — the worker bootstrap is *by name and seed*:
+    ``model`` is a :func:`repro.models.build_model` registry name and
+    ``seed`` the RNG seed it was built with in the parent, so the worker's
+    rebuild is bit-identical to the parent's model.  The dense baseline
+    travels table-level (:meth:`DenseBaseline.to_dict`) and is integrity-checked
     on arrival against its ``dense_digest``, the
     :func:`~repro.wire.payload_digest` of that payload: a shard evaluated
     against a corrupted (or wrong sweep's) baseline would silently
@@ -234,7 +237,7 @@ class SweepJob:
     """
 
     spec: CompressionSpec
-    model: str
+    model: Union[str, Module]
     seed: int
     dense: DenseBaseline
     engine: Optional[EngineState] = None
@@ -247,6 +250,8 @@ class SweepJob:
 
     def to_dict(self) -> Dict[str, Any]:
         """The JSON-safe ``repro-job/1`` payload (round-trips exactly)."""
+        if not isinstance(self.model, str):
+            raise TypeError("repro-job/1 requires a model registry name")
         dense_payload = self.dense.to_dict()
         return {
             "schema": JOB_SCHEMA,
@@ -287,17 +292,21 @@ class SweepJob:
 
 
 def execute_job(job: SweepJob) -> CompressionReport:
-    """Run one job to a report — the worker-side half of the protocol.
+    """Run one shard to a report, in-process or in a wire worker.
 
-    Mirrors the in-process shard execution exactly: the engine snapshot is
-    re-applied (or hook isolation alone when no snapshot travelled), the
-    model is rebuilt from the registry at the job's seed, loaders come from
-    the data recipe, and the broadcast dense baseline suppresses the dense
-    stage.
+    The engine snapshot is re-applied — or hook isolation alone when there
+    is none, which only the inline serial strategy can reach: it runs
+    under the caller's ambient state.  The model is a deep copy of a live
+    ``job.model``, or rebuilt from the registry at the job's seed; loaders
+    come from the data recipe, and the broadcast dense baseline suppresses
+    the dense stage.
     """
     scope = job.engine.scope() if job.engine is not None else op_hook_isolation()
     with scope:
-        model = build_model(job.model, rng=np.random.default_rng(job.seed))
+        if isinstance(job.model, Module):
+            model = copy.deepcopy(job.model)
+        else:
+            model = build_model(job.model, rng=np.random.default_rng(job.seed))
         pipeline = CompressionPipeline(job.spec, hardware=job.hardware)
         return pipeline.run(model=model, data=job.data.make(),
                             dense=job.dense, inplace=True,
@@ -397,8 +406,8 @@ def _coerce_job_payload(task: Any) -> Dict[str, Any]:
     """Accept a :class:`SweepJob` or its payload dict; reject anything else.
 
     The remote transport moves ``repro-job/1`` text, not pickled task
-    objects — a :class:`~repro.api.session.ShardTask` (or any other value)
-    must fail here with a clear message instead of surfacing as an opaque
+    objects — a job carrying a live model (or any other value) must fail
+    here with a clear message instead of surfacing as an opaque
     ``json.dumps`` error after burning a worker subprocess.
     """
     if isinstance(task, SweepJob):
@@ -486,115 +495,63 @@ def run_plan_remote(plan: Any, x: Any) -> np.ndarray:
     return array_from_payload(result["output"])
 
 
-class _RemoteShardPool(ShardPool):
-    """Worker subprocesses checked out by up to N submitter threads.
+class _RemotePool(ThreadPoolExecutor):
+    """A thread pool in which every thread owns one worker subprocess.
 
-    Subprocesses spawn lazily — one per concurrently-running job, up to the
-    capacity — so a single-spec session does not fork a whole host's worth
-    of interpreters.  A worker that crashes (or corrupts the protocol) is
-    discarded and its capacity slot freed, so later shards spawn a fresh
-    one instead of waiting on a queue entry that will never return.
+    A thread spawns its worker on its first job, so a single-spec session
+    does not fork a whole host's worth of interpreters.  A worker whose
+    round trip fails (crash, EOF, malformed frame, unencodable payload) is
+    closed and forgotten, and that thread's next job spawns a fresh one.
+    :meth:`shutdown` closes every worker still alive.
     """
 
-    def __init__(self, workers: int):
-        from concurrent.futures import ThreadPoolExecutor
-        self._capacity = workers
-        self._pool = ThreadPoolExecutor(max_workers=workers,
-                                        thread_name_prefix="repro-remote")
-        self._idle: "queue.Queue[_WorkerProcess]" = queue.Queue()
-        self._all: List[_WorkerProcess] = []
-        self._spawned = 0
-        self._lock = threading.Lock()
+    def __init__(self, max_workers: int):
+        super().__init__(max_workers=max_workers,
+                         thread_name_prefix="repro-remote")
+        self._local = threading.local()
+        self._workers: List[_WorkerProcess] = []
+        self._workers_lock = threading.Lock()
         self._closed = False
 
-    def _checkout(self) -> _WorkerProcess:
-        while True:
-            try:
-                worker = self._idle.get_nowait()
-            except queue.Empty:
-                break
-            if worker is not None:  # None = close() wake-up sentinel
-                return worker
-        with self._lock:
-            if self._closed:
-                raise RemoteWorkerError("the remote shard pool is closed")
-            spawn = self._spawned < self._capacity
-            if spawn:
-                self._spawned += 1
-        if not spawn:
-            # Capacity is fully deployed: wait for a busy worker to return
-            # (at most `capacity` jobs run concurrently, each holding one).
-            # close() feeds sentinels so this wait can never outlive the
-            # pool — a woken waiter fails its shard instead of hanging
-            # shutdown(wait=True).
-            worker = self._idle.get()
-            if worker is None:
-                raise RemoteWorkerError("the remote shard pool is closed")
-            return worker
-        worker = _WorkerProcess()
-        with self._lock:
-            self._all.append(worker)
+    def submit(self, fn, /, *args, **kwargs):
+        # ``fn`` (the in-process execute_job) is unused — the worker
+        # subprocess is the callee.
+        (task,) = args
+        return super().submit(self._run_job, _coerce_job_payload(task))
+
+    def _worker(self) -> _WorkerProcess:
+        worker = getattr(self._local, "worker", None)
+        if worker is None:
+            with self._workers_lock:
+                if self._closed:
+                    raise RemoteWorkerError("the remote pool is shut down")
+                worker = _WorkerProcess()
+                self._workers.append(worker)
+            self._local.worker = worker
         return worker
 
-    def _checkin(self, worker: _WorkerProcess) -> None:
-        with self._lock:
-            closed = self._closed
-        if closed:
-            worker.close()
-            return
-        self._idle.put(worker)
-
-    def _discard(self, worker: _WorkerProcess) -> None:
-        with self._lock:
-            if worker in self._all:
-                self._all.remove(worker)
-            self._spawned -= 1
-        worker.close()
-
-    def _run_job(self, index: int, payload: Dict[str, Any]) -> ShardResult:
-        worker = self._checkout()
-        healthy = False
+    def _run_job(self, payload: Dict[str, Any]) -> CompressionReport:
+        worker = self._worker()
         try:
             result = worker.roundtrip(payload)
-            healthy = True
-        except Exception as exc:
-            # RemoteWorkerError (crash, EOF, malformed frame) or anything
-            # unexpected (e.g. an unencodable payload): surface it as this
-            # shard's failure — the finally block frees the capacity slot
-            # either way, so later shards never wait on a stranded worker.
-            return ShardResult(index=index, error=exc)
-        finally:
-            if healthy:
-                self._checkin(worker)
-            else:
-                self._discard(worker)
-        if result.get("ok"):
-            return ShardResult(
-                index=index,
-                value=CompressionReport.from_dict(result["report"]))
-        error = result.get("error") or {}
-        return ShardResult(index=index, error=RemoteJobError(
-            error.get("type", "Exception"), error.get("message", "")))
+        except BaseException:
+            self._local.worker = None
+            with self._workers_lock:
+                if worker in self._workers:
+                    self._workers.remove(worker)
+            worker.close()
+            raise
+        if not result.get("ok"):
+            error = result.get("error") or {}
+            raise RemoteJobError(error.get("type", "Exception"),
+                                 error.get("message", ""))
+        return CompressionReport.from_dict(result["report"])
 
-    def submit(self, fn, index, task):
-        # ``fn`` (the in-process shard callable) is unused — the worker
-        # subprocess is the callee.
-        return self._pool.submit(self._run_job, index, _coerce_job_payload(task))
-
-    def close(self, wait: bool = True) -> None:
-        with self._lock:
-            if self._closed:
-                return
+    def shutdown(self, wait: bool = True, **kwargs) -> None:
+        super().shutdown(wait=wait, **kwargs)
+        with self._workers_lock:
             self._closed = True
-        # Wake every _checkout blocked on the idle queue (one sentinel per
-        # possible waiter) so shutdown(wait=True) cannot deadlock on a
-        # shard thread that will never be handed a worker.
-        for _ in range(self._capacity):
-            self._idle.put(None)
-        self._pool.shutdown(wait=wait)
-        with self._lock:
-            workers = list(self._all)
-            self._all.clear()
+            workers, self._workers = self._workers, []
         for worker in workers:
             worker.close()
 
@@ -614,8 +571,8 @@ class RemoteExecutor(SweepExecutor):
     name = "remote"
     wire = True
 
-    def open(self, max_workers: Optional[int] = None) -> ShardPool:
-        return _RemoteShardPool(self.pool_capacity(max_workers))
+    def open(self, max_workers: Optional[int] = None) -> ThreadPoolExecutor:
+        return _RemotePool(self.pool_capacity(max_workers))
 
 
 register_executor("remote", RemoteExecutor)

@@ -24,11 +24,14 @@ shard receives the broadcast baseline, and :meth:`SweepSession.result`
 merges reports **in spec order** — so ``run_sweep`` is now a thin façade
 over a session, bit-identical to the previous serial path.
 
-Execution strategies plug in through :meth:`SweepExecutor.open`.  For
+Execution strategies plug in through :meth:`SweepExecutor.open`, which
+returns a stock :class:`concurrent.futures.Executor`; every shard is one
+:class:`~repro.api.jobs.SweepJob` run by :func:`~repro.api.jobs.execute_job`.
+In-process strategies get the job carrying the live base model.  For
 ``wire`` strategies (:class:`repro.api.jobs.RemoteExecutor`), the session
-converts each shard into a ``repro-job/1`` payload — spec dict, model
-registry name, seed, digest-guarded dense baseline — instead of a pickled
-task, which is what lets the same submission model drive off-host workers.
+submits the job's ``repro-job/1`` payload instead — spec dict, model
+registry name, seed, digest-guarded dense baseline — which is what lets
+the same submission model drive off-host workers.
 """
 
 from __future__ import annotations
@@ -37,7 +40,8 @@ import copy
 import threading
 import time
 import warnings
-from dataclasses import dataclass, field
+from concurrent.futures import Executor
+from dataclasses import dataclass
 from typing import (
     Any,
     Callable,
@@ -60,10 +64,7 @@ from ..wire import data_digest, model_digest
 from .executor import (
     EngineState,
     ExecutorLike,
-    ShardPool,
-    ShardResult,
     SweepExecutor,
-    op_hook_isolation,
     resolve_executor,
 )
 from .cache import (
@@ -73,7 +74,7 @@ from .cache import (
     WarmStart,
     resolve_cache,
 )
-from .jobs import LoaderPlan, SweepJob, state_to_payload
+from .jobs import LoaderPlan, SweepJob, execute_job, state_to_payload
 from .pipeline import (
     CompressionPipeline,
     CompressionReport,
@@ -143,40 +144,6 @@ class SessionEvent:
     attempt: int = 0
     category: Optional[str] = None
     error: Optional[BaseException] = None
-
-
-@dataclass
-class ShardTask:
-    """Everything one shard needs, shipped to an in-process worker at once.
-
-    The dense baseline is computed once in the session and broadcast here
-    so no shard re-profiles (or re-maps on the accelerator) the dense
-    network; ``state`` re-applies the parent's backend / dtype / grad mode
-    inside the worker.  Wire executors receive the :class:`SweepJob`
-    payload built from the same fields instead of this (pickled) object.
-    """
-
-    spec: CompressionSpec
-    model: Module
-    loaders: LoaderPlan
-    hardware: Optional[EyerissSpec]
-    dense: DenseBaseline
-    state: Optional[EngineState]
-    warm: Optional[dict] = None
-
-
-def execute_shard(task: ShardTask) -> CompressionReport:
-    """Run one spec in an isolated execution context (any worker, any host)."""
-    # state=None means the parent's backend had no registry name to travel
-    # by; run under the ambient state (correct for the serial executor, the
-    # only strategy that can reach such a backend) with hook isolation only.
-    scope = task.state.scope() if task.state is not None else op_hook_isolation()
-    with scope:
-        pipeline = CompressionPipeline(task.spec, hardware=task.hardware)
-        return pipeline.run(model=copy.deepcopy(task.model),
-                            data=task.loaders.make(),
-                            dense=task.dense, inplace=True,
-                            warm_start=task.warm)
 
 
 def _loader_plan(data: DataArg, seed: int) -> LoaderPlan:
@@ -368,6 +335,8 @@ class SweepSession:
         self._backend = backend
         self._seed = seed
         self._executor: SweepExecutor = resolve_executor(executor)
+        # Validated now, not when the pool opens after the dense baseline.
+        self._executor.pool_capacity(max_workers)
         self._max_workers = max_workers
         self._default_retry = (retry or RetryPolicy()).validate()
         self._default_timeout = _validated_timeout(timeout)
@@ -392,7 +361,7 @@ class SweepSession:
         self._dense: Optional[DenseBaseline] = None
         self._shard_dense: Optional[DenseBaseline] = None
         self._wire_common: Optional[dict] = None
-        self._pool: Optional[ShardPool] = None
+        self._pool: Optional[Executor] = None
         self._model_digest: Optional[str] = None
         self._data_digest: Optional[str] = None
 
@@ -418,7 +387,7 @@ class SweepSession:
             if not future.done():
                 future.cancel()
         if pool is not None:
-            pool.close(wait=wait)
+            pool.shutdown(wait=wait)
         # Futures of shards that were running when the pool drained have
         # resolved by now (their done-callbacks ran during shutdown).
 
@@ -681,7 +650,7 @@ class SweepSession:
                     input_shape=resolved_shape)
             self._ready = True
 
-    def _ensure_pool(self) -> ShardPool:
+    def _ensure_pool(self) -> Executor:
         with self._cond:
             if self._pool is None:
                 self._pool = self._executor.open(self._max_workers)
@@ -697,10 +666,10 @@ class SweepSession:
             if warm is not None:
                 payload["warm"] = state_to_payload(warm)
             return payload
-        return ShardTask(spec=future.spec, model=self._base_model,
-                         loaders=self._plan, hardware=self._hardware,
-                         dense=self._shard_dense, state=self._state,
-                         warm=warm)
+        return SweepJob(spec=future.spec, model=self._base_model,
+                        seed=self._seed, dense=self._shard_dense,
+                        engine=self._state, hardware=self._hardware,
+                        data=self._plan, job_id=future.index, warm=warm)
 
     # -- cache ------------------------------------------------------------- #
     def _future_key(self, future: SweepFuture) -> Optional[CacheKey]:
@@ -800,7 +769,7 @@ class SweepSession:
             # see the sweep's dtype/backend, not this thread's defaults.
             try:
                 with use_backend(future.spec.backend, dtype=future.spec.dtype):
-                    report = execute_shard(task)
+                    report = execute_job(task)
                 error = None
             except Exception as exc:
                 report, error = None, exc
@@ -836,7 +805,7 @@ class SweepSession:
                 return
             future._attempt_token = attempt
         try:
-            pool_future = pool.submit(execute_shard, future.index, task)
+            pool_future = pool.submit(execute_job, task)
         except Exception as exc:
             # The pool could not even accept the shard (e.g. an unpicklable
             # task, or a pool torn down mid-submit).
@@ -868,20 +837,17 @@ class SweepSession:
             if future.done() or future._attempt_token != attempt:
                 return  # stale attempt: timed out, cancelled or superseded
             self._drop_timers(future)
-            try:
-                shard: ShardResult = pool_future.result()
-            except Exception as exc:
-                if pool_future.cancelled():
-                    return  # the cancel path resolves the future
-                shard = ShardResult(index=future.index, error=exc)
+            if pool_future.cancelled():
+                return  # the cancel path resolves the future
+            error = pool_future.exception()
             future.attempts = attempt
-        if shard.ok:
-            self._resolve(future, report=shard.value)
+        if error is None:
+            self._resolve(future, report=pool_future.result())
             return
         if attempt < future.retry.max_attempts:
-            self._retry_later(future, attempt, shard.error)
+            self._retry_later(future, attempt, error)
             return
-        self._resolve(future, error=shard.error, category=CATEGORY_ERROR)
+        self._resolve(future, error=error, category=CATEGORY_ERROR)
 
     def _on_timeout(self, future: SweepFuture, attempt: int) -> None:
         with self._cond:

@@ -25,12 +25,15 @@ import os
 import subprocess
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 import repro.api as api
+import repro.api.executor as executor_module
+import repro.api.jobs as jobs_module
 from repro.api.executor import resolve_executor
 from repro.data import DataLoader, make_synthetic_dataset
 
@@ -90,6 +93,14 @@ class TestExecutorResolution:
     def test_valid_env_executor_still_resolves(self, monkeypatch):
         monkeypatch.setenv(api.EXECUTOR_ENV_VAR, "remote")
         assert isinstance(resolve_executor(None), api.RemoteExecutor)
+
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    def test_zero_workers_rejected_at_construction(self, executor):
+        # Before the dense baseline is built, and for the inline strategy
+        # (which never opens a pool) too.
+        with pytest.raises(ValueError, match="max_workers"):
+            api.SweepSession(model="lenet", hardware=None,
+                             executor=executor, max_workers=0)
 
     def test_explicit_unknown_name_keeps_key_error(self):
         # The env-var path gains the ValueError; programmatic lookups keep
@@ -200,6 +211,23 @@ class TestSessionDeterminism:
                               max_workers=2)
         assert sweep_table(sweep) == sweep_table(reference)
         assert sweep.reports[0].energy_reduction is not None
+
+    def test_user_registered_executor_runs_a_sweep(self, monkeypatch,
+                                                   serial_reference):
+        """The README contract: ``open`` returns any stock Executor."""
+        class StockThreads(api.SweepExecutor):
+            name = "stock-threads"
+
+            def open(self, max_workers=None):
+                return ThreadPoolExecutor(max_workers=1)
+
+        # A private copy of the registry unregisters it on teardown.
+        monkeypatch.setattr(executor_module, "_EXECUTORS",
+                            dict(executor_module._EXECUTORS))
+        api.register_executor("stock-threads", StockThreads)
+        sweep = api.run_sweep(cost_specs(), model="lenet", hardware=None,
+                              executor="stock-threads")
+        assert sweep_table(sweep) == sweep_table(serial_reference)
 
     def test_incremental_submits_match_batch(self, serial_reference):
         with api.SweepSession(model="lenet", hardware=None,
@@ -515,6 +543,13 @@ class TestJobWireFormat:
         assert restored.dense.cost == job.dense.cost
         assert restored.dense.accuracy == job.dense.accuracy
 
+    def test_live_model_job_has_no_wire_form(self):
+        from repro.models import lenet
+        job = make_job(model=lenet(num_classes=4, in_channels=1, width=8,
+                                   rng=np.random.default_rng(0)))
+        with pytest.raises(TypeError, match="registry name"):
+            job.to_dict()
+
     def test_unknown_job_schema_rejected(self):
         payload = make_job().to_dict()
         payload["schema"] = "repro-job/9"
@@ -686,9 +721,9 @@ class TestRemoteExecutor:
         pool = api.RemoteExecutor().open(max_workers=1)
         try:
             with pytest.raises(TypeError, match="repro-job/1"):
-                pool.submit(None, 0, object())
+                pool.submit(None, object())
         finally:
-            pool.close()
+            pool.shutdown()
 
     def test_transport_failure_fails_the_shard_without_stranding_workers(self):
         """A worker slot must come back even when the round-trip itself dies."""
@@ -699,23 +734,60 @@ class TestRemoteExecutor:
         try:
             # The failed shard discards its worker; the next shard must get
             # a fresh one instead of deadlocking on a lost capacity slot.
-            first = pool.submit(None, 0, bad).result(timeout=60)
-            second = pool.submit(None, 1, good).result(timeout=120)
+            first = pool.submit(None, bad).exception(timeout=60)
+            second = pool.submit(None, good).exception(timeout=120)
         finally:
-            pool.close()
-        assert not first.ok and isinstance(first.error, TypeError)
-        assert second.ok
+            pool.shutdown()
+        assert isinstance(first, TypeError)
+        assert second is None
 
     def test_remote_pool_spawns_workers_lazily(self):
         """A single job must not fork a whole host's worth of workers."""
         job = make_job()
         pool = api.RemoteExecutor().open(max_workers=4)
         try:
-            result = pool.submit(None, 0, job.to_dict()).result(timeout=120)
-            assert result.ok
-            assert pool._spawned == 1
+            error = pool.submit(None, job.to_dict()).exception(timeout=120)
+            assert error is None
+            assert len(pool._workers) == 1
         finally:
-            pool.close()
+            pool.shutdown()
+
+    def test_no_remote_worker_outlives_its_pool(self, monkeypatch):
+        spawned = []
+        spawn = jobs_module._WorkerProcess.__init__
+
+        def recording_spawn(worker):
+            spawn(worker)
+            spawned.append(worker)
+
+        monkeypatch.setattr(jobs_module._WorkerProcess, "__init__",
+                            recording_spawn)
+        api.run_sweep(cost_specs(), model="lenet", hardware=None,
+                      executor="remote", max_workers=2)
+        assert 1 <= len(spawned) <= 2
+        swept = len(spawned)
+
+        # More pool threads than cores and a short switch interval, so the
+        # worker bookkeeping races; the first job fails in transport.
+        bad = make_job().to_dict()
+        bad["hardware"] = object()
+        jobs = [bad] + [make_job(job_id=i).to_dict() for i in range(7)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        pool = api.RemoteExecutor().open(max_workers=4)
+        try:
+            errors = [future.exception(timeout=120) for future in
+                      [pool.submit(None, job) for job in jobs]]
+            live = len(pool._workers)
+        finally:
+            sys.setswitchinterval(interval)
+            pool.shutdown()
+        assert isinstance(errors[0], TypeError)
+        assert errors[1:] == [None] * 7
+        # Every spawn but the retired one is tracked until shutdown.
+        assert live == len(spawned) - swept - 1 <= 4
+        assert pool._workers == []
+        assert all(worker.process.poll() is not None for worker in spawned)
 
     def test_remote_rejects_template_loaders(self, dataset):
         train, val = dataset.split(0.8)

@@ -9,6 +9,10 @@ The contracts pinned here:
   from a store degrade to a :class:`~repro.api.CacheIntegrityWarning`
   plus a miss; worker frames raise
   :class:`~repro.api.RemoteWorkerError`.
+* Every kind without a round-trip test elsewhere (job, failure,
+  op-profile, run-profile, cache entry) is a serialization fixed point:
+  serialize → JSON → deserialize → serialize is byte-equal, and the
+  ``repro-job/1`` bytes of one canonical job are pinned by digest.
 * The one base64-npy codec round-trips dtype, shape, bytes and memory
   order.
 """
@@ -17,6 +21,7 @@ from __future__ import annotations
 
 import io
 import json
+import os
 from types import SimpleNamespace
 
 import numpy as np
@@ -26,10 +31,17 @@ import repro.api as api
 from repro.api.jobs import _WorkerProcess
 from repro.api.pipeline import REPORT_SCHEMA
 from repro.api.spec import SPEC_SCHEMA
+from repro.data import SyntheticImageDataset
 from repro.deploy import PLAN_SCHEMA, InferencePlan
+from repro.nn.backend import ExecutionState
 from repro.nn.profiler import (PROFILE_SCHEMA, RUN_PROFILE_SCHEMA, OpProfile,
                                RunProfile)
-from repro.wire import array_from_payload, array_to_payload, check_schema
+from repro.wire import (array_from_payload, array_to_payload, check_schema,
+                        payload_digest)
+
+FIXTURE_ENTRY = os.path.join(
+    os.path.dirname(__file__), "data", "cache_store", "entries",
+    "f68e695c5fb02fda2aea6c6b192d2ee15066dd5290f5787a8c43659de0d27cbd.json")
 
 
 def _stored_entry(payload):
@@ -118,6 +130,94 @@ def test_untagged_payloads_pass_only_for_kinds_older_than_their_tag():
     assert RunProfile.from_dict({}).phases() == {}
     with pytest.raises(ValueError, match="expected 'repro-plan/1'"):
         check_schema({}, PLAN_SCHEMA)
+
+
+def canonical_job():
+    """A job filling every ``repro-job/1`` field with a non-default value."""
+    split = SyntheticImageDataset(
+        images=np.linspace(-1.0, 1.0, 32, dtype=np.float32).reshape(2, 1, 4, 4),
+        labels=np.array([0, 1], dtype=np.int64), num_classes=2, name="canon")
+    return api.SweepJob(
+        spec=api.CompressionSpec(method="alf",
+                                 config=api.ALFSpec(remaining_fraction=0.4),
+                                 input_shape=(1, 16, 16), epochs=1, seed=3,
+                                 label="canon"),
+        model="lenet", seed=3,
+        dense=api.DenseBaseline(profile=None,
+                                cost={"params": 10.0, "macs": 20.0,
+                                      "ops": 40.0},
+                                hardware=None, accuracy=0.5),
+        engine=api.EngineState(ExecutionState(backend="numpy",
+                                              dtype="float64")),
+        hardware=api.EYERISS_PAPER,
+        data=api.LoaderPlan(kind="synthetic", train_split=split,
+                            val_split=split, seed=5),
+        job_id=7, warm={"w": np.arange(6, dtype=np.float32).reshape(2, 3)})
+
+
+#: ``payload_digest`` of ``canonical_job().to_dict()``.  A different digest
+#: means the ``repro-job/1`` bytes changed, which needs a new schema tag.
+CANONICAL_JOB_DIGEST = \
+    "bad22bba4776e3b2236b563b33cea84f8ee7c3c384efadf9b0e62c52fd9d749b"
+
+
+def _op_profile(scale):
+    profile = OpProfile()
+    profile.record("conv2d", 0.1 * scale, layer="features.0")
+    profile.record("conv2d", 0.2 * scale, layer="features.3")
+    profile.record("relu", 0.03 * scale, layer="features.1")
+    return profile
+
+
+def _entry_fields():
+    with open(FIXTURE_ENTRY, encoding="utf-8") as handle:
+        stored = json.load(handle)
+    key = api.CacheKey(**{name: stored["key"][name]
+                          for name in ("method", "spec", "model", "data")})
+    return (key, api.CompressionReport.from_dict(stored["report"]), True,
+            "d" * 64)
+
+
+def _entry_fields_from(payload):
+    entry = api.ReportCache._decode(json.dumps(payload).encode("utf-8"))
+    key = api.CacheKey(**{name: entry["key"][name]
+                          for name in ("method", "spec", "model", "data")})
+    return (key, api.CompressionReport.from_dict(entry["report"]),
+            entry["checkpoint"], entry["warm_source"])
+
+
+#: (build a live object, serialize it, deserialize a payload) per kind.
+FIXED_POINTS = {
+    "job": (canonical_job, api.SweepJob.to_dict, api.SweepJob.from_dict),
+    "failure": (
+        lambda: api.SweepFailure(
+            index=2, spec=api.CompressionSpec(
+                method="fpgm", config=api.FPGMSpec(prune_ratio=0.25),
+                input_shape=(1, 16, 16), label="fpgm-25"),
+            error_type="SweepTimeoutError", message="exceeded 5.0s",
+            attempts=3, category="timeout"),
+        api.SweepFailure.to_dict, api.SweepFailure.from_dict),
+    "op-profile": (lambda: _op_profile(1.0), OpProfile.to_dict,
+                   OpProfile.from_dict),
+    "run-profile": (lambda: RunProfile(train=_op_profile(3.0),
+                                       eval=_op_profile(0.7)),
+                    RunProfile.to_dict, RunProfile.from_dict),
+    "cache-entry": (_entry_fields,
+                    lambda fields: api.ReportCache._encode(*fields),
+                    _entry_fields_from),
+}
+
+
+@pytest.mark.parametrize("kind", list(FIXED_POINTS))
+def test_every_kind_is_a_serialization_fixed_point(kind):
+    build, serialize, deserialize = FIXED_POINTS[kind]
+    text = json.dumps(serialize(build()))
+    again = json.dumps(serialize(deserialize(json.loads(text))))
+    assert again == text
+
+
+def test_canonical_job_bytes_are_pinned():
+    assert payload_digest(canonical_job().to_dict()) == CANONICAL_JOB_DIGEST
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
