@@ -14,8 +14,8 @@ submission arrives again:
   (``_read`` / ``_write`` / ``_remove`` / ``_keys`` / ``_nbytes``) keyed by
   ``(kind, key)`` over three artifact kinds — ``entry`` (a digest-guarded
   ``repro-cache-entry/1`` JSON report), ``checkpoint`` (an ``.npz`` of the
-  finalized compressed model's parameters) and ``plan`` (a ``repro-plan/1``
-  payload).  Every codec and all validation is shared: a corrupt,
+  finalized compressed model's parameters) and ``plan`` (a ``repro-plan/2``
+  container).  Every codec and all validation is shared: a corrupt,
   truncated, non-UTF-8 or unknown-version artifact is a warning and a
   *miss*, never a crash.
 * :class:`FileReportCache` — the persistent store: one atomically written
@@ -28,9 +28,9 @@ submission arrives again:
   near-miss submission, so its checkpoint can seed fine-tuning instead of
   training from dense.
 * Plan artifacts — :meth:`ReportCache.put_plan` / :meth:`get_plan` store
-  serialized ``repro-plan/1`` compiled-inference payloads next to the
-  checkpoints, so :func:`~repro.api.plan.compile_report` can serve a plan
-  from the store instead of re-tracing and re-lowering the model.
+  ``repro-plan/2`` compiled-inference containers next to the checkpoints,
+  so :func:`~repro.api.plan.compile_report` can serve a plan from the
+  store instead of re-tracing and re-lowering the model.
 
 :class:`~repro.api.session.SweepSession` consults the store through the
 ``cache=`` policy knob (``"off"`` / ``"read"`` / ``"write"`` /
@@ -57,7 +57,7 @@ from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
-from ..deploy.serialize import PLAN_SCHEMA
+from ..deploy.serialize import unpack_container
 from ..wire import check_schema, data_digest, model_digest, payload_digest
 from .pipeline import CompressionReport
 from .spec import CompressionSpec
@@ -213,7 +213,9 @@ def spec_distance(a: Mapping[str, Any], b: Mapping[str, Any]) -> float:
 _KINDS: Dict[str, Tuple[str, str]] = {
     "entry": ("entries", ".json"),          # repro-cache-entry/1
     "checkpoint": ("checkpoints", ".npz"),  # finalized model parameters
-    "plan": ("plans", ".json"),             # repro-plan/1
+    # repro-plan/2 containers are binary; the suffix is older, and keeping
+    # it lets a store's repro-plan/1 files warn, recompile and overwrite.
+    "plan": ("plans", ".json"),
 }
 
 
@@ -228,12 +230,12 @@ class ReportCache:
     ``kind`` is one of the artifact kinds in ``_KINDS`` (``"entry"``,
     ``"checkpoint"``, ``"plan"``): :meth:`_read`, :meth:`_write`,
     :meth:`_remove`, :meth:`_keys` and :meth:`_nbytes`.  Everything else —
-    the UTF-8/JSON ``repro-cache-entry/1`` and ``repro-plan/1`` codecs, the
-    ``.npz`` checkpoint codec, validation, traffic counters, stats, LRU
-    eviction and near-miss search — is shared here.  ``get`` never raises on
-    a damaged entry: a bad digest, truncated JSON, non-UTF-8 bytes or an
-    unknown schema version is reported as a :class:`CacheIntegrityWarning`
-    and treated as a miss.
+    the UTF-8/JSON ``repro-cache-entry/1`` codec, the ``repro-plan/2``
+    container check, the ``.npz`` checkpoint codec, validation, traffic
+    counters, stats, LRU eviction and near-miss search — is shared here.
+    ``get`` never raises on a damaged entry: a bad digest, truncated JSON,
+    non-UTF-8 bytes or an unknown schema version is reported as a
+    :class:`CacheIntegrityWarning` and treated as a miss.
     """
 
     def __init__(self) -> None:
@@ -308,16 +310,16 @@ class ReportCache:
                 "report digest mismatch: the stored entry was corrupted")
         return payload
 
-    @classmethod
-    def _decode_plan(cls, data: bytes) -> Dict[str, Any]:
-        """Parse + validate raw plan bytes; raises :class:`CacheEntryError`."""
-        payload = cls._parse(data, PLAN_SCHEMA)
-        body = {k: v for k, v in payload.items() if k != "digest"}
-        if payload.get("digest") != payload_digest(body):
-            raise CacheEntryError(
-                "plan payload digest mismatch: the stored artifact was "
-                "corrupted")
-        return payload
+    @staticmethod
+    def _decode_plan(data: bytes) -> bytes:
+        """Check a plan container's framing and digests; raises
+        :class:`CacheEntryError`.  Nothing is parsed: the caller's
+        ``InferencePlan.from_bytes`` does that once."""
+        try:
+            unpack_container(data)
+        except (TypeError, ValueError) as exc:
+            raise CacheEntryError(str(exc)) from None
+        return data
 
     def _load_checkpoint(self, combined: str
                          ) -> Optional[Dict[str, np.ndarray]]:
@@ -476,12 +478,14 @@ class ReportCache:
                          state=state)
 
     # -- plan artifacts ----------------------------------------------------- #
-    def get_plan(self, address: str) -> Optional[Dict[str, Any]]:
-        """The stored ``repro-plan/1`` payload at ``address`` — never raises.
+    def get_plan(self, address: str) -> Optional[bytes]:
+        """The stored ``repro-plan/2`` container at ``address`` — never raises.
 
-        Validation mirrors :meth:`get`: unreadable JSON, a non-plan schema
-        or a payload-digest mismatch is a :class:`CacheIntegrityWarning`
-        plus a miss, so a corrupt artifact can only cost a recompile.
+        Validation mirrors :meth:`get`, over bytes: bad framing, a header
+        or blob digest mismatch, or a JSON payload of another schema
+        (``repro-plan/1`` included) is a :class:`CacheIntegrityWarning`
+        plus a miss, so a damaged or outdated artifact can only cost a
+        recompile.
         """
         data = self._read("plan", address)
         if data is None:
@@ -489,7 +493,7 @@ class ReportCache:
                 self._misses += 1
             return None
         try:
-            payload = self._decode_plan(data)
+            data = self._decode_plan(data)
         except CacheEntryError as exc:
             self._warn(address, exc)
             with self._lock:
@@ -497,14 +501,14 @@ class ReportCache:
             return None
         with self._lock:
             self._hits += 1
-        return payload
+        return data
 
-    def put_plan(self, address: str, payload: Mapping[str, Any]) -> None:
-        """Store one serialized plan payload under ``address``."""
-        if not isinstance(payload, Mapping):
+    def put_plan(self, address: str, data: bytes) -> None:
+        """Store one plan container (``InferencePlan.to_bytes()``)."""
+        if not isinstance(data, bytes):
             raise TypeError(
-                f"plan payload must be a mapping, got {type(payload).__name__}")
-        self._write("plan", address, _dump(payload))
+                f"plan artifact must be bytes, got {type(data).__name__}")
+        self._write("plan", address, data)
         with self._lock:
             self._writes += 1
 

@@ -18,7 +18,7 @@ Two result schemas complete the protocol:
   message.
 
 Jobs may also carry a serialized **compiled plan** instead of a spec:
-:func:`plan_job_payload` ships a ``repro-plan/1`` payload plus one input
+:func:`plan_job_payload` ships a ``repro-plan/2`` container plus one input
 batch, the worker executes it via :func:`execute_plan_job`, and the
 result frame returns the output array — bit-identical to the sender's
 local forward (see :func:`run_plan_remote`).
@@ -319,16 +319,17 @@ def execute_job(job: SweepJob) -> CompressionReport:
 def plan_job_payload(plan: Any, x: Any, job_id: int = 0) -> Dict[str, Any]:
     """One ``repro-job/1`` payload carrying a compiled plan and its input.
 
-    ``plan`` is an :class:`~repro.deploy.InferencePlan` or its serialized
-    ``repro-plan/1`` mapping; ``x`` the input batch.  A worker receiving
-    this executes the plan on the shipped input and returns the output
-    array — bit-identically to the sender's local forward, since the plan
-    wire form round-trips exactly (weights travel as base64-npy with
-    their memory layout preserved).
+    ``plan`` is an :class:`~repro.deploy.InferencePlan` or its
+    ``repro-plan/2`` container bytes; ``x`` the input batch.  The
+    container travels through the base64-npy codec as a ``uint8`` array.
+    A worker receiving this executes the plan on the shipped input and
+    returns the output array — bit-identically to the sender's local
+    forward, since the container round-trips exactly (weights keep their
+    memory layout).
     """
-    plan_payload = dict(plan) if isinstance(plan, Mapping) else plan.to_dict()
+    data = plan if isinstance(plan, bytes) else plan.to_bytes()
     return {"schema": JOB_SCHEMA, "job_id": int(job_id),
-            "plan": plan_payload,
+            "plan": array_to_payload(np.frombuffer(data, dtype=np.uint8)),
             "plan_input": array_to_payload(np.asarray(x))}
 
 
@@ -336,7 +337,8 @@ def execute_plan_job(message: Mapping[str, Any]) -> np.ndarray:
     """Deserialize and run one shipped plan — the worker-side half."""
     from ..deploy import InferencePlan
 
-    plan = InferencePlan.from_dict(message["plan"])
+    plan = InferencePlan.from_bytes(
+        array_from_payload(message["plan"]).tobytes())
     out = plan(array_from_payload(message["plan_input"]))
     return np.asarray(getattr(out, "data", out))
 
@@ -480,7 +482,7 @@ def run_plan_remote(plan: Any, x: Any) -> np.ndarray:
 
     The reference transport for plan shipping: a worker that never saw the
     model (or this process's memory) reproduces the local forward bit for
-    bit from the ``repro-plan/1`` wire form alone.  Raises
+    bit from the ``repro-plan/2`` container alone.  Raises
     :class:`RemoteJobError` when the worker reports a failure.
     """
     worker = _WorkerProcess()

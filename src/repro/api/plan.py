@@ -8,8 +8,8 @@ same backend / dtype scope the pipeline trained and evaluated under, the
 spec's input shape, and its hardware batch.
 
 Compilation composes with the result cache: pass ``cache=`` (the same
-knob :class:`~repro.api.session.SweepSession` takes) and the serialized
-``repro-plan/1`` payload is stored under a content address derived from
+knob :class:`~repro.api.session.SweepSession` takes) and the
+``repro-plan/2`` container is stored under a content address derived from
 the model's parameter bytes and every compile option, so the next
 ``compile_report`` for the same model serves the stored plan instead of
 re-tracing and re-lowering — bit-identically, since the wire form
@@ -95,7 +95,7 @@ def compile_report(report: CompressionReport, *, batch: Optional[int] = None,
 
     ``cache=`` accepts the session cache knob (a policy string, a
     :class:`~repro.api.cache.ReportCache`, or a ``(store, policy)``
-    pair): under a readable policy a stored ``repro-plan/1`` artifact for
+    pair): under a readable policy a stored ``repro-plan/2`` artifact for
     this exact (model bytes, compile options) is deserialized instead of
     recompiling; under a writable policy the freshly compiled plan is
     stored for the next call.  A damaged stored plan is a
@@ -117,10 +117,10 @@ def compile_report(report: CompressionReport, *, batch: Optional[int] = None,
                                backend=resolved, memory_budget=memory_budget,
                                fold_bn=fold_bn, elide_dead=elide_dead)
     if address is not None and policy in ("read", "readwrite"):
-        payload = store.get_plan(address)
-        if payload is not None:
+        data = store.get_plan(address)
+        if data is not None:
             try:
-                return InferencePlan.from_dict(payload)
+                return InferencePlan.from_bytes(data)
             except Exception as exc:
                 warnings.warn(
                     f"stored plan {address[:12]}… failed to deserialize and "
@@ -139,7 +139,7 @@ def compile_report(report: CompressionReport, *, batch: Optional[int] = None,
 
     if address is not None and policy in ("write", "readwrite"):
         try:
-            store.put_plan(address, plan.to_dict())
+            store.put_plan(address, plan.to_bytes())
         except ValueError:
             pass  # plans that traced unregistered ops have no wire form
     return plan

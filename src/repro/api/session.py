@@ -411,7 +411,7 @@ class SweepSession:
 
         Same surface as :meth:`CompressionReport.plan`, but routed through
         the session's cache knob: with a readable policy the serialized
-        ``repro-plan/1`` artifact is served from the store instead of
+        ``repro-plan/2`` artifact is served from the store instead of
         recompiling, and with a writable policy fresh plans are stored for
         later sessions.
         """

@@ -9,8 +9,9 @@ streaming of oversized im2col convolutions.  Default-option plans are
 bit-identical to the eager ``model(x)`` under ``no_grad()``.
 
 Plans also have a wire form: ``plan.save()``/``InferencePlan.load()``
-round-trip the versioned ``repro-plan/1`` payload (steps, arena layout,
-weights digest) bit-identically, and ``plan.bind(batch=...)`` re-derives
+(and ``to_bytes()``/``from_bytes()``) round-trip the versioned
+``repro-plan/2`` container — a JSON header over one raw, aligned weight
+blob — bit-identically, and ``plan.bind(batch=...)`` re-derives
 the buffer layout for another batch size from the same symbolic-batch
 program without re-tracing the model.
 """

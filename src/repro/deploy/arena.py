@@ -16,6 +16,7 @@ against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -32,7 +33,7 @@ class BufferRef:
 
     @property
     def nbytes(self) -> int:
-        return int(np.prod(self.shape, dtype=np.int64)) * self.dtype.itemsize
+        return math.prod(self.shape) * self.dtype.itemsize
 
 
 @dataclass
@@ -91,7 +92,7 @@ class BufferArena:
         if self._buffers is not None:
             raise RuntimeError("arena is finalized; no further reservations")
         ref_dtype = np.dtype(dtype)
-        nbytes = int(np.prod(shape, dtype=np.int64)) * ref_dtype.itemsize
+        nbytes = math.prod(shape) * ref_dtype.itemsize
         self.stats.naive_bytes += nbytes
         self.stats.reservations += 1
         # Best fit: the smallest free buffer that holds the request.

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import time
 import warnings
+import weakref
 from dataclasses import dataclass, field
 from operator import itemgetter, methodcaller
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -538,6 +539,9 @@ class _Lowering:
     memory_budget: Optional[int]
     stats: PlanStats
     registers: List[Optional[np.ndarray]]
+    #: Values whose register is a live arena buffer: C-contiguous, of
+    #: exactly the value's shape.
+    live: Dict[_Value, BufferRef]
 
     def output(self, node: _Node) -> BufferRef:
         return self.arena.reserve(node.out.shape, node.out.dtype)
@@ -551,7 +555,12 @@ def _out_step(kind: str, cx: _Lowering, node: _Node, make_run) -> _Step:
 
 def _lower_conv(cx: _Lowering, node: _Node, ins: List[int]) -> Optional[_Step]:
     """im2col convolution into arena memory, with the fused activation as an
-    epilogue and row-band streaming over ``memory_budget``."""
+    epilogue and row-band streaming over ``memory_budget``.
+
+    A 1x1, stride-1, unpadded conv over a live arena buffer skips im2col:
+    its columns would be a byte-equal copy of the input in the same
+    layout, so the GEMM reads the input directly, with the same bits.
+    """
     params = _const_conv_params(node)
     if params is None:
         return None
@@ -564,7 +573,10 @@ def _lower_conv(cx: _Lowering, node: _Node, ins: List[int]) -> Optional[_Step]:
     feat = ci * kh * kw
     cols_shape = (nb, feat, oh * ow)
     stream = None
-    if memory_budget and oh > 1:
+    direct = ((kh, kw) == (1, 1) and tuple(node.kwargs["stride"]) == (1, 1)
+              and tuple(node.kwargs["padding"]) == (0, 0)
+              and node.inputs[0] in cx.live)
+    if memory_budget and oh > 1 and not direct:
         cols_bytes = nb * feat * oh * ow * x_dtype.itemsize
         if cols_bytes > memory_budget:
             row_bytes = nb * feat * ow * x_dtype.itemsize
@@ -592,7 +604,7 @@ def _lower_conv(cx: _Lowering, node: _Node, ins: List[int]) -> Optional[_Step]:
         padded = arena.zeros_array((nb, ci, h + 2 * ph, w + 2 * pw), x_dtype)
         center = (slice(None), slice(None),
                   slice(ph, ph + h), slice(pw, pw + w))
-    refs = {"cols_ref": arena.reserve(cols_shape, x_dtype)}
+    refs = {} if direct else {"cols_ref": arena.reserve(cols_shape, x_dtype)}
     if node.activation == "relu":
         refs["mask_ref"] = arena.reserve(node.out.shape, np.bool_)
     refs["out_ref"] = cx.output(node)
@@ -603,14 +615,17 @@ def _lower_conv(cx: _Lowering, node: _Node, ins: List[int]) -> Optional[_Step]:
     bias_r = None if bias is None else bias.array.reshape(1, co, 1, 1)
 
     def build(arrays):
-        cols, out4 = arrays["cols_ref"], arrays["out_ref"]
+        cols, out4 = arrays.get("cols_ref"), arrays["out_ref"]
         out3d = out4.reshape(nb, co, oh * ow)
         epilogue = (_activation(activation, arrays.get("mask_ref"))
                     if activation else None)
 
         def run(regs):
             x = regs[src]
-            if stream is not None:
+            if direct:
+                backend.matmul_out(w_mat, x.reshape(nb, ci, h * w),
+                                   out=out3d)
+            elif stream is not None:
                 stream.run(backend, x, x if padded is None else padded,
                            cols, w_mat, out3d)
             else:
@@ -802,9 +817,9 @@ def _lower(graph: _Graph, backend: Backend, *, input_shape, batch,
     out_base = base_of(graph.output)
     arena = BufferArena()
     registers: List[Optional[np.ndarray]] = [None] * len(values)
-    cx = _Lowering(arena, backend, memory_budget, stats, registers)
-    lowerings = _LOWERINGS if backend.supports_inplace else {}
     live: Dict[_Value, BufferRef] = {}
+    cx = _Lowering(arena, backend, memory_budget, stats, registers, live)
+    lowerings = _LOWERINGS if backend.supports_inplace else {}
     steps: List[_Step] = []
 
     for i, node in enumerate(graph.nodes):
@@ -879,9 +894,10 @@ class InferencePlan:
     buffer arena).
 
     Plans compiled by :func:`compile` also carry a symbolic-batch
-    program: :meth:`to_dict`/:meth:`save` emit the versioned
-    ``repro-plan/1`` wire payload (steps, arena layout, weights digest),
-    :meth:`load`/:meth:`from_dict` rebuild a bit-identical plan from it,
+    program: :meth:`to_bytes`/:meth:`save` emit the versioned
+    ``repro-plan/2`` container (program, raw weights, step and arena
+    layout), :meth:`from_bytes`/:meth:`load` rebuild a bit-identical plan
+    from it,
     and :meth:`bind` re-derives the buffer layout for another batch size
     without re-tracing the model.
     """
@@ -900,9 +916,14 @@ class InferencePlan:
         self.input_dtype = np.dtype(input_dtype)
         self.memory_budget = memory_budget
         self.stats = stats
-        # Symbolic-batch program (serialize.PlanProgram) and the family of
-        # batch-bound plans sharing it; both populated by compile()/bind().
+        # Symbolic-batch program (serialize.PlanProgram), set by compile().
         self._program = None
+        # The bind() family: batch -> weak reference to its plan, shared by
+        # every member, while each plan holds the plans its own bind()
+        # made.  Weak family links keep the family acyclic, so a dropped
+        # plan frees its buffers by reference counting, not at the next
+        # cyclic collection.
+        self._family: Dict[int, "weakref.ReferenceType[InferencePlan]"] = {}
         self._bound: Dict[int, "InferencePlan"] = {}
 
     @property
@@ -938,7 +959,7 @@ class InferencePlan:
         if (data.ndim == len(self.input_shape) + 1
                 and data.shape[0] != self.batch
                 and tuple(data.shape[1:]) == self.input_shape):
-            bound = self._bound.get(int(data.shape[0]))
+            bound = self._member(int(data.shape[0]))
             if bound is not None and bound is not self:
                 return bound._run(data, timings)
         data = self._check_input(data)
@@ -989,13 +1010,13 @@ class InferencePlan:
         and calling any plan in the family with an input whose leading
         dimension matches a bound batch dispatches to the right one.
         Results are cached: ``plan.bind(k)`` is the same object on every
-        call.
+        call, and the plan keeps the plans it bound alive.
         """
         batch = int(batch)
+        self._family[self.batch] = weakref.ref(self)
         if batch == self.batch:
-            self._bound.setdefault(batch, self)
             return self
-        bound = self._bound.get(batch)
+        bound = self._member(batch)
         if bound is not None:
             return bound
         if batch < 1:
@@ -1008,42 +1029,47 @@ class InferencePlan:
         plan = _serialize.bind_program(self._program, batch,
                                        backend=self._backend)
         plan._program = self._program
-        self._bound.setdefault(self.batch, self)
-        plan._bound = self._bound
+        plan._family = self._family
+        self._family[batch] = weakref.ref(plan)
         self._bound[batch] = plan
         plan.stats.batch_peaks = self.stats.batch_peaks
         self.stats.batch_peaks[batch] = plan.peak_buffer_bytes
         return plan
 
+    def _member(self, batch: int) -> Optional["InferencePlan"]:
+        """The live plan of this family bound to ``batch``, if any."""
+        ref = self._family.get(batch)
+        return None if ref is None else ref()
+
     # ------------------------------------------------------------------ #
-    # Serialization (repro-plan/1)
+    # Serialization (repro-plan/2)
     # ------------------------------------------------------------------ #
-    def to_dict(self) -> Dict[str, Any]:
-        """The versioned ``repro-plan/1`` wire payload of this plan."""
+    def to_bytes(self) -> bytes:
+        """The versioned ``repro-plan/2`` container of this plan."""
         from . import serialize as _serialize
-        return _serialize.plan_payload(self)
+        return _serialize.plan_to_bytes(self)
 
     def save(self, path) -> str:
-        """Write the canonical-JSON ``repro-plan/1`` payload to ``path``."""
+        """Write the ``repro-plan/2`` container to ``path``."""
         from . import serialize as _serialize
         return _serialize.save_plan(self, path)
 
     @classmethod
-    def from_dict(cls, payload) -> "InferencePlan":
-        """Rebuild a plan from a ``repro-plan/1`` payload.
+    def from_bytes(cls, data) -> "InferencePlan":
+        """Rebuild a plan from a ``repro-plan/2`` container.
 
-        Rejects unknown schema versions, tampered payloads (whole-payload
-        digest), weight mutations (weights digest) and payloads whose
-        stored step/arena layout disagrees with the re-lowered plan.  The
+        Rejects damaged framing, header or weight bytes (one digest
+        each), unknown schema versions and containers whose stored
+        step/arena layout disagrees with the re-lowered plan.  The
         rebuilt plan's forwards are bit-identical to the plan that was
-        serialized.
+        serialized; its constants are read-only views into ``data``.
         """
         from . import serialize as _serialize
-        return _serialize.plan_from_payload(payload)
+        return _serialize.plan_from_bytes(data)
 
     @classmethod
     def load(cls, path) -> "InferencePlan":
-        """Read a plan saved by :meth:`save` (same checks as from_dict)."""
+        """Read a plan saved by :meth:`save` (same checks as from_bytes)."""
         from . import serialize as _serialize
         return _serialize.load_plan(path)
 
@@ -1142,7 +1168,7 @@ def compile(model: Module, input_shape, *, batch: int = 1,
             # Second trace one batch up: together the pair gives every
             # shape dimension an affine form in the batch size, which is
             # what makes the plan batch-polymorphic and serializable
-            # (repro-plan/1).  Any failure just loses those features.
+            # (repro-plan/2).  Any failure just loses those features.
             try:
                 graph_next = _trace_graph(model, backend, batch + 1,
                                           input_shape)

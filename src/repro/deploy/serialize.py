@@ -1,31 +1,56 @@
-"""The ``repro-plan/1`` wire form of compiled inference plans.
+"""The ``repro-plan/2`` byte container of compiled inference plans.
 
 A compiled :class:`~repro.deploy.plan.InferencePlan` is a pile of live
 objects — numpy closures over arena views — but everything it *decides*
 is a deterministic function of the optimized dataflow graph: the lowering
 in :func:`repro.deploy.plan._lower` reproduces the identical step list,
 buffer assignment and arena capacities from the identical graph.  So the
-wire form serializes the graph (in symbolic-batch form) plus enough
-derived layout to cross-check the rebuild:
+container stores the graph (in symbolic-batch form), its constants as raw
+bytes, and enough derived layout to cross-check the rebuild::
 
-* ``values`` — every graph value in deterministic register order, each
-  shape dimension as an affine ``[m, c]`` pair (``dim = m·batch + c``,
-  derived from tracing the model at two batch sizes); constants travel
-  through the shared base64-npy codec (:func:`repro.wire.array_to_payload`),
-  memory order included.
+    offset 0    magic b"REPROPLN"                          8 bytes
+    offset 8    header length n (uint64, little-endian)    8 bytes
+    offset 16   SHA-256 of the header bytes               32 bytes
+    offset 48   SHA-256 of the blob bytes                 32 bytes
+    offset 80   header: canonical JSON, UTF-8              n bytes
+                zero padding to the next 64-byte boundary
+    blob        every constant's raw bytes, each starting on a 64-byte
+                boundary of the blob, zero bytes in between
+
+The header holds:
+
+* ``schema``, ``backend`` / ``backend_dtype``, ``input_dtype``,
+  ``batch``, ``input_shape``, ``memory_budget`` and ``polymorphic``;
+* ``values`` — every graph value in register order, each shape dimension
+  an affine ``[m, c]`` pair (``dim = m·batch + c``, derived from tracing
+  the model at two batch sizes), constants pointing into ``consts``;
 * ``nodes`` — op name (resolved from the op registry on load), input and
   output value indices, kwargs in a tagged encoding that preserves exact
   Python types (ints are affine in the batch too), layer path and any
-  fused activation.
-* ``weights_digest`` — SHA-256 over all constant arrays (via
-  :func:`repro.wire.state_digest`), rejecting weight tampering.
-* ``steps`` / ``arena`` — the layout the serializing plan actually used
+  fused activation;
+* ``consts`` — one ``{offset, nbytes, shape, dtype, order}`` entry per
+  constant; ``order`` keeps F-contiguous weights F-contiguous, so BLAS
+  sees the layouts the saved plan computed with;
+* ``steps`` / ``arena`` — the layout the saving plan actually used
   (per-step :class:`~repro.deploy.arena.BufferRef`\\ s, streaming band
-  parameters, buffer capacities).  Load re-lowers the graph and refuses
-  payloads whose stored layout disagrees — the loaded plan is the plan
-  that was saved, bit for bit, or it is an error.
-* ``digest`` — SHA-256 over the whole payload; any bit flip is rejected
-  before anything is decoded.
+  parameters, buffer capacities).
+
+Loading hashes the header bytes and the blob bytes once each, as read —
+both digests sit in the fixed-size prefix, so :func:`unpack_container`
+checks a container's integrity without parsing anything (the plan store
+does exactly that on every hit).  It then parses the header, views each
+constant as a read-only ``np.frombuffer`` array over the blob, re-lowers
+the graph and refuses containers whose stored layout disagrees: the
+loaded plan is the plan that was saved, bit for bit, or it is an error.
+A ``repro-plan/1`` JSON payload fails with the uniform ``unsupported
+plan schema`` error.
+
+Measured on a shared 2-vCPU host with BLAS on one thread: loading the
+float32 ALF resnet20 serving plan (482 KB) takes about 11 ms against
+about 46 ms to compile it, where the ``repro-plan/1`` JSON payload
+(628 KB) took about 45 ms to load.  ``load_vs_compile_speedup`` in
+``benchmarks/test_bench_plan_forward.py`` read 5.1 for dense resnet20 in
+float64.
 
 The same symbolic-batch program powers
 :meth:`~repro.deploy.plan.InferencePlan.bind`: re-deriving every buffer
@@ -35,24 +60,34 @@ shape at another batch size is just decoding the affine dims at a new
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import json
+import math
 import os
+import struct
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from ..nn.backend import Backend, get_backend
-from ..wire import (array_from_payload, array_to_payload, canonical_json,
-                    check_schema, payload_digest, state_digest)
+from ..wire import canonical_json, check_schema
 from .plan import (InferencePlan, PlanStats, _Graph, _lower, _Node, _Value,
                    _value_order)
 
 __all__ = ["PLAN_SCHEMA", "PlanProgram", "program_from_graphs",
-           "bind_program", "plan_payload", "plan_from_payload",
-           "save_plan", "load_plan"]
+           "bind_program", "pack_container", "unpack_container",
+           "plan_to_bytes", "plan_from_bytes", "save_plan", "load_plan"]
 
-PLAN_SCHEMA = "repro-plan/1"
+PLAN_SCHEMA = "repro-plan/2"
+#: First bytes of every container.
+MAGIC = b"REPROPLN"
+#: Alignment of the blob and of every constant inside it, in bytes.
+ALIGN = 64
+#: magic, header length, header SHA-256, blob SHA-256.
+_PREFIX = struct.Struct("<8sQ32s32s")
+_CONST_KEYS = frozenset(("offset", "nbytes", "shape", "dtype", "order"))
 
 
 class _NotPolymorphic(Exception):
@@ -117,7 +152,7 @@ def _encode_kwarg(value: Any, other: Any, batch: int, batch_next: int) -> Any:
                                          batch, batch_next)
                       for key in sorted(value)}}
     raise TypeError(
-        f"kwarg of type {type(value).__name__} has no repro-plan/1 encoding")
+        f"kwarg of type {type(value).__name__} has no {PLAN_SCHEMA} encoding")
 
 
 def _decode_kwarg(encoded: Mapping[str, Any], batch: int) -> Any:
@@ -145,7 +180,7 @@ def _decode_kwarg(encoded: Mapping[str, Any], batch: int) -> Any:
     if tag == "d":
         return {key: _decode_kwarg(part, batch)
                 for key, part in value.items()}
-    raise ValueError(f"unknown kwarg tag {tag!r} in repro-plan/1 payload")
+    raise ValueError(f"unknown kwarg tag {tag!r} in {PLAN_SCHEMA} header")
 
 
 # --------------------------------------------------------------------------- #
@@ -309,16 +344,23 @@ def program_to_graph(program: PlanProgram, batch: int) -> _Graph:
     values: List[_Value] = []
     for entry in program.values:
         shape = tuple(int(m) * batch + int(c) for m, c in entry["dims"])
-        array = (program.consts[entry["const"]]
-                 if entry["const"] is not None else None)
-        values.append(_Value(entry["kind"], shape, np.dtype(entry["dtype"]),
-                             array=array, is_const=array is not None))
+        dtype = np.dtype(entry["dtype"])
+        array = None
+        if entry["const"] is not None:
+            array = program.consts[entry["const"]]
+            if array.shape != shape or array.dtype != dtype:
+                raise ValueError(
+                    f"{PLAN_SCHEMA} const {entry['const']} is "
+                    f"{array.dtype}{list(array.shape)}, but its value "
+                    f"declares {dtype}{list(shape)}")
+        values.append(_Value(entry["kind"], shape, dtype, array=array,
+                             is_const=array is not None))
     nodes: List[_Node] = []
     for wire in program.nodes:
         op = _OP_REGISTRY.get(wire["op"])
         if op is None:
             raise ValueError(
-                f"repro-plan/1 payload references op {wire['op']!r}, which "
+                f"{PLAN_SCHEMA} header references op {wire['op']!r}, which "
                 f"is not in this build's op registry")
         kwargs = {key: _decode_kwarg(encoded, batch)
                   for key, encoded in wire["kwargs"].items()}
@@ -354,15 +396,184 @@ def bind_program(program: PlanProgram, batch: int,
 
 
 # --------------------------------------------------------------------------- #
-# Wire payload
+# The byte container
 # --------------------------------------------------------------------------- #
-def _jsonify(payload: Any) -> Any:
-    """One JSON round trip: tuples→lists, numpy ints→ints, keys→strings."""
-    return json.loads(json.dumps(payload))
+def _align(offset: int) -> int:
+    return -(-offset // ALIGN) * ALIGN
+
+
+def pack_container(header: Mapping[str, Any], blob: bytes) -> bytes:
+    """Frame a header mapping and a constant blob as one container.
+
+    The header is written as canonical JSON, so equal headers give equal
+    bytes; both digests are taken over the bytes exactly as written.
+    """
+    text = canonical_json(header).encode("utf-8")
+    prefix = _PREFIX.pack(MAGIC, len(text), hashlib.sha256(text).digest(),
+                          hashlib.sha256(blob).digest())
+    end = _PREFIX.size + len(text)
+    return b"".join((prefix, text, bytes(_align(end) - end), blob))
+
+
+def _not_a_container(data: bytes) -> None:
+    """Raise the most specific error for bytes without the container magic.
+
+    A JSON payload (a ``repro-plan/1`` file, say) gets the uniform schema
+    error of :func:`repro.wire.check_schema`; anything else is not a plan.
+    """
+    try:
+        payload = json.loads(data)
+    except (ValueError, RecursionError):
+        pass
+    else:
+        check_schema(payload, PLAN_SCHEMA)
+    raise ValueError(
+        f"unreadable {PLAN_SCHEMA} container: it neither starts with the "
+        f"{MAGIC!r} magic nor is a JSON payload")
+
+
+def unpack_container(data: bytes) -> Tuple[bytes, memoryview]:
+    """Split a container into its header bytes and constant blob.
+
+    Checks the framing and both digests, each hashed once over the bytes
+    as read; parses nothing.  Raises ``ValueError`` naming the damaged
+    region: truncation, a header length that lies, a flipped byte in the
+    header, padding or blob, or bytes that are not a container at all.
+    """
+    if not isinstance(data, bytes):
+        raise TypeError(f"a {PLAN_SCHEMA} container must be bytes, "
+                        f"got {type(data).__name__}")
+    if data[:len(MAGIC)] != MAGIC:
+        _not_a_container(data)
+    if len(data) < _PREFIX.size:
+        raise ValueError(f"{PLAN_SCHEMA} container truncated inside its "
+                         f"{_PREFIX.size}-byte prefix ({len(data)} bytes)")
+    _, length, header_sha, blob_sha = _PREFIX.unpack_from(data)
+    end = _PREFIX.size + length
+    if end > len(data):
+        raise ValueError(
+            f"{PLAN_SCHEMA} container truncated: the prefix declares a "
+            f"{length}-byte header but only {len(data) - _PREFIX.size} "
+            f"bytes follow it")
+    view = memoryview(data)
+    header = bytes(view[_PREFIX.size:end])
+    if hashlib.sha256(header).digest() != header_sha:
+        raise ValueError(
+            f"{PLAN_SCHEMA} header digest mismatch: the header was tampered "
+            f"with, corrupted, or its declared length is wrong")
+    start = _align(end)
+    if start > len(data):
+        raise ValueError(f"{PLAN_SCHEMA} container truncated inside the "
+                         f"padding after its header")
+    if any(view[end:start]):
+        raise ValueError(f"{PLAN_SCHEMA} header padding is not zero")
+    blob = view[start:]
+    if hashlib.sha256(blob).digest() != blob_sha:
+        raise ValueError(
+            f"{PLAN_SCHEMA} blob digest mismatch: the constant bytes were "
+            f"truncated, tampered with or corrupted")
+    return header, blob
+
+
+def _const_dtype(where: str, text: Any) -> np.dtype:
+    try:
+        dtype = np.dtype(text) if isinstance(text, str) else None
+    except Exception:  # numpy raises TypeError, ValueError or SyntaxError
+        dtype = None
+    if dtype is None or dtype.kind not in "biufc":
+        raise ValueError(f"{where}: dtype {text!r} is not a plain numeric "
+                         f"dtype")
+    return dtype
+
+
+def _consts_from_table(table: Any, blob: memoryview) -> List[np.ndarray]:
+    """Views into ``blob``, one per ``consts`` table entry; read-only, as
+    the blob views immutable ``bytes``.
+
+    Every entry must start on the first 64-byte boundary after the one
+    before it, span exactly ``shape`` × ``dtype`` bytes and end inside the
+    blob, and the last must end where the blob does.
+    """
+    if not isinstance(table, list):
+        raise ValueError(f"{PLAN_SCHEMA} consts table must be a list")
+    consts: List[np.ndarray] = []
+    end = 0
+    for index, entry in enumerate(table):
+        where = f"{PLAN_SCHEMA} const {index}"
+        if not isinstance(entry, Mapping) or set(entry) != _CONST_KEYS:
+            raise ValueError(f"{where}: entry must hold exactly "
+                             f"{sorted(_CONST_KEYS)}")
+        dtype = _const_dtype(where, entry["dtype"])
+        offset, nbytes = entry["offset"], entry["nbytes"]
+        shape = entry["shape"]
+        if (not isinstance(shape, list)
+                or not all(type(s) is int and s >= 0 for s in shape)):
+            raise ValueError(f"{where}: shape {shape!r} is not a list of "
+                             f"sizes")
+        count = math.prod(shape)
+        if nbytes != count * dtype.itemsize:
+            raise ValueError(
+                f"{where}: size {nbytes!r} disagrees with shape {shape} of "
+                f"{dtype} ({count * dtype.itemsize} bytes)")
+        if type(offset) is not int or offset % ALIGN:
+            raise ValueError(f"{where}: offset {offset!r} is misaligned (not "
+                             f"a multiple of {ALIGN})")
+        if offset < end:
+            raise ValueError(f"{where}: offset {offset} is overlapping the "
+                             f"previous constant, which ends at {end}")
+        if offset + nbytes > len(blob):
+            raise ValueError(
+                f"{where}: bytes [{offset}, {offset + nbytes}) run past the "
+                f"end of the {len(blob)}-byte blob")
+        if offset != _align(end):
+            raise ValueError(f"{where}: offset {offset} leaves a gap after "
+                             f"the previous constant (expected {_align(end)})")
+        if entry["order"] not in ("C", "F"):
+            raise ValueError(f"{where}: order {entry['order']!r} is neither "
+                             f"'C' nor 'F'")
+        array = np.frombuffer(blob, dtype=dtype, count=count, offset=offset)
+        consts.append(array.reshape(shape, order=entry["order"]))
+        end = offset + nbytes
+    if end != len(blob):
+        raise ValueError(f"{PLAN_SCHEMA} blob has {len(blob) - end} bytes "
+                         f"after its last constant")
+    return consts
+
+
+def _blob(consts: List[np.ndarray]) -> Tuple[List[Dict[str, Any]], bytes]:
+    """The ``consts`` table and the blob holding every constant's bytes.
+
+    A constant keeps its memory order (F-contiguous arrays stay F, as
+    ``np.save`` would write them): BLAS rounds differently for different
+    layouts, so a transposed linear weight must load back transposed.
+    """
+    table: List[Dict[str, Any]] = []
+    chunks: List[bytes] = []
+    end = 0
+    for array in consts:
+        order = ("F" if array.flags.f_contiguous
+                 and not array.flags.c_contiguous else "C")
+        data = array.tobytes(order=order)
+        offset = _align(end)
+        chunks += [bytes(offset - end), data]
+        table.append({"offset": offset, "nbytes": len(data),
+                      "shape": [int(s) for s in array.shape],
+                      "dtype": array.dtype.str, "order": order})
+        end = offset + len(data)
+    return table, b"".join(chunks)
+
+
+@functools.lru_cache(maxsize=None)
+def _dtype_name(dtype: np.dtype) -> str:
+    return str(dtype)  # ~4 µs uncached: numpy builds the name in Python
 
 
 def _steps_payload(plan: InferencePlan) -> List[Dict[str, Any]]:
-    """The derived layout of every step: buffer refs + streaming bands."""
+    """The derived layout of every step: buffer refs + streaming bands.
+
+    Built from JSON types only, so it compares equal to the header's
+    parsed copy without a normalizing round trip.
+    """
     steps: List[Dict[str, Any]] = []
     for step in plan.steps:
         entry: Dict[str, Any] = {
@@ -374,7 +585,7 @@ def _steps_payload(plan: InferencePlan) -> List[Dict[str, Any]]:
         if step.refs:
             entry["refs"] = {name: {"buffer": int(ref.buffer),
                                     "shape": [int(s) for s in ref.shape],
-                                    "dtype": str(ref.dtype)}
+                                    "dtype": _dtype_name(ref.dtype)}
                              for name, ref in step.refs.items()}
         streamed = step.streamed
         if streamed is not None:
@@ -395,30 +606,16 @@ def _arena_payload(plan: InferencePlan) -> Dict[str, Any]:
             "peak_bytes": int(arena.stats.peak_bytes)}
 
 
-def _weights_digest(consts: List[np.ndarray]) -> str:
-    return state_digest(
-        {f"{i:06d}": array for i, array in enumerate(consts)})
-
-
-def plan_payload(plan: InferencePlan) -> Dict[str, Any]:
-    """The full versioned ``repro-plan/1`` payload of a compiled plan."""
+def plan_to_bytes(plan: InferencePlan) -> bytes:
+    """The ``repro-plan/2`` container of a compiled plan (byte-stable)."""
     program = plan._program
     if program is None:
         raise ValueError(
-            "plan is not serializable: the traced graph contains values "
-            "the repro-plan/1 codec cannot represent")
-    values_payload: List[Dict[str, Any]] = []
-    for entry in program.values:
-        wire: Dict[str, Any] = {
-            "kind": entry["kind"],
-            "dtype": entry["dtype"],
-            "dims": [[int(m), int(c)] for m, c in entry["dims"]],
-        }
-        if entry["const"] is not None:
-            wire["data"] = array_to_payload(program.consts[entry["const"]])
-        values_payload.append(wire)
+            f"plan is not serializable: the traced graph contains values "
+            f"the {PLAN_SCHEMA} codec cannot represent")
+    table, blob = _blob(program.consts)
     budget = program.memory_budget
-    payload: Dict[str, Any] = {
+    header = {
         "schema": PLAN_SCHEMA,
         "backend": program.backend_name,
         "backend_dtype": program.backend_dtype,
@@ -427,91 +624,78 @@ def plan_payload(plan: InferencePlan) -> Dict[str, Any]:
         "input_shape": [int(s) for s in program.input_shape],
         "memory_budget": int(budget) if budget is not None else None,
         "polymorphic": bool(program.polymorphic),
-        "values": values_payload,
-        "nodes": _jsonify(program.nodes),
+        "values": program.values,
+        "nodes": program.nodes,
         "input": int(program.input),
         "output": int(program.output),
-        "weights_digest": _weights_digest(program.consts),
+        "consts": table,
         "steps": _steps_payload(plan),
         "arena": _arena_payload(plan),
     }
-    payload["digest"] = payload_digest(
-        {key: value for key, value in payload.items() if key != "digest"})
-    return payload
+    return pack_container(header, blob)
 
 
-def _program_from_payload(payload: Mapping[str, Any]) -> PlanProgram:
-    values: List[Dict[str, Any]] = []
-    consts: List[np.ndarray] = []
-    for wire in payload["values"]:
-        entry: Dict[str, Any] = {
-            "kind": wire["kind"],
-            "dtype": wire["dtype"],
-            "dims": [[int(m), int(c)] for m, c in wire["dims"]],
-            "const": None,
-        }
-        if "data" in wire:
-            entry["const"] = len(consts)
-            consts.append(array_from_payload(wire["data"]))
-        values.append(entry)
-    budget = payload.get("memory_budget")
+def _program_from_header(header: Mapping[str, Any],
+                         consts: List[np.ndarray]) -> PlanProgram:
+    budget = header["memory_budget"]
     return PlanProgram(
-        backend_name=payload["backend"],
-        backend_dtype=payload["backend_dtype"],
-        input_dtype=payload["input_dtype"],
-        batch=int(payload["batch"]),
-        input_shape=tuple(int(s) for s in payload["input_shape"]),
+        backend_name=header["backend"],
+        backend_dtype=header["backend_dtype"],
+        input_dtype=header["input_dtype"],
+        batch=int(header["batch"]),
+        input_shape=tuple(int(s) for s in header["input_shape"]),
         memory_budget=int(budget) if budget is not None else None,
-        polymorphic=bool(payload["polymorphic"]),
-        values=values, consts=consts,
-        nodes=[dict(node) for node in payload["nodes"]],
-        input=int(payload["input"]), output=int(payload["output"]))
+        polymorphic=bool(header["polymorphic"]),
+        values=list(header["values"]), consts=consts,
+        nodes=list(header["nodes"]),
+        input=int(header["input"]), output=int(header["output"]))
 
 
-def plan_from_payload(payload: Mapping[str, Any]) -> InferencePlan:
-    """Validate a ``repro-plan/1`` payload and rebuild its plan.
+def plan_from_bytes(data: bytes) -> InferencePlan:
+    """Validate a ``repro-plan/2`` container and rebuild its plan.
 
-    Validation order: schema version, whole-payload digest, weights
-    digest over the decoded constants, op-registry resolution, and
-    finally the stored step/arena layout against the re-lowered plan.
-    Every failure is a ``ValueError`` (``TypeError`` for non-mappings) —
-    a loaded plan is trustworthy or absent, never silently different.
+    Validation order: framing and the two byte digests
+    (:func:`unpack_container`), the header's schema tag, the ``consts``
+    table against the blob, op-registry resolution, and finally the
+    stored step/arena layout against the re-lowered plan.  Every failure
+    is a ``ValueError`` (``TypeError`` for a non-object header or
+    non-bytes input): a loaded plan is trustworthy or absent, never
+    silently different.  Constants are read-only views into ``data``.
     """
-    check_schema(payload, PLAN_SCHEMA)
-    body = {key: value for key, value in payload.items() if key != "digest"}
-    if payload.get("digest") != payload_digest(body):
-        raise ValueError(
-            "repro-plan/1 payload digest mismatch: the payload was "
-            "tampered with or corrupted in transit")
-    program = _program_from_payload(payload)
-    if payload.get("weights_digest") != _weights_digest(program.consts):
-        raise ValueError(
-            "repro-plan/1 weights digest mismatch: the constant arrays do "
-            "not match the digest the plan was saved with")
-    plan = bind_program(program, program.batch)
+    if isinstance(data, (bytearray, memoryview)):
+        data = bytes(data)  # the constants view these bytes: freeze them
+    header_bytes, blob = unpack_container(data)
+    try:
+        header = json.loads(header_bytes)
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"{PLAN_SCHEMA} header is not JSON: {exc}") from None
+    check_schema(header, PLAN_SCHEMA)
+    consts = _consts_from_table(header.get("consts"), blob)
+    try:
+        program = _program_from_header(header, consts)
+        plan = bind_program(program, program.batch)
+    except (KeyError, IndexError, TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed {PLAN_SCHEMA} header: "
+                         f"{type(exc).__name__}: {exc}") from None
     plan._program = program
-    derived = _jsonify({"steps": _steps_payload(plan),
-                        "arena": _arena_payload(plan)})
-    stored = _jsonify({"steps": payload.get("steps"),
-                       "arena": payload.get("arena")})
-    if derived != stored:
+    if (_steps_payload(plan) != header.get("steps")
+            or _arena_payload(plan) != header.get("arena")):
         raise ValueError(
-            "repro-plan/1 layout mismatch: the stored step/arena layout "
-            "does not match the re-lowered plan")
+            f"{PLAN_SCHEMA} layout mismatch: the stored step/arena layout "
+            f"does not match the re-lowered plan")
     return plan
 
 
 def save_plan(plan: InferencePlan, path) -> str:
-    """Write the canonical-JSON payload to ``path`` (byte-deterministic)."""
-    text = canonical_json(plan.to_dict())
+    """Write the plan's container bytes to ``path``."""
+    data = plan_to_bytes(plan)
     path = os.fspath(path)
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
+    with open(path, "wb") as handle:
+        handle.write(data)
     return path
 
 
 def load_plan(path) -> InferencePlan:
     """Read and validate a plan saved by :func:`save_plan`."""
-    with open(os.fspath(path), "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
-    return plan_from_payload(payload)
+    with open(os.fspath(path), "rb") as handle:
+        return plan_from_bytes(handle.read())

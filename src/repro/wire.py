@@ -2,8 +2,9 @@
 
 Everything a sweep computes is a deterministic function of (spec, model,
 data recipe, engine state), and everything that travels or is stored —
-specs, reports, jobs, cache entries, compiled plans, profiles — is a JSON
-object tagged with a versioned ``schema`` string such as ``repro-plan/1``.
+specs, reports, jobs, cache entries, profiles — is a JSON object tagged
+with a versioned ``schema`` string such as ``repro-job/1`` (a compiled
+plan's ``repro-plan/2`` container carries its tag in a JSON header).
 This module is the one home of what those kinds have in common:
 
 * :func:`check_schema` — the one tag check.  A payload must be a JSON
@@ -12,13 +13,14 @@ This module is the one home of what those kinds have in common:
   expected '<tag>'``), so a future ``/2`` payload fails loudly instead of
   being misparsed.
 * :func:`array_to_payload` / :func:`array_from_payload` — the one
-  base64-npy array codec (job datasets, checkpoints, plan constants).
+  base64-npy array codec (job datasets, warm-start states, plan
+  containers shipped to workers as ``uint8`` arrays).
 * :func:`canonical_json` / :func:`payload_digest` — the one canonical JSON
   form (sorted keys, no whitespace) every digest in the repository
   hashes: ``repro-job/1`` guards its dense baseline with it,
   :meth:`CompressionSpec.digest() <repro.api.CompressionSpec.digest>`
-  keys the report cache with it and ``repro-plan/1`` seals its payload
-  with it.
+  keys the report cache with it and ``repro-plan/2`` writes its header
+  in it.
 * :func:`model_digest` — a parameter-byte hash of a built
   :class:`~repro.nn.module.Module`: every named parameter and buffer
   contributes its name, dtype, shape and raw little-endian bytes, sorted by

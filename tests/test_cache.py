@@ -35,7 +35,8 @@ import repro.api as api
 from repro.api.cache import CacheEntryError
 from repro.api.jobs import LoaderPlan
 from repro.data import DataLoader, make_synthetic_dataset
-from repro.deploy import InferencePlan
+from repro.deploy import PLAN_SCHEMA, InferencePlan
+from repro.deploy.serialize import pack_container
 from repro.models import build_model
 from repro.nn.backend import use_backend
 
@@ -334,13 +335,11 @@ class TestNearestCheckpoint:
 
 
 # --------------------------------------------------------------------------- #
-# Plan artifacts: store / serve serialized repro-plan/1 payloads
+# Plan artifacts: store / serve repro-plan/2 containers
 # --------------------------------------------------------------------------- #
 def _plan_artifact():
-    body = {"schema": "repro-plan/1", "values": [], "nodes": [],
-            "batch": 2}
-    body["digest"] = api.payload_digest(body)
-    return body
+    return pack_container({"schema": PLAN_SCHEMA, "values": [], "nodes": [],
+                           "batch": 2}, bytes(range(128)))
 
 
 class TestPlanArtifacts:
@@ -354,14 +353,15 @@ class TestPlanArtifacts:
         assert stats.hits >= 1 and stats.writes >= 1
 
     def test_damaged_artifact_is_a_warned_miss(self, store):
-        payload = _plan_artifact()
-        payload["digest"] = "0" * 64
-        store.put_plan("a" * 64, payload)
+        payload = bytearray(_plan_artifact())
+        payload[-1] ^= 0xFF
+        store.put_plan("a" * 64, bytes(payload))
         with pytest.warns(api.CacheIntegrityWarning, match="digest"):
             assert store.get_plan("a" * 64) is None
 
     def test_non_plan_schema_is_a_warned_miss(self, store):
-        store.put_plan("a" * 64, {"schema": "repro-job/1"})
+        store.put_plan("a" * 64,
+                       json.dumps({"schema": "repro-job/1"}).encode())
         with pytest.warns(api.CacheIntegrityWarning, match="schema"):
             assert store.get_plan("a" * 64) is None
 
@@ -378,9 +378,9 @@ class TestPlanArtifacts:
         assert store.gc(max_entries=0) == 1
         assert store.get_plan("a" * 64) is not None
 
-    def test_put_plan_rejects_non_mappings(self, store):
-        with pytest.raises(TypeError, match="mapping"):
-            store.put_plan("a" * 64, "not a mapping")
+    def test_put_plan_rejects_non_bytes(self, store):
+        with pytest.raises(TypeError, match="must be bytes"):
+            store.put_plan("a" * 64, {"schema": PLAN_SCHEMA})
 
 
 # --------------------------------------------------------------------------- #
@@ -474,10 +474,14 @@ class TestCorruptEntries:
 # On-disk layout: stores written by earlier releases stay readable
 # --------------------------------------------------------------------------- #
 #: A FileReportCache holding one lenet magnitude report (the
-#: ``report_and_key`` fixture), its checkpoint and its compiled plan,
-#: written before the store moved onto byte-level primitives.
+#: ``report_and_key`` fixture), its checkpoint and its compiled plan.  The
+#: entry and checkpoint were written before the store moved onto
+#: byte-level primitives; the plan is a ``repro-plan/2`` container.
 FIXTURE_STORE = os.path.join(os.path.dirname(__file__), "data", "cache_store")
 FIXTURE_PLAN = "9be5e5672cbd23b9ddbdbe046346dccc233da44f42b2c9f8d2d906123a790223"
+#: The same plan as the ``repro-plan/1`` JSON payload stored before.
+LEGACY_PLAN = os.path.join(os.path.dirname(__file__), "data",
+                           "lenet.repro-plan-1.json")
 
 
 def _store_files(root):
@@ -517,7 +521,7 @@ class TestOnDiskLayout:
             assert state[name].dtype == array.dtype
             assert state[name].tobytes() == np.ascontiguousarray(array).tobytes()
 
-        plan = InferencePlan.from_dict(store.get_plan(FIXTURE_PLAN))
+        plan = InferencePlan.from_bytes(store.get_plan(FIXTURE_PLAN))
         fresh = api.compile_report(report)
         x = np.random.default_rng(0).standard_normal(
             (fresh.batch,) + fresh.input_shape).astype(fresh.input_dtype)
@@ -535,6 +539,23 @@ class TestOnDiskLayout:
             if name.endswith(".json"):  # entry + plan bytes are unchanged
                 assert _read_bytes(os.path.join(store.root, name)) == \
                     _read_bytes(os.path.join(FIXTURE_STORE, name))
+
+    def test_stored_v1_plan_is_recompiled_and_overwritten(self, tmp_path,
+                                                          report_and_key):
+        report, _ = report_and_key
+        root = tmp_path / "old"
+        shutil.copytree(FIXTURE_STORE, root)
+        store = api.FileReportCache(root)
+        store._write("plan", FIXTURE_PLAN, _read_bytes(LEGACY_PLAN))
+        with pytest.warns(api.CacheIntegrityWarning,
+                          match="unsupported plan schema 'repro-plan/1'"):
+            plan = api.compile_report(report, cache=store)
+        assert store._read("plan", FIXTURE_PLAN) == _read_bytes(
+            os.path.join(FIXTURE_STORE, "plans", FIXTURE_PLAN + ".json"))
+        x = np.random.default_rng(0).standard_normal(
+            (plan.batch,) + plan.input_shape).astype(plan.input_dtype)
+        served = api.compile_report(report, cache=(store, "read"))
+        assert served(x).data.tobytes() == plan(x).data.tobytes()
 
 
 # --------------------------------------------------------------------------- #

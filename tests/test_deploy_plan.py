@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import json
 import warnings
 
 import numpy as np
@@ -29,6 +30,7 @@ from repro.deploy import (
     iter_bands,
 )
 from repro.deploy.plan import _Node
+from repro.deploy.serialize import unpack_container
 from repro.deploy.tiling import aligned_band_rows
 from repro.models import available_models, bench_input_shape, build_model
 from repro.nn import Tensor, no_grad
@@ -144,21 +146,21 @@ COVERAGE_SHAPE = (3, 8, 8)
 ALL_STEP_KINDS = {"conv", "pad", "concat", "clip", "max_pool", "avg_pool",
                   "eltwise", "relu", "sigmoid", "view", "matmul", "reduce",
                   "generic"}
-#: SHA-256 of the saved ``repro-plan/1`` file of the coverage net, keyed by
+#: SHA-256 of the saved ``repro-plan/2`` file of the coverage net, keyed by
 #: (dtype, batch, streamed); the wire bytes must never drift.
 COVERAGE_DIGESTS = {
     ("float32", 1, False):
-        "4854a8d5cacfdabf817e5b1da644df99926ce0fa2231bb430f5e3ad2fa49680d",
+        "8ac47e9ca8fe2af37763a9f87a5d224a8d08290eda28ab284d9a2a46718e7e26",
     ("float32", 3, False):
-        "75e24b0d25c0302882b9baa8dc7f007542eeb9b3410cb4d41d6101886807d3e8",
+        "239f01d31a70e07f6df083554ae143221338dadfac12b38256b2b05a341ce9d6",
     ("float32", 3, True):
-        "bbe13bd0111a7b0f4bb5aeacff8e03169717c5c546b0739f1e7477bea9e6461f",
+        "ad63987834fb63f8604561f5ec3720e9b73c4f2a57bd0c38e9fe24be35bb3f18",
     ("float64", 1, False):
-        "353077580bc4a0cf3ab9da2d3857c13a07610e768565c10205e2f847a1713768",
+        "b67eacc70a885c76eff23697b2d449cf9f5c842e252dff5bdb181c38c3ff7699",
     ("float64", 3, False):
-        "12041da80fd39530d6cb271aa065220b25d33f50088359b1d14706076b984961",
+        "ae10dcd7b31a28079fae53850e74f5384c397c7894a55b1d2abaee724486859f",
     ("float64", 3, True):
-        "3fec86c60b37acb7d23ee1fb8110d6fbbefb1ebde1c29312039dace7f7e6dfef",
+        "79635f8d9131c21bf649a475ebfa642c2919c7adab46543840f0f0db54a1e341",
 }
 
 
@@ -175,7 +177,7 @@ def _coverage_budget(backend, batch):
 
 
 def _assert_saved_fixed_point(plan, x, tmp_path, digest):
-    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    first, second = tmp_path / "first.plan", tmp_path / "second.plan"
     plan.save(first)
     loaded = InferencePlan.load(first)
     loaded.save(second)
@@ -215,7 +217,8 @@ def test_coverage_net_streamed_round_trips(backend, tmp_path):
         out, ref, plan = _compile_and_run(model, COVERAGE_SHAPE, 3, backend,
                                           memory_budget=budget)
     assert plan.stats.streamed_convs == 2
-    assert sum("stream" in step for step in plan.to_dict()["steps"]) == 2
+    header, _ = unpack_container(plan.to_bytes())
+    assert sum("stream" in step for step in json.loads(header)["steps"]) == 2
     np.testing.assert_allclose(out, ref, rtol=1e-6, atol=1e-9)
     x = np.random.default_rng(0).standard_normal((3,) + COVERAGE_SHAPE)
     _assert_saved_fixed_point(

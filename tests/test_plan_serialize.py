@@ -1,4 +1,4 @@
-"""The ``repro-plan/1`` wire form: save/load bit-identity, batch
+"""The ``repro-plan/2`` container: save/load bit-identity, batch
 re-binding, cache-served plans, and plan shipping over ``repro-job/1``.
 
 The contracts pinned here:
@@ -6,8 +6,9 @@ The contracts pinned here:
 * ``plan.save()`` / ``InferencePlan.load()`` round-trip every zoo model
   **bit-identically** in float32 and float64 — the loaded plan's output
   bytes equal the original plan's (and therefore eager's).
-* Tampered payloads, stale weights digests and unknown schema versions
-  are rejected with specific errors, never silently accepted.
+* Tampered headers, stale weights digests, unknown schema versions and
+  every structural mutation of the container are rejected with specific
+  errors, never silently accepted; loaded constants are read-only.
 * ``plan.bind(batch=k)`` serves k ∈ {1, 4, 8} from one compiled program
   without re-tracing the model, and bound batches auto-dispatch through
   the parent plan's ``__call__``.
@@ -19,15 +20,19 @@ The contracts pinned here:
 
 from __future__ import annotations
 
+import gc
 import io
 import json
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import repro.api as api
-from repro.api.jobs import array_from_payload
+from repro.api.jobs import array_from_payload, array_to_payload
 from repro.deploy import InferencePlan, PLAN_SCHEMA, compile
+from repro.deploy.serialize import pack_container, unpack_container
 from repro.models import available_models, bench_input_shape, build_model
 from repro.nn import Tensor, no_grad
 from repro.nn.backend import get_backend, use_backend
@@ -66,7 +71,7 @@ def test_saved_plan_round_trips_bit_identical(name, backend, tmp_path):
     model = build_model(name, rng=np.random.default_rng(7))
     with use_backend(backend):
         plan = compile(model, shape, batch=2)
-    path = tmp_path / f"{name}.json"
+    path = tmp_path / f"{name}.plan"
     plan.save(path)
     loaded = InferencePlan.load(path)
     x = _input(plan)
@@ -81,61 +86,223 @@ def test_saved_plan_round_trips_bit_identical(name, backend, tmp_path):
 
 def test_payload_is_a_canonical_fixed_point(tmp_path):
     _, plan = _lenet_plan()
-    payload = plan.to_dict()
-    assert payload["schema"] == PLAN_SCHEMA
-    loaded = InferencePlan.from_dict(json.loads(json.dumps(payload)))
-    assert api.canonical_json(loaded.to_dict()) == api.canonical_json(payload)
+    data = plan.to_bytes()
+    header, _ = _split(data)
+    assert header["schema"] == PLAN_SCHEMA
+    assert InferencePlan.from_bytes(data).to_bytes() == data
     # On-disk form too: save → load → save is byte-equal.
-    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    first, second = tmp_path / "a.plan", tmp_path / "b.plan"
     plan.save(first)
     InferencePlan.load(first).save(second)
-    assert first.read_bytes() == second.read_bytes()
+    assert first.read_bytes() == second.read_bytes() == data
 
 
 # --------------------------------------------------------------------------- #
-# Rejection: tampering, stale digests, unknown versions
+# Rejection: tampering, stale digests, unknown versions, mutated containers
 # --------------------------------------------------------------------------- #
-def _payload():
-    return _lenet_plan()[1].to_dict()
+def _container():
+    return _lenet_plan()[1].to_bytes()
 
 
-def _restamp(payload):
-    """Recompute the whole-payload digest after deliberate edits."""
-    body = {k: v for k, v in payload.items() if k != "digest"}
-    payload["digest"] = api.payload_digest(body)
-    return payload
+def _split(data):
+    """``(parsed header, blob bytes)`` of a container."""
+    header, blob = unpack_container(data)
+    return json.loads(header), bytes(blob)
+
+
+def _edit(data, change):
+    """Re-pack a container after ``change(header)``: valid digests, edited
+    content."""
+    header, blob = _split(data)
+    change(header)
+    return pack_container(header, blob)
 
 
 def test_tampered_payload_is_rejected():
-    payload = _payload()
-    payload["nodes"][0]["op"] = "relu"  # flip an op behind the digest
-    with pytest.raises(ValueError, match="digest mismatch"):
-        InferencePlan.from_dict(payload)
+    data = bytearray(_container())
+    at = data.index(b'"op":"conv2d"')
+    data[at + 6:at + 12] = b"relu__"  # flip an op behind the header digest
+    with pytest.raises(ValueError, match="header digest mismatch"):
+        InferencePlan.from_bytes(bytes(data))
 
 
 def test_stale_weights_digest_is_rejected():
-    payload = _payload()
-    payload["weights_digest"] = "0" * 64
-    with pytest.raises(ValueError, match="weights digest"):
-        InferencePlan.from_dict(_restamp(payload))
+    data = bytearray(_container())
+    data[-1] ^= 0x01  # one weight bit
+    with pytest.raises(ValueError, match="blob digest mismatch"):
+        InferencePlan.from_bytes(bytes(data))
 
 
 def test_unknown_schema_version_is_rejected():
-    payload = _payload()
-    payload["schema"] = "repro-plan/99"
+    data = _edit(_container(),
+                 lambda header: header.update(schema="repro-plan/99"))
     with pytest.raises(ValueError, match="unsupported plan schema"):
-        InferencePlan.from_dict(_restamp(payload))
+        InferencePlan.from_bytes(data)
     with pytest.raises(TypeError):
-        InferencePlan.from_dict("not a mapping")
+        InferencePlan.from_bytes("not bytes")
 
 
 def test_tampered_stored_layout_is_rejected():
-    payload = _payload()
-    payload["arena"]["capacities"][0] += 8
-    with pytest.raises(ValueError, match="digest mismatch"):
-        InferencePlan.from_dict(payload)
+    data = _container()
+    spliced = data.replace(b'"capacities":[', b'"capacities":[1', 1)
+    with pytest.raises(ValueError, match="header digest mismatch"):
+        InferencePlan.from_bytes(spliced[:len(data)])
+
+    def grow(header):
+        header["arena"]["capacities"][0] += 8
     with pytest.raises(ValueError, match="layout mismatch"):
-        InferencePlan.from_dict(_restamp(payload))
+        InferencePlan.from_bytes(_edit(data, grow))
+
+
+def test_v1_payload_fails_with_the_uniform_schema_error():
+    legacy = Path(__file__).parent / "data" / "lenet.repro-plan-1.json"
+    with pytest.raises(ValueError, match="unsupported plan schema "
+                       "'repro-plan/1': expected 'repro-plan/2'"):
+        InferencePlan.from_bytes(legacy.read_bytes())
+    with pytest.raises(ValueError, match="unsupported plan schema"):
+        InferencePlan.load(legacy)
+
+
+def test_loaded_constants_are_read_only():
+    loaded = InferencePlan.from_bytes(bytearray(_container()))
+    consts = loaded._program.consts
+    assert consts and not any(array.flags.writeable for array in consts)
+    with pytest.raises(ValueError, match="read-only"):
+        consts[0][...] = 0
+
+
+def test_loaded_constants_keep_their_memory_order():
+    # The linear head's weight is traced as a transposed (F-order) view.
+    _, plan = _lenet_plan()
+    loaded = InferencePlan.from_bytes(plan.to_bytes())
+    pairs = list(zip(plan._program.consts, loaded._program.consts))
+    assert any(a.flags.f_contiguous and not a.flags.c_contiguous
+               for a, _ in pairs)
+    for original, restored in pairs:
+        assert restored.dtype == original.dtype
+        assert restored.shape == original.shape
+        assert restored.flags.f_contiguous == original.flags.f_contiguous
+        assert restored.flags.c_contiguous == original.flags.c_contiguous
+        assert restored.tobytes(order="A") == original.tobytes(order="A")
+
+
+def _regions(data):
+    """``(header length, header end, blob start)`` of a container."""
+    length = int.from_bytes(data[8:16], "little")
+    header_end = 80 + length
+    return length, header_end, -(-header_end // 64) * 64
+
+
+def _flip(data, at):
+    out = bytearray(data)
+    out[at] ^= 0x20
+    return bytes(out)
+
+
+def _with_length(data, length):
+    return data[:8] + length.to_bytes(8, "little") + data[16:]
+
+
+#: name -> (mutate container bytes, expected ValueError message).
+BYTE_MUTATIONS = {
+    "truncated-prefix": (lambda d: d[:40], "truncated inside its"),
+    "truncated-header": (lambda d: d[:80 + _regions(d)[0] // 2],
+                         "truncated: the prefix declares"),
+    "truncated-padding": (lambda d: d[:_regions(d)[1] + 1],
+                          "truncated inside the padding"),
+    "truncated-blob": (lambda d: d[:(_regions(d)[2] + len(d)) // 2],
+                       "blob digest mismatch"),
+    "empty": (lambda d: b"", "unreadable"),
+    "flip-magic": (lambda d: _flip(d, 0), "unreadable"),
+    "flip-length": (lambda d: _flip(d, 8), "header digest mismatch"),
+    "flip-header-digest": (lambda d: _flip(d, 20), "header digest mismatch"),
+    "flip-blob-digest": (lambda d: _flip(d, 60), "blob digest mismatch"),
+    "flip-header": (lambda d: _flip(d, 80 + _regions(d)[0] // 3),
+                    "header digest mismatch"),
+    "flip-padding": (lambda d: _flip(d, _regions(d)[1]),
+                     "padding is not zero"),
+    "flip-blob": (lambda d: _flip(d, _regions(d)[2] + 5),
+                  "blob digest mismatch"),
+    "length-too-long": (lambda d: _with_length(d, _regions(d)[0] + 64),
+                        "header digest mismatch"),
+    "length-too-short": (lambda d: _with_length(d, _regions(d)[0] - 1),
+                         "header digest mismatch"),
+    "length-past-end": (lambda d: _with_length(d, 2 ** 63),
+                        "truncated: the prefix declares"),
+    "appended": (lambda d: d + bytes(64), "blob digest mismatch"),
+}
+
+
+def _const(index, **fields):
+    return lambda header: header["consts"][index].update(fields)
+
+
+def _reinterpret_as_bytes(header):
+    # Same bytes, read as uint8: the table is consistent, the graph value
+    # it feeds is not.
+    entry = header["consts"][0]
+    entry.update(dtype="|u1", shape=[entry["nbytes"]])
+
+
+def _shift_after_first(header):
+    for entry in header["consts"][1:]:
+        entry["offset"] += 64
+
+
+#: name -> (edit the parsed header, expected ValueError message); the
+#: container is re-packed with valid digests around the edit.
+HEADER_MUTATIONS = {
+    "offset-out-of-range": (_const(-1, offset=64 * 10 ** 6), "past the end"),
+    "offset-overlapping": (_const(1, offset=0), "overlapping"),
+    "offset-misaligned": (_const(1, offset=65), "misaligned"),
+    "offset-gap": (_shift_after_first, "leaves a gap"),
+    "offset-negative": (_const(0, offset=-64), "overlapping"),
+    "offset-not-int": (_const(0, offset="0"), "misaligned"),
+    "size-disagrees": (_const(0, nbytes=8), "disagrees with shape"),
+    "shape-disagrees": (_const(0, shape=[1]), "disagrees with shape"),
+    "shape-negative": (_const(0, shape=[-1]), "not a list of sizes"),
+    "shape-past-blob": (_const(-1, shape=[10 ** 6], nbytes=4 * 10 ** 6,
+                               dtype="<f4"), "past the end"),
+    "dtype-object": (_const(0, dtype="|O"), "plain numeric dtype"),
+    "dtype-string": (_const(0, dtype="<U4"), "plain numeric dtype"),
+    "dtype-garbage": (_const(0, dtype="not-a-dtype"), "plain numeric dtype"),
+    "dtype-not-str": (_const(0, dtype=7), "plain numeric dtype"),
+    "dtype-reinterpreted": (_reinterpret_as_bytes, "but its value declares"),
+    "order-unknown": (_const(0, order="K"), "neither 'C' nor 'F'"),
+    "entry-extra-key": (_const(0, extra=1), "entry must hold"),
+    "table-not-list": (lambda h: h.update(consts={}), "consts table"),
+    "table-short": (lambda h: h["consts"].pop(), "after its last constant"),
+    "value-const-index": (lambda h: h["values"][1].update(const=10 ** 6),
+                          "malformed"),
+    "node-missing-key": (lambda h: h["nodes"][0].pop("inputs"), "malformed"),
+    "header-missing-key": (lambda h: h.pop("input_shape"), "malformed"),
+    "header-untagged": (lambda h: h.pop("schema"), "unsupported plan schema"),
+}
+
+
+@pytest.fixture(scope="module")
+def container():
+    return _container()
+
+
+@pytest.mark.parametrize("name", list(BYTE_MUTATIONS))
+def test_mutated_container_bytes_raise_specific_errors(container, name):
+    mutate, message = BYTE_MUTATIONS[name]
+    with pytest.raises(ValueError, match=message):
+        InferencePlan.from_bytes(mutate(container))
+
+
+@pytest.mark.parametrize("name", list(HEADER_MUTATIONS))
+def test_mutated_headers_raise_specific_errors(container, name):
+    change, message = HEADER_MUTATIONS[name]
+    with pytest.raises(ValueError, match=message):
+        InferencePlan.from_bytes(_edit(container, change))
+
+
+def test_non_object_header_is_a_type_error(container):
+    _, blob = _split(container)
+    with pytest.raises(TypeError, match="plan payload must be a JSON object"):
+        InferencePlan.from_bytes(pack_container([1, 2], blob))
 
 
 # --------------------------------------------------------------------------- #
@@ -181,10 +348,26 @@ def test_profile_steps_dispatches_bound_batches_like_a_call():
 
 def test_loaded_plan_binds_too():
     model, plan = _lenet_plan(batch=2)
-    loaded = InferencePlan.from_dict(plan.to_dict())
+    loaded = InferencePlan.from_bytes(plan.to_bytes())
     x = _input(plan, batch=4, seed=3)
     ref = _eager(model, x)
     assert loaded.bind(batch=4)(x).data.tobytes() == ref.tobytes()
+
+
+def test_a_dropped_bind_family_is_freed_by_reference_counting():
+    _, plan = _lenet_plan(batch=2)
+    loaded = InferencePlan.from_bytes(plan.to_bytes())
+    loaded.bind(batch=4)  # not held by the caller: the plan keeps it
+    gc.collect()
+    x = _input(plan, batch=4, seed=3)
+    assert loaded(x).data.tobytes() == plan.bind(batch=4)(x).data.tobytes()
+    family = [weakref.ref(loaded), weakref.ref(loaded.bind(batch=4))]
+    gc.disable()
+    try:
+        del loaded
+        assert [ref() for ref in family] == [None, None]
+    finally:
+        gc.enable()
 
 
 def test_bind_rejects_bad_batches():
@@ -212,9 +395,9 @@ def test_unencodable_graph_serves_but_does_not_serialize(tmp_path):
     x = x.astype(plan.input_dtype)
     assert plan(x).data.tobytes() == _eager(model, x).tobytes()
     with pytest.raises(ValueError, match="plan is not serializable"):
-        plan.to_dict()
+        plan.to_bytes()
     with pytest.raises(ValueError, match="plan is not serializable"):
-        plan.save(tmp_path / "plan.json")
+        plan.save(tmp_path / "plan.plan")
     with pytest.raises(ValueError, match="plan has no symbolic-batch program"):
         plan.bind(3)
 
@@ -268,10 +451,10 @@ def test_corrupt_stored_plan_recompiles_with_warning(tmp_path, report):
     plan = api.compile_report(report, cache=cache)
     address = cache._keys("plan")[0]
     path = cache._path("plan", address)
-    with open(path, "r", encoding="utf-8") as f:
-        text = f.read()
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(text[:len(text) // 2])
+    with open(path, "rb") as f:
+        data = f.read()
+    with open(path, "wb") as f:
+        f.write(data[:len(data) // 2])
     with pytest.warns(api.CacheIntegrityWarning):
         again = api.compile_report(report, cache=(cache, "read"))
     x = _input(plan)
@@ -312,7 +495,9 @@ def test_worker_main_executes_plan_jobs():
 def test_worker_reports_plan_failures_as_protocol_data():
     _, plan = _lenet_plan()
     payload = api.plan_job_payload(plan, _input(plan), job_id=3)
-    payload["plan"] = {**payload["plan"], "schema": "repro-plan/99"}
+    stale = _edit(plan.to_bytes(),
+                  lambda header: header.update(schema="repro-plan/99"))
+    payload["plan"] = array_to_payload(np.frombuffer(stale, dtype=np.uint8))
     stdin = io.StringIO(json.dumps(payload) + "\n")
     stdout = io.StringIO()
     api.worker_main(stdin, stdout)

@@ -8,8 +8,8 @@ through one JSON round trip would replay a different report than it
 stored — so the suite is parameterized over ``api.available_methods()``
 and picks up new registrations automatically.
 
-The same fixed-point discipline applies to the ``repro-plan/1`` wire
-form: serialize → load → serialize is byte-equal, and the loaded plan's
+The same fixed-point discipline applies to the ``repro-plan/2``
+container: serialize → load → serialize is byte-equal, and the loaded plan's
 forwards are bit-identical in both working precisions.
 """
 
@@ -160,25 +160,22 @@ class TestPlanRoundTrip:
 
     def test_plan_payload_is_a_fixed_point(self, backend):
         _, plan = self._plan(backend)
-        payload = plan.to_dict()
-        loaded = InferencePlan.from_dict(json_round_trip(payload))
-        assert api.canonical_json(loaded.to_dict()) == \
-            api.canonical_json(payload)
-        # One more cycle: the reloaded payload is already the fixed point.
-        again = InferencePlan.from_dict(loaded.to_dict())
-        assert api.canonical_json(again.to_dict()) == \
-            api.canonical_json(payload)
+        data = plan.to_bytes()
+        loaded = InferencePlan.from_bytes(data)
+        assert loaded.to_bytes() == data
+        # One more cycle: the reloaded container is already the fixed point.
+        assert InferencePlan.from_bytes(loaded.to_bytes()).to_bytes() == data
 
     def test_save_load_save_is_byte_equal(self, backend, tmp_path):
         _, plan = self._plan(backend)
-        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        first, second = tmp_path / "first.plan", tmp_path / "second.plan"
         plan.save(first)
         InferencePlan.load(first).save(second)
         assert first.read_bytes() == second.read_bytes()
 
     def test_loaded_plan_forward_is_bit_identical(self, backend):
         _, plan = self._plan(backend)
-        loaded = InferencePlan.from_dict(json_round_trip(plan.to_dict()))
+        loaded = InferencePlan.from_bytes(plan.to_bytes())
         x = np.random.default_rng(11).standard_normal(
             (2,) + INPUT_SHAPE).astype(plan.input_dtype)
         assert loaded(x).data.tobytes() == plan(x).data.tobytes()

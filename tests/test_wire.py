@@ -15,6 +15,10 @@ The contracts pinned here:
   ``repro-job/1`` bytes of one canonical job are pinned by digest.
 * The one base64-npy codec round-trips dtype, shape, bytes and memory
   order.
+* A stored ``repro-plan/2`` container damaged in any region — prefix,
+  header, padding or blob — is a warned miss, and so is a stored
+  ``repro-plan/1`` payload; the header of a container is tag-checked
+  like every other kind.
 """
 
 from __future__ import annotations
@@ -33,6 +37,9 @@ from repro.api.pipeline import REPORT_SCHEMA
 from repro.api.spec import SPEC_SCHEMA
 from repro.data import SyntheticImageDataset
 from repro.deploy import PLAN_SCHEMA, InferencePlan
+from repro.deploy import compile as compile_plan
+from repro.deploy.serialize import pack_container
+from repro.models import build_model
 from repro.nn.backend import ExecutionState
 from repro.nn.profiler import (PROFILE_SCHEMA, RUN_PROFILE_SCHEMA, OpProfile,
                                RunProfile)
@@ -42,6 +49,8 @@ from repro.wire import (array_from_payload, array_to_payload, check_schema,
 FIXTURE_ENTRY = os.path.join(
     os.path.dirname(__file__), "data", "cache_store", "entries",
     "f68e695c5fb02fda2aea6c6b192d2ee15066dd5290f5787a8c43659de0d27cbd.json")
+LEGACY_PLAN = os.path.join(os.path.dirname(__file__), "data",
+                           "lenet.repro-plan-1.json")
 
 
 def _stored_entry(payload):
@@ -95,7 +104,8 @@ READERS = {
     "failure": ("failure", api.FAILURE_SCHEMA,
                 _raising(api.SweepFailure.from_dict)),
     "cache-entry": ("cache-entry", api.CACHE_ENTRY_SCHEMA, _stored_entry),
-    "plan": ("plan", PLAN_SCHEMA, _raising(InferencePlan.from_dict)),
+    "plan": ("plan", PLAN_SCHEMA, _raising(
+        lambda header: InferencePlan.from_bytes(pack_container(header, b"")))),
     "stored-plan": ("plan", PLAN_SCHEMA, _stored_plan),
     "op-profile": ("op-profile", PROFILE_SCHEMA,
                    _raising(OpProfile.from_dict)),
@@ -111,7 +121,7 @@ NON_OBJECTS = {"list": [1, 2], "string": "x", "null": None}
 def test_every_kind_rejects_wrong_tags_and_non_objects(site, bad):
     kind, tag, read = READERS[site]
     if bad == "wrong-tag":
-        wrong = tag.replace("/1", "/99")
+        wrong = tag.rsplit("/", 1)[0] + "/99"
         message = read({"schema": wrong})
         assert f"unsupported {kind} schema '{wrong}': expected '{tag}'" \
             in message
@@ -128,7 +138,7 @@ def test_untagged_payloads_pass_only_for_kinds_older_than_their_tag():
     assert RunProfile().to_dict()["schema"] == RUN_PROFILE_SCHEMA
     assert api.CompressionSpec.from_dict({"method": "fpgm"}).method == "fpgm"
     assert RunProfile.from_dict({}).phases() == {}
-    with pytest.raises(ValueError, match="expected 'repro-plan/1'"):
+    with pytest.raises(ValueError, match="expected 'repro-plan/2'"):
         check_schema({}, PLAN_SCHEMA)
 
 
@@ -230,3 +240,51 @@ def test_array_codec_round_trips_exactly(order):
     assert restored.tobytes(order="A") == array.tobytes(order="A")
     assert restored.flags.f_contiguous == array.flags.f_contiguous
     np.testing.assert_array_equal(restored, array)
+
+
+# --------------------------------------------------------------------------- #
+# Stored plan containers: damage in any region is a warned miss
+# --------------------------------------------------------------------------- #
+def _plan_container():
+    model = build_model("lenet", rng=np.random.default_rng(0))
+    return compile_plan(model, (1, 16, 16), batch=2).to_bytes()
+
+
+def _damaged_containers(data):
+    length = int.from_bytes(data[8:16], "little")
+    header_end = 80 + length
+    blob_start = -(-header_end // 64) * 64
+    cuts = {"prefix": 30, "header": 80 + length // 2,
+            "padding": header_end + 1, "blob": len(data) - 1}
+    flips = {"magic": 3, "length": 9, "header-digest": 30, "blob-digest": 70,
+             "header": 80 + length // 2, "padding": header_end,
+             "blob": blob_start}
+    for region, cut in cuts.items():
+        yield f"truncated-{region}", data[:cut]
+    for region, at in flips.items():
+        flipped = bytearray(data)
+        flipped[at] ^= 0x01
+        yield f"flipped-{region}", bytes(flipped)
+
+
+def test_damaged_stored_containers_are_warned_misses():
+    data = _plan_container()
+    store = api.MemoryReportCache()
+    store.put_plan("a" * 64, data)
+    assert store.get_plan("a" * 64) == data
+    for name, damaged in _damaged_containers(data):
+        store._write("plan", "a" * 64, damaged)
+        with pytest.warns(api.CacheIntegrityWarning) as caught:
+            assert store.get_plan("a" * 64) is None, name
+        assert "repro-plan/2" in str(caught[0].message), name
+
+
+def test_stored_v1_plan_is_a_warned_miss_with_the_uniform_error():
+    with open(LEGACY_PLAN, "rb") as handle:
+        legacy = handle.read()
+    store = api.MemoryReportCache()
+    store._write("plan", "a" * 64, legacy)
+    with pytest.warns(api.CacheIntegrityWarning,
+                      match="unsupported plan schema 'repro-plan/1': "
+                            "expected 'repro-plan/2'"):
+        assert store.get_plan("a" * 64) is None
