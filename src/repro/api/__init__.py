@@ -28,10 +28,10 @@ Public surface
     :class:`SweepSession`.
 :class:`SweepSession` / :class:`SweepFuture` / :class:`RetryPolicy`
     Streaming submission: ``submit(spec)`` / ``submit_all(specs)`` return
-    futures (``result`` / ``done`` / ``cancel``, completion callbacks),
-    the session adds progress callbacks and ``as_completed()`` iteration,
-    and per-spec retry/timeout policy is enforced by the session
-    scheduler.
+    stock :class:`concurrent.futures.Future` subclasses carrying the spec,
+    the session adds progress callbacks, and per-spec retry/timeout
+    policy is enforced by the session scheduler on one path for every
+    executor.
 :class:`SweepJob` / :class:`RemoteExecutor`
     The versioned ``repro-job/1`` wire protocol (spec payload + model
     registry name + seed + digest-guarded dense baseline — never live

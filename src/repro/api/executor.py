@@ -5,7 +5,8 @@ isolated deep copy of the model under its own backend / dtype / grad-mode
 context, which makes specs embarrassingly parallel.  This module owns *how*
 the shards run:
 
-* :class:`SerialExecutor` — in-process loop (the reference semantics);
+* :class:`SerialExecutor` — shards run one after another in the
+  submitting thread (the reference semantics);
 * :class:`ThreadExecutor` — a thread pool, overlapping shards whose time is
   dominated by GIL-releasing numpy kernels or blocking I/O;
 * :class:`ProcessExecutor` — a process pool, sidestepping the GIL entirely
@@ -14,8 +15,9 @@ the shards run:
   ``python -m repro.api.worker`` subprocesses, shards travelling as
   ``repro-job/1`` JSON lines over stdio.
 
-Every pooled strategy's :meth:`SweepExecutor.open` returns a stock
-:class:`concurrent.futures.Executor`, and every shard is one
+Every strategy's :meth:`SweepExecutor.open` returns a stock
+:class:`concurrent.futures.Executor` (``serial`` opens an
+:class:`InlineExecutor`), and every shard is one
 :class:`~repro.api.jobs.SweepJob` run by
 :func:`~repro.api.jobs.execute_job`.
 
@@ -36,7 +38,8 @@ execution state into its neighbours.
 from __future__ import annotations
 
 import os
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import (Executor, Future, ProcessPoolExecutor,
+                                ThreadPoolExecutor)
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Type, Union
@@ -124,10 +127,11 @@ class SweepExecutor:
 
     name: str = "abstract"
 
-    #: True for strategies that run every shard in the caller's thread and
-    #: therefore inherit its ambient engine state; parallel strategies need
-    #: a shippable :class:`EngineState` snapshot instead.  The session never
-    #: opens an inline strategy.
+    #: True for strategies whose pool runs every shard inside ``submit``, in
+    #: the submitting thread, and therefore inherits its ambient engine
+    #: state; parallel strategies need a shippable :class:`EngineState`
+    #: snapshot instead.  The session runs an inline shard's retries,
+    #: backoff included, in that thread too.
     inline: bool = False
 
     #: True for strategies whose shards travel as ``repro-job/1`` wire
@@ -155,11 +159,30 @@ class SweepExecutor:
         return f"{type(self).__name__}(name={self.name!r})"
 
 
+class InlineExecutor(Executor):
+    """A stock :class:`Executor` that runs each call in the submitting thread.
+
+    ``submit`` returns an already finished :class:`Future`; an exception the
+    call raises is stored in it, not raised from ``submit``.
+    """
+
+    def submit(self, fn, /, *args, **kwargs) -> Future:
+        future: Future = Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+
 class SerialExecutor(SweepExecutor):
     """The reference strategy: one shard after another, in-process."""
 
     name = "serial"
     inline = True
+
+    def open(self, max_workers: Optional[int] = None) -> Executor:
+        return InlineExecutor()
 
 
 class ThreadExecutor(SweepExecutor):

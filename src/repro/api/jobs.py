@@ -48,6 +48,7 @@ import numpy as np
 from ..data import DataLoader, SyntheticImageDataset
 from ..hardware import EnergyTable, EyerissSpec
 from ..models import build_model
+from ..nn.backend import use_backend
 from ..nn.module import Module
 from ..wire import (array_from_payload, array_to_payload, check_schema,
                     payload_digest)
@@ -294,15 +295,17 @@ class SweepJob:
 def execute_job(job: SweepJob) -> CompressionReport:
     """Run one shard to a report, in-process or in a wire worker.
 
-    The engine snapshot is re-applied — or hook isolation alone when there
-    is none, which only the inline serial strategy can reach: it runs
-    under the caller's ambient state.  The model is a deep copy of a live
-    ``job.model``, or rebuilt from the registry at the job's seed; loaders
-    come from the data recipe, and the broadcast dense baseline suppresses
-    the dense stage.
+    The engine snapshot is re-applied.  A job without one (an unregistered
+    backend, which only the inline ``serial`` strategy accepts) runs under
+    the caller's ambient state, scoped to the spec's backend and dtype.
+    Either way the op-hook list is restored on exit.  The model is a deep
+    copy of a live ``job.model``, or rebuilt from the registry at the job's
+    seed; loaders come from the data recipe, and the broadcast dense
+    baseline suppresses the dense stage.
     """
-    scope = job.engine.scope() if job.engine is not None else op_hook_isolation()
-    with scope:
+    scope = (job.engine.scope() if job.engine is not None
+             else use_backend(job.spec.backend, dtype=job.spec.dtype))
+    with op_hook_isolation(), scope:
         if isinstance(job.model, Module):
             model = copy.deepcopy(job.model)
         else:

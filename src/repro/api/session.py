@@ -10,12 +10,16 @@ lets callers *submit, observe, retry and cancel* specs instead:
             print(future.spec.display_label, future.result().ops_reduction)
         sweep = s.result()          # the familiar spec-ordered SweepResult
 
-Every ``submit`` returns a :class:`SweepFuture` (``result`` / ``done`` /
-``cancel``, completion callbacks); the session adds progress callbacks,
-``as_completed`` iteration, and a scheduler that enforces per-spec
-:class:`RetryPolicy` and ``timeout`` *outside* the executors — executors
-only run shards, the session decides when a shard is re-run, abandoned or
-never started.
+Every ``submit`` returns a :class:`SweepFuture`, a stock
+:class:`concurrent.futures.Future` (so ``concurrent.futures.wait`` /
+``as_completed`` accept it) that also carries the spec, its attempt count
+and failure category.  Exceptions raised by done-callbacks are swallowed
+and logged by ``concurrent.futures``.  The session adds progress callbacks
+and a scheduler that enforces per-spec :class:`RetryPolicy` and
+``timeout`` *outside* the executors — executors only run shards, the
+session decides when a shard is re-run, abandoned or never started.  Every
+executor goes through the same submit / retry / timeout path; ``serial``
+simply opens an inline pool that runs each shard inside ``submit``.
 
 The shared-baseline semantics of ``run_sweep`` are preserved exactly: the
 dense model, loader plan, dense profile/hardware evaluation and dense
@@ -37,10 +41,12 @@ the same submission model drive off-host workers.
 from __future__ import annotations
 
 import copy
+import math
+import numbers
 import threading
 import time
 import warnings
-from concurrent.futures import Executor
+from concurrent.futures import Executor, Future, as_completed, wait
 from dataclasses import dataclass
 from typing import (
     Any,
@@ -115,14 +121,22 @@ class RetryPolicy:
     retry_timeouts: bool = True
 
     def validate(self) -> "RetryPolicy":
+        if (isinstance(self.max_attempts, bool)
+                or not isinstance(self.max_attempts, numbers.Integral)):
+            raise ValueError("max_attempts must be an integer")
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be at least 1")
+        if not (math.isfinite(self.backoff)
+                and math.isfinite(self.backoff_multiplier)):
+            raise ValueError("backoff and backoff_multiplier must be finite")
         if self.backoff < 0 or self.backoff_multiplier <= 0:
             raise ValueError("backoff must be >= 0 and backoff_multiplier > 0")
         return self
 
     def delay(self, failed_attempt: int) -> float:
         """Seconds to wait after ``failed_attempt`` (1-based) fails."""
+        if self.backoff == 0:
+            return 0.0
         return self.backoff * self.backoff_multiplier ** max(0, failed_attempt - 1)
 
 
@@ -160,85 +174,46 @@ def _loader_plan(data: DataArg, seed: int) -> LoaderPlan:
 # --------------------------------------------------------------------------- #
 # Futures
 # --------------------------------------------------------------------------- #
-_PENDING = "pending"
-_SCHEDULED = "scheduled"
-_DONE = "done"
-
-
-class SweepFuture:
+class SweepFuture(Future):
     """Handle to one submitted spec: its report, failure, or cancellation.
 
-    Mirrors :class:`concurrent.futures.Future` where it makes sense —
-    :meth:`result`, :meth:`done`, :meth:`cancel`,
-    :meth:`add_done_callback` — and adds sweep-specific state: the spec,
-    the number of attempts consumed, and the failure ``category``
-    (``"error"`` / ``"timeout"`` / ``"cancelled"``).
+    A stock :class:`concurrent.futures.Future` — ``result`` / ``exception``
+    / ``done`` / ``add_done_callback`` and the module's ``wait`` /
+    ``as_completed`` all work unchanged — plus sweep-specific state: the
+    spec, the number of attempts consumed, and the failure ``category``
+    (``None`` while unresolved or successful, else ``"error"`` /
+    ``"timeout"`` / ``"cancelled"``).  :meth:`cancel` goes through the
+    session's scheduler, and a cancelled future resolves with a
+    :class:`SweepCancelledError`.
     """
 
     def __init__(self, session: "SweepSession", index: int,
                  spec: CompressionSpec, retry: RetryPolicy,
                  timeout: Optional[float]):
+        super().__init__()
         self._session = session
-        self._cond = session._cond
         self.index = index
         self.spec = spec
         self.retry = retry
         self.timeout = timeout
         self.attempts = 0
-        self._state = _PENDING
-        self._report: Optional[CompressionReport] = None
-        self._error: Optional[BaseException] = None
-        self._category: Optional[str] = None
-        self._callbacks: List[Callable[["SweepFuture"], None]] = []
-        # Scheduling internals owned by the session (guarded by _cond).
+        self.category: Optional[str] = None
+        #: ``True`` when the report was replayed from the result cache.
+        self.cached = False
+        # Scheduling internals owned by the session (guarded by its _cond).
+        self._resolved = False
         self._attempt_token = 0
-        self._pool_future = None
+        self._pool_future: Optional[Future] = None
         self._timers: List[threading.Timer] = []
         # Cache bookkeeping (set once during scheduling, before any worker
         # can race on the future).
         self._cache_key: Optional[CacheKey] = None
-        self._from_cache = False
         self._warm: Optional[WarmStart] = None
-
-    # -- state ----------------------------------------------------------- #
-    def done(self) -> bool:
-        return self._state == _DONE
-
-    def cancelled(self) -> bool:
-        return self._category == CATEGORY_CANCELLED
-
-    @property
-    def category(self) -> Optional[str]:
-        """``None`` while unresolved or successful, else the failure kind."""
-        return self._category
-
-    @property
-    def cached(self) -> bool:
-        """``True`` when the report was replayed from the result cache."""
-        return self._from_cache
 
     @property
     def warm_source(self) -> Optional[str]:
         """Combined key of the cache entry that warm-started this run."""
         return None if self._warm is None else self._warm.source
-
-    def result(self, timeout: Optional[float] = None) -> CompressionReport:
-        """The report, waiting if necessary; raises the failure otherwise."""
-        with self._cond:
-            if not self._cond.wait_for(self.done, timeout=timeout):
-                raise TimeoutError(
-                    f"spec[{self.index}] did not resolve within {timeout}s")
-            if self._error is not None:
-                raise self._error
-            return self._report
-
-    def exception(self, timeout: Optional[float] = None) -> Optional[BaseException]:
-        """The failure (or ``None`` on success), waiting if necessary."""
-        with self._cond:
-            if not self._cond.wait_for(self.done, timeout=timeout):
-                raise TimeoutError(
-                    f"spec[{self.index}] did not resolve within {timeout}s")
-            return self._error
 
     def cancel(self) -> bool:
         """Stop this spec if it has not completed; ``True`` when it worked.
@@ -250,22 +225,8 @@ class SweepFuture:
         """
         return self._session._cancel_future(self)
 
-    def add_done_callback(self, fn: Callable[["SweepFuture"], None]) -> None:
-        """Call ``fn(future)`` once resolved (immediately if already done).
-
-        Callbacks run on whatever thread resolves the future; exceptions
-        they raise are swallowed so they cannot corrupt the scheduler.
-        """
-        with self._cond:
-            if not self.done():
-                self._callbacks.append(fn)
-                return
-        _call_quietly(fn, self)
-
-    def __repr__(self) -> str:
-        status = self._category or ("ok" if self._state == _DONE else self._state)
-        return (f"SweepFuture(index={self.index}, "
-                f"spec={self.spec.display_label!r}, {status})")
+    def cancelled(self) -> bool:
+        return self.category == CATEGORY_CANCELLED
 
 
 def _call_quietly(fn, *args) -> None:
@@ -307,12 +268,14 @@ class SweepSession:
     only meaningful with a readable cache) additionally seeds a cache-miss
     spec's fine-tuning from the nearest same-(method, model, data)
     checkpoint instead of training from dense.  Timeouts are enforced by
-    the session scheduler: a per-attempt timer abandons (and optionally
-    retries) the shard, cancelling it when the executor has not started
-    it yet.  Inline strategies (``serial``) run shards synchronously
-    inside ``submit`` — retries apply, and since a running shard cannot
-    be preempted there, a timeout is enforced post-hoc: an attempt that
-    finishes past its deadline resolves (or retries) as a timeout.
+    the session scheduler, with one deadline rule for every executor: an
+    attempt whose result arrives past its deadline resolves (or retries)
+    as a timeout.  For a pooled shard a per-attempt timer also abandons it
+    at the deadline, cancelling it when the executor has not started it
+    yet.  The ``serial`` executor's inline pool runs each shard inside
+    ``submit``, where nothing can preempt it, so there the rule applies
+    when the shard finishes; retries (and their backoff) also run in the
+    submitting thread.
     """
 
     def __init__(self, model: Union[str, Module] = "resnet20",
@@ -428,8 +391,8 @@ class SweepSession:
         """Observe scheduling milestones of every future in this session.
 
         Callbacks receive :class:`SessionEvent` instances and may fire from
-        scheduler or worker-collector threads; exceptions they raise are
-        swallowed.
+        the submitting thread, timer threads or pool callback threads;
+        exceptions they raise are swallowed.
         """
         with self._cond:
             self._progress.append(fn)
@@ -442,7 +405,7 @@ class SweepSession:
             return
         event = SessionEvent(kind=kind, index=future.index, spec=future.spec,
                              attempt=future.attempts,
-                             category=future._category, error=error)
+                             category=future.category, error=error)
         for fn in callbacks:
             _call_quietly(fn, event)
 
@@ -484,7 +447,8 @@ class SweepSession:
                 self._ensure_baseline()
             for position, future in enumerate(futures):
                 self._schedule(future)
-                if fail_fast and future.done() and future._error is not None:
+                if (fail_fast and future.done()
+                        and future.exception() is not None):
                     for rest in futures[position + 1:]:
                         rest.cancel()
                     break
@@ -506,8 +470,7 @@ class SweepSession:
         bootstrap error.
         """
         for future in futures:
-            if not future.done():
-                self._resolve(future, error=error, category=CATEGORY_ERROR)
+            self._resolve(future, error=error, category=CATEGORY_ERROR)
 
     def _register(self, spec: CompressionSpec,
                   retry: Optional[RetryPolicy],
@@ -700,7 +663,7 @@ class SweepSession:
             return False
         report = self._cache.get(key)
         if report is not None:
-            future._from_cache = True
+            future.cached = True
             self._resolve(future, report=report)
             return True
         if (self._warm_start and future.spec.epochs > 0
@@ -741,117 +704,82 @@ class SweepSession:
 
     def _schedule(self, future: SweepFuture) -> None:
         with self._cond:
-            if future.done():
+            if future._resolved:
                 return
-            future._state = _SCHEDULED
         if self._try_cache(future):
             return
-        if self._executor.inline:
-            self._run_inline(future)
-        else:
+        self._submit_attempt(future, future.attempts + 1)
+        # An inline attempt has finished by now; a future still unresolved
+        # is due for a retry, whose backoff _retry_later already slept.
+        # Looping here, not resubmitting from _retry_later, keeps the stack
+        # flat however many attempts the policy allows.
+        while self._executor.inline and not future._resolved:
             self._submit_attempt(future, future.attempts + 1)
-
-    def _run_inline(self, future: SweepFuture) -> None:
-        """Serial strategies: run (and retry) the shard in this thread.
-
-        A running shard cannot be preempted here, so ``timeout`` is
-        enforced post-hoc: an attempt finishing past its deadline resolves
-        (or retries, per the policy) as a timeout — its report, if any, is
-        discarded, matching what a pool-backed session would have done.
-        """
-        task = self._shard_payload(future)
-        while True:
-            attempt = future.attempts + 1
-            self._emit("scheduled", future)
-            start = time.monotonic()
-            # The spec-level scope mirrors the historical run_sweep wrapper:
-            # with an unshippable (state=None) backend the shard must still
-            # see the sweep's dtype/backend, not this thread's defaults.
-            try:
-                with use_backend(future.spec.backend, dtype=future.spec.dtype):
-                    report = execute_job(task)
-                error = None
-            except Exception as exc:
-                report, error = None, exc
-            elapsed = time.monotonic() - start
-            with self._cond:
-                if future.done():
-                    return  # cancelled from another thread mid-run
-                future.attempts = attempt
-            if error is not None:
-                category, may_retry = CATEGORY_ERROR, True
-            elif future.timeout is not None and elapsed > future.timeout:
-                error = SweepTimeoutError(
-                    f"spec[{future.index}] ({future.spec.display_label}) "
-                    f"exceeded the {future.timeout}s timeout on attempt "
-                    f"{attempt}/{future.retry.max_attempts} "
-                    f"(ran for {elapsed:.2f}s on an inline executor)")
-                category, may_retry = CATEGORY_TIMEOUT, future.retry.retry_timeouts
-            else:
-                self._resolve(future, report=report)
-                return
-            if may_retry and attempt < future.retry.max_attempts:
-                self._emit("retrying", future, error=error)
-                time.sleep(future.retry.delay(attempt))
-                continue
-            self._resolve(future, error=error, category=category)
-            return
 
     def _submit_attempt(self, future: SweepFuture, attempt: int) -> None:
         pool = self._ensure_pool()
         task = self._shard_payload(future)
         with self._cond:
-            if future.done():
+            if future._resolved:
                 return
             future._attempt_token = attempt
+        self._emit("scheduled", future)
+        start = time.monotonic()
         try:
             pool_future = pool.submit(execute_job, task)
         except Exception as exc:
             # The pool could not even accept the shard (e.g. an unpicklable
             # task, or a pool torn down mid-submit).
             with self._cond:
-                if future.done():
+                if future._resolved:
                     return
                 future.attempts = attempt
             self._resolve(future, error=exc, category=CATEGORY_ERROR)
             return
         with self._cond:
-            if future.done():
+            if future._resolved:
                 pool_future.cancel()
                 return
             future._pool_future = pool_future
-        self._emit("scheduled", future)
-        if future.timeout is not None:
-            timer = threading.Timer(
-                future.timeout, self._on_timeout, args=(future, attempt))
-            timer.daemon = True
-            with self._cond:
+            # An inline pool has finished the shard already; only a shard
+            # still pending or running needs a timer to abandon it.
+            if future.timeout is not None and not pool_future.done():
+                timer = threading.Timer(
+                    future.timeout, self._on_timeout, args=(future, attempt))
+                timer.daemon = True
                 future._timers.append(timer)
-            timer.start()
+                timer.start()
         pool_future.add_done_callback(
-            lambda pf: self._on_attempt_done(future, attempt, pf))
+            lambda pf: self._on_attempt_done(future, attempt, start, pf))
 
     def _on_attempt_done(self, future: SweepFuture, attempt: int,
-                         pool_future) -> None:
+                         start: float, pool_future: Future) -> None:
+        elapsed = time.monotonic() - start
         with self._cond:
-            if future.done() or future._attempt_token != attempt:
+            if future._resolved or future._attempt_token != attempt:
                 return  # stale attempt: timed out, cancelled or superseded
             self._drop_timers(future)
             if pool_future.cancelled():
                 return  # the cancel path resolves the future
-            error = pool_future.exception()
             future.attempts = attempt
-        if error is None:
+        error = pool_future.exception()
+        if error is not None:
+            self._fail_attempt(future, attempt, error, CATEGORY_ERROR)
+        elif future.timeout is not None and elapsed > future.timeout:
+            # A result that arrives past the deadline is a timeout, whether
+            # the shard ran inline (which no timer can preempt) or beat its
+            # timer thread by a hair.
+            self._fail_attempt(future, attempt, self._timeout_error(
+                future, attempt,
+                f" (its result arrived after {elapsed:.2f}s; a shard running "
+                "inline is not preempted, so the deadline is checked when it "
+                "finishes)"), CATEGORY_TIMEOUT)
+        else:
             self._resolve(future, report=pool_future.result())
-            return
-        if attempt < future.retry.max_attempts:
-            self._retry_later(future, attempt, error)
-            return
-        self._resolve(future, error=error, category=CATEGORY_ERROR)
 
     def _on_timeout(self, future: SweepFuture, attempt: int) -> None:
         with self._cond:
-            if future.done() or future._attempt_token != attempt:
+            if future._resolved or future._attempt_token != attempt:
                 return
             # Invalidate the attempt: a late completion must be discarded,
             # and an unstarted shard is pulled back from the pool queue.
@@ -860,24 +788,40 @@ class SweepSession:
                 future._pool_future.cancel()
             future.attempts = attempt
             self._drop_timers(future)
-        error = SweepTimeoutError(
+        self._fail_attempt(future, attempt,
+                           self._timeout_error(future, attempt),
+                           CATEGORY_TIMEOUT)
+
+    @staticmethod
+    def _timeout_error(future: SweepFuture, attempt: int,
+                       detail: str = "") -> SweepTimeoutError:
+        return SweepTimeoutError(
             f"spec[{future.index}] ({future.spec.display_label}) exceeded "
             f"the {future.timeout}s timeout on attempt "
-            f"{attempt}/{future.retry.max_attempts}")
-        if future.retry.retry_timeouts and attempt < future.retry.max_attempts:
+            f"{attempt}/{future.retry.max_attempts}{detail}")
+
+    def _fail_attempt(self, future: SweepFuture, attempt: int,
+                      error: BaseException, category: str) -> None:
+        """Retry a failed attempt if the policy allows, else resolve it."""
+        retryable = (category == CATEGORY_ERROR
+                     or future.retry.retry_timeouts)
+        if retryable and attempt < future.retry.max_attempts:
             self._retry_later(future, attempt, error)
-            return
-        self._resolve(future, error=error, category=CATEGORY_TIMEOUT)
+        else:
+            self._resolve(future, error=error, category=category)
 
     def _retry_later(self, future: SweepFuture, failed_attempt: int,
                      error: BaseException) -> None:
         self._emit("retrying", future, error=error)
         delay = future.retry.delay(failed_attempt)
+        if self._executor.inline:
+            time.sleep(delay)  # _schedule resubmits in this thread
+            return
         timer = threading.Timer(
             delay, self._submit_attempt, args=(future, failed_attempt + 1))
         timer.daemon = True
         with self._cond:
-            if future.done():
+            if future._resolved:
                 return
             future._timers.append(timer)
         timer.start()
@@ -889,7 +833,7 @@ class SweepSession:
 
     def _cancel_future(self, future: SweepFuture) -> bool:
         with self._cond:
-            if future.done():
+            if future._resolved:
                 return False
             pool_future = future._pool_future
             if pool_future is not None and not pool_future.cancel() \
@@ -897,7 +841,6 @@ class SweepSession:
                 return False  # already on a worker; cannot be interrupted
             future._attempt_token = -1
             self._drop_timers(future)
-            future.attempts = max(future.attempts, 0)
         self._resolve(future,
                       error=SweepCancelledError(
                           f"spec[{future.index}] "
@@ -910,69 +853,47 @@ class SweepSession:
                  error: Optional[BaseException] = None,
                  category: Optional[str] = None) -> None:
         with self._cond:
-            if future.done():
+            if future._resolved:
                 return
+            future._resolved = True
+            future.category = category
+            self._drop_timers(future)
+        if error is None:
             if report is not None:
                 # Rebind onto the session's full dense baseline (worker
                 # copies are dropped), preserving the shared-baseline
-                # identity invariant of run_sweep.
+                # identity invariant of run_sweep.  The write-back follows
+                # the rebind, so the stored dense payload carries the full
+                # baseline a replay must reproduce, and precedes set_result,
+                # so the store holds the report once a waiter sees it.
                 report.dense = self._dense
                 report.dense_hardware = self._dense.hardware
-            future._report = report
-            future._error = error
-            future._category = category
-            future._state = _DONE
-            self._drop_timers(future)
-            callbacks = list(future._callbacks)
-            future._callbacks.clear()
-            self._cond.notify_all()
-        if error is None:
-            if future._from_cache:
-                self._emit("cached", future)
-            else:
-                self._emit("completed", future)
-                if report is not None:
-                    # Write-back runs outside the lock, after the rebind
-                    # above, so the stored dense payload carries the full
-                    # baseline (hardware totals included) a replay must
-                    # reproduce.
+                if not future.cached:
                     self._store_result(future, report)
-        elif category == CATEGORY_CANCELLED:
-            self._emit("cancelled", future, error=error)
+            # Done-callbacks run here, outside the session lock.
+            future.set_result(report)
+            self._emit("cached" if future.cached else "completed", future)
         else:
-            self._emit("failed", future, error=error)
-        for fn in callbacks:
-            _call_quietly(fn, future)
+            future.set_exception(error)
+            self._emit("cancelled" if category == CATEGORY_CANCELLED
+                       else "failed", future, error=error)
 
     # -- observation ------------------------------------------------------- #
     def as_completed(self, futures: Optional[Sequence[SweepFuture]] = None,
                      timeout: Optional[float] = None
                      ) -> Iterator[SweepFuture]:
-        """Yield futures as they resolve (completion order, not spec order)."""
-        pending = list(futures if futures is not None else self.futures)
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while pending:
-            with self._cond:
-                done = [f for f in pending if f.done()]
-                if not done:
-                    remaining = (None if deadline is None
-                                 else deadline - time.monotonic())
-                    if remaining is not None and remaining <= 0:
-                        raise TimeoutError(
-                            f"{len(pending)} futures unresolved after {timeout}s")
-                    if not self._cond.wait(remaining):
-                        raise TimeoutError(
-                            f"{len(pending)} futures unresolved after {timeout}s")
-                    continue
-            for future in done:
-                pending.remove(future)
-                yield future
+        """Yield futures as they resolve (completion order, not spec order).
+
+        :func:`concurrent.futures.as_completed` over ``futures`` (default:
+        every submitted future); raises ``concurrent.futures.TimeoutError``
+        when ``timeout`` expires first.
+        """
+        return as_completed(self.futures if futures is None else futures,
+                            timeout=timeout)
 
     def wait(self, timeout: Optional[float] = None) -> bool:
         """Block until every submitted future resolves; ``False`` on timeout."""
-        with self._cond:
-            return self._cond.wait_for(
-                lambda: all(f.done() for f in self._futures), timeout=timeout)
+        return not wait(self.futures, timeout=timeout).not_done
 
     def result(self, on_error: str = "raise"):
         """All resolved futures merged into a spec-ordered ``SweepResult``.
@@ -992,23 +913,24 @@ class SweepSession:
         self.wait()
         result = SweepResult(dense=self._dense)
         for future in futures:
-            if future._error is None:
-                result.reports.append(future._report)
+            error = future.exception()
+            if error is None:
+                result.reports.append(future.result())
                 continue
             if on_error == "raise":
-                raise future._error
+                raise error
             # Drop the traceback before recording: its frames pin the failed
             # shard's deep-copied model and loaders for the lifetime of the
             # SweepResult (error_type/message carry the report-facing data).
-            future._error.__traceback__ = None
+            error.__traceback__ = None
             result.failures.append(SweepFailure(
                 index=future.index,
                 spec=future.spec,
-                error_type=type(future._error).__name__,
-                message=str(future._error),
-                exception=future._error,
+                error_type=type(error).__name__,
+                message=str(error),
+                exception=error,
                 attempts=max(1, future.attempts),
-                category=future._category or CATEGORY_ERROR,
+                category=future.category or CATEGORY_ERROR,
             ))
         return result
 
@@ -1036,8 +958,8 @@ def print_progress(prefix: str = "sweep",
 
 
 def _validated_timeout(timeout: Optional[float]) -> Optional[float]:
-    if timeout is not None and timeout <= 0:
-        raise ValueError("timeout must be positive (seconds)")
+    if timeout is not None and not (math.isfinite(timeout) and timeout > 0):
+        raise ValueError("timeout must be a positive, finite number of seconds")
     return timeout
 
 

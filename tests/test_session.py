@@ -24,7 +24,9 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import time
+import concurrent.futures as cf
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -137,6 +139,19 @@ class TestRetryPolicy:
         with pytest.raises(ValueError, match="backoff"):
             api.RetryPolicy(backoff=-1.0).validate()
 
+    @pytest.mark.parametrize("fields, match", [
+        (dict(max_attempts=2.5), "max_attempts"),
+        (dict(max_attempts=2.0), "max_attempts"),
+        (dict(max_attempts=True), "max_attempts"),
+        (dict(backoff=float("nan")), "finite"),
+        (dict(backoff=float("inf")), "finite"),
+        (dict(backoff_multiplier=float("nan")), "finite"),
+        (dict(backoff_multiplier=float("inf")), "finite"),
+    ])
+    def test_non_finite_or_non_integer_policies_rejected(self, fields, match):
+        with pytest.raises(ValueError, match=match):
+            api.RetryPolicy(**fields).validate()
+
     def test_backoff_schedule(self):
         policy = api.RetryPolicy(max_attempts=4, backoff=0.1,
                                  backoff_multiplier=2.0)
@@ -147,6 +162,22 @@ class TestRetryPolicy:
     def test_invalid_timeout_rejected(self):
         with pytest.raises(ValueError, match="timeout"):
             api.SweepSession(model="lenet", hardware=None, timeout=0.0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_timeout_rejected(self, value):
+        with pytest.raises(ValueError, match="timeout"):
+            api.SweepSession(model="lenet", hardware=None, timeout=value)
+        with api.SweepSession(model="lenet", hardware=None) as session:
+            with pytest.raises(ValueError, match="timeout"):
+                session.submit(api.CompressionSpec(method="magnitude"),
+                               timeout=value)
+            assert session.futures == []
+
+    def test_zero_backoff_never_overflows(self):
+        policy = api.RetryPolicy(max_attempts=1100).validate()
+        assert policy.delay(1100) == 0.0
+        assert api.RetryPolicy(backoff=0.0,
+                               backoff_multiplier=10.0).delay(5000) == 0.0
 
 
 # --------------------------------------------------------------------------- #
@@ -369,6 +400,48 @@ class TestFutures:
             assert future.done()
             assert future.category == "error"
 
+    def test_inline_executor_runs_calls_in_the_callers_thread(self):
+        pool = executor_module.SerialExecutor().open()
+        assert isinstance(pool, cf.Executor)
+        future = pool.submit(lambda a, b=0: (threading.get_ident(), a + b),
+                             1, b=2)
+        assert future.done()
+        assert future.result() == (threading.get_ident(), 3)
+
+    def test_inline_executor_stores_the_exception(self):
+        def boom():
+            raise RuntimeError("inline failure")
+
+        future = executor_module.InlineExecutor().submit(boom)
+        assert future.done()
+        assert isinstance(future.exception(), RuntimeError)
+        with pytest.raises(RuntimeError, match="inline failure"):
+            future.result()
+
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    def test_futures_are_stock_futures(self, executor):
+        with api.SweepSession(model="lenet", hardware=None,
+                              executor=executor, max_workers=2) as session:
+            futures = session.submit_all(cost_specs())
+            assert all(isinstance(f, cf.Future) for f in futures)
+            done, not_done = cf.wait(futures, timeout=60)
+            assert done == set(futures) and not not_done
+            assert set(cf.as_completed(futures)) == set(futures)
+            assert [f.result().method for f in futures] == LIGHT_METHODS
+
+    def test_result_timeout_raises_futures_timeout_error(self, stall_method):
+        # concurrent.futures.TimeoutError is the builtin only on 3.11+.
+        name, config = stall_method
+        with api.SweepSession(model="lenet", hardware=None,
+                              executor="thread") as session:
+            future = session.submit(api.CompressionSpec(
+                method=name, config=config(stall_seconds=0.4)))
+            with pytest.raises(cf.TimeoutError):
+                future.result(timeout=0.01)
+            with pytest.raises(cf.TimeoutError):
+                future.exception(timeout=0.01)
+            assert future.result().method == name
+
     def test_session_dense_property_matches_sweep(self):
         with api.SweepSession(model="lenet", hardware=None) as session:
             session.submit(api.CompressionSpec(method="magnitude"))
@@ -460,6 +533,21 @@ class TestRetryAndTimeout:
             session.result()
         assert kinds == ["submitted", "scheduled", "retrying", "scheduled",
                          "completed"]
+
+    def test_many_inline_retries_keep_the_stack_flat(self, flaky_method):
+        """Serial retries loop in the submitting thread, never recurse."""
+        name, config = flaky_method
+        fails = sys.getrecursionlimit() // 4
+        with api.SweepSession(model="lenet", hardware=None,
+                              executor="serial") as session:
+            future = session.submit(
+                api.CompressionSpec(method=name,
+                                    config=config(fail_times=fails,
+                                                  key="deep")),
+                retry=api.RetryPolicy(max_attempts=fails + 1))
+            assert future.done()
+            assert future.category is None
+            assert future.attempts == fails + 1
 
     def test_timeout_then_skip_keeps_healthy_shards(self, stall_method):
         name, config = stall_method
