@@ -21,9 +21,9 @@ Every strategy's :meth:`SweepExecutor.open` returns a stock
 :class:`~repro.api.jobs.SweepJob` run by
 :func:`~repro.api.jobs.execute_job`.
 
-Executors are registered by name exactly like ``repro.nn`` backends —
-:func:`register_executor` / :func:`get_executor` — and selected per sweep
-via ``run_sweep(..., executor="process")`` or process-wide via the
+Executors are registered by name — :func:`register_executor` /
+:func:`get_executor` — and selected per sweep via
+``run_sweep(..., executor="process")`` or process-wide via the
 ``REPRO_SWEEP_EXECUTOR`` environment variable.  Whatever the strategy,
 shard results are collected **in task order**, so the merged sweep is
 bit-identical to a serial run.
@@ -44,7 +44,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Type, Union
 
-from ..nn.backend import ExecutionState, capture_execution_state
+from ..nn.backend import Backend, current_backend, use_backend
 from ..nn.tensor import (
     grad_mode_override,
     installed_op_hooks,
@@ -82,17 +82,17 @@ def op_hook_isolation():
 class EngineState:
     """Everything a shard must re-apply to match the parent's engine context.
 
-    Combines the backend / default-dtype snapshot
-    (:class:`repro.nn.ExecutionState`) with the grad-mode override.  The
-    whole snapshot is picklable, so it ships to process workers unchanged.
+    Combines the active backend (a :class:`repro.nn.Backend` record: a
+    named default dtype) with the grad-mode override.  The whole snapshot
+    is picklable, so it ships to process workers unchanged.
     """
 
-    execution: ExecutionState
+    backend: Backend
     grad_override: Optional[bool] = None
 
     @classmethod
     def capture(cls) -> "EngineState":
-        return cls(execution=capture_execution_state(),
+        return cls(backend=current_backend(),
                    grad_override=grad_mode_override())
 
     @contextmanager
@@ -105,7 +105,7 @@ class EngineState:
         shard is removed before the next shard runs.
         """
         with op_hook_isolation():
-            with self.execution.scope(), set_grad_mode(self.grad_override):
+            with use_backend(self.backend), set_grad_mode(self.grad_override):
                 yield
 
 
@@ -128,9 +128,7 @@ class SweepExecutor:
     name: str = "abstract"
 
     #: True for strategies whose pool runs every shard inside ``submit``, in
-    #: the submitting thread, and therefore inherits its ambient engine
-    #: state; parallel strategies need a shippable :class:`EngineState`
-    #: snapshot instead.  The session runs an inline shard's retries,
+    #: the submitting thread.  The session runs an inline shard's retries,
     #: backoff included, in that thread too.
     inline: bool = False
 
@@ -199,9 +197,9 @@ class ProcessExecutor(SweepExecutor):
     """Process-pool shards: true parallelism; jobs/reports travel by pickle.
 
     Uses the ``fork`` start method where available (Linux): workers inherit
-    the parent's imported modules and registries (methods, backends,
-    executors) without re-importing, and custom registrations made before
-    the sweep are visible to every shard.
+    the parent's imported modules and registries (methods, executors)
+    without re-importing, and custom registrations made before the sweep
+    are visible to every shard.
     """
 
     name = "process"

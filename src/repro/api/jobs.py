@@ -4,7 +4,7 @@ A :class:`SweepJob` is everything an *off-host* worker needs to run one
 :class:`~repro.api.spec.CompressionSpec` — the spec's ``to_dict()``
 payload, the **model registry name** plus build seed (never a live
 module), the parent's table-level dense baseline guarded by a SHA-256
-digest, the engine snapshot (backend / dtype / grad mode, by name), the
+digest, the engine snapshot (backend name / dtype / grad mode), the
 accelerator spec, and the data *recipe*.  The whole job round-trips
 through JSON, so any transport that moves text — stdio, ssh, a job queue
 — can move sweep shards.  In-process executors run the same
@@ -48,7 +48,7 @@ import numpy as np
 from ..data import DataLoader, SyntheticImageDataset
 from ..hardware import EnergyTable, EyerissSpec
 from ..models import build_model
-from ..nn.backend import use_backend
+from ..nn.backend import get_backend
 from ..nn.module import Module
 from ..wire import (array_from_payload, array_to_payload, check_schema,
                     payload_digest)
@@ -184,7 +184,7 @@ def hardware_from_payload(payload: Optional[Mapping[str, Any]]
 def engine_to_payload(state: Optional[EngineState]) -> Optional[Dict[str, Any]]:
     if state is None:
         return None
-    return {"backend": state.execution.backend, "dtype": state.execution.dtype,
+    return {"backend": state.backend.name, "dtype": state.backend.dtype.name,
             "grad_override": state.grad_override}
 
 
@@ -192,10 +192,8 @@ def engine_from_payload(payload: Optional[Mapping[str, Any]]
                         ) -> Optional[EngineState]:
     if payload is None:
         return None
-    from ..nn.backend import ExecutionState
     return EngineState(
-        execution=ExecutionState(backend=payload["backend"],
-                                 dtype=payload["dtype"]),
+        backend=get_backend(payload["backend"], payload["dtype"]),
         grad_override=payload.get("grad_override"))
 
 
@@ -295,17 +293,15 @@ class SweepJob:
 def execute_job(job: SweepJob) -> CompressionReport:
     """Run one shard to a report, in-process or in a wire worker.
 
-    The engine snapshot is re-applied.  A job without one (an unregistered
-    backend, which only the inline ``serial`` strategy accepts) runs under
-    the caller's ambient state, scoped to the spec's backend and dtype.
-    Either way the op-hook list is restored on exit.  The model is a deep
-    copy of a live ``job.model``, or rebuilt from the registry at the job's
-    seed; loaders come from the data recipe, and the broadcast dense
-    baseline suppresses the dense stage.
+    The engine snapshot is re-applied; a job without one runs under the
+    caller's ambient state (the pipeline scopes every stage to the spec's
+    backend and dtype either way).  The op-hook list is restored on exit.
+    The model is a deep copy of a live ``job.model``, or rebuilt from the
+    registry at the job's seed; loaders come from the data recipe, and the
+    broadcast dense baseline suppresses the dense stage.
     """
-    scope = (job.engine.scope() if job.engine is not None
-             else use_backend(job.spec.backend, dtype=job.spec.dtype))
-    with op_hook_isolation(), scope:
+    with (job.engine.scope() if job.engine is not None
+          else op_hook_isolation()):
         if isinstance(job.model, Module):
             model = copy.deepcopy(job.model)
         else:

@@ -21,12 +21,10 @@ from __future__ import annotations
 import warnings
 from typing import Optional, Tuple
 
-import numpy as np
-
 from ..deploy import InferencePlan
 from ..deploy import compile as compile_plan
 from ..models import default_input_shape
-from ..nn.backend import current_backend, get_backend, use_backend
+from ..nn.backend import current_backend, get_backend
 from ..wire import model_digest, payload_digest
 from .cache import CacheArg, CacheIntegrityWarning, resolve_cache
 from .pipeline import CompressionReport
@@ -50,11 +48,8 @@ def _resolve_backend(report: CompressionReport, backend):
     if backend is not None:
         return get_backend(backend)
     spec = report.spec
-    target = (get_backend(spec.backend) if spec.backend is not None
-              else current_backend())
-    if spec.dtype is not None and np.dtype(spec.dtype) != target.default_dtype:
-        target = target.with_dtype(spec.dtype)
-    return target
+    return get_backend(spec.backend if spec.backend is not None
+                       else current_backend(), spec.dtype)
 
 
 def plan_address(report: CompressionReport, *, input_shape: Tuple[int, ...],
@@ -73,7 +68,7 @@ def plan_address(report: CompressionReport, *, input_shape: Tuple[int, ...],
         "input_shape": list(input_shape),
         "batch": int(batch),
         "backend": backend.name,
-        "dtype": np.dtype(backend.default_dtype).name,
+        "dtype": backend.dtype.name,
         "memory_budget": None if memory_budget is None else int(memory_budget),
         "fold_bn": bool(fold_bn),
         "elide_dead": bool(elide_dead),
@@ -109,10 +104,10 @@ def compile_report(report: CompressionReport, *, batch: Optional[int] = None,
     if batch is None:
         batch = report.spec.hardware_batch
     store, policy = resolve_cache(cache)
+    resolved = _resolve_backend(report, backend)
 
     address = None
     if store is not None and report.model is not None:
-        resolved = _resolve_backend(report, backend)
         address = plan_address(report, input_shape=input_shape, batch=batch,
                                backend=resolved, memory_budget=memory_budget,
                                fold_bn=fold_bn, elide_dead=elide_dead)
@@ -127,15 +122,9 @@ def compile_report(report: CompressionReport, *, batch: Optional[int] = None,
                     f"was recompiled: {exc}", CacheIntegrityWarning,
                     stacklevel=2)
 
-    if backend is not None:
-        plan = compile_plan(report.model, input_shape, batch=batch,
-                            memory_budget=memory_budget, fold_bn=fold_bn,
-                            elide_dead=elide_dead, backend=backend)
-    else:
-        with use_backend(report.spec.backend, dtype=report.spec.dtype):
-            plan = compile_plan(report.model, input_shape, batch=batch,
-                                memory_budget=memory_budget, fold_bn=fold_bn,
-                                elide_dead=elide_dead)
+    plan = compile_plan(report.model, input_shape, batch=batch,
+                        memory_budget=memory_budget, fold_bn=fold_bn,
+                        elide_dead=elide_dead, backend=resolved)
 
     if address is not None and policy in ("write", "readwrite"):
         try:

@@ -518,15 +518,7 @@ class SweepSession:
                 self._materialize(specs)
 
     def _materialize(self, specs: List[CompressionSpec]) -> None:
-        # Capture the engine state up front — it depends only on the ambient
-        # use_backend scope — so an unshippable backend fails before any
-        # expensive stage (model build, dense profiling, probe training).
-        state = _capture_engine_state()
-        if state is None and not self._executor.inline:
-            raise RuntimeError(
-                "the active backend is not registered under its name, so its "
-                "state cannot be shipped to parallel sweep workers; register "
-                "it with repro.nn.register_backend() or use executor='serial'")
+        state = EngineState.capture()
         if self._executor.wire and not isinstance(self._model, str):
             raise TypeError(
                 f"the '{self._executor.name}' executor bootstraps workers "
@@ -961,20 +953,6 @@ def _validated_timeout(timeout: Optional[float]) -> Optional[float]:
     if timeout is not None and not (math.isfinite(timeout) and timeout > 0):
         raise ValueError("timeout must be a positive, finite number of seconds")
     return timeout
-
-
-def _capture_engine_state() -> Optional[EngineState]:
-    """Capture the sweep's engine state, or ``None`` for unregistered backends.
-
-    ``None`` makes each shard run under the caller's ambient state — only
-    valid for inline (serial) executors, which run in the same thread;
-    the session rejects parallel executors in that case rather than
-    silently running shards under the process-default backend.
-    """
-    try:
-        return EngineState.capture()
-    except KeyError:
-        return None
 
 
 def _dense_accuracy(base_model: Module, loaders, specs) -> float:

@@ -252,8 +252,10 @@ class CompressionSpec:
         ``None`` keeps the active backend's default.  The model, the data
         batches and all training/evaluation run in this dtype.
     backend:
-        Execution backend name from :func:`repro.nn.available_backends`
-        (e.g. ``"numpy"``, ``"numpy32"``); ``None`` keeps the active one.
+        Backend name from :func:`repro.nn.available_backends`, spelled
+        exactly: a named default dtype (``"numpy"`` / ``"numpy64"`` is
+        float64, ``"numpy32"`` is float32); ``dtype``, when set, wins.
+        ``None`` keeps the active one.
     profile:
         Collect a layer-scoped op profile of the run
         (:class:`repro.nn.RunProfile` on
@@ -280,9 +282,7 @@ class CompressionSpec:
     label: Optional[str] = None
 
     def validate(self) -> "CompressionSpec":
-        import numpy as np
-
-        from ..nn.backend import get_backend
+        from ..nn.backend import float_dtype, get_backend
         from .registry import get_method  # local import: registry imports this module
         entry = get_method(self.method)
         if self.config is not None and not isinstance(self.config, entry.config_type):
@@ -293,8 +293,8 @@ class CompressionSpec:
             raise ValueError("epochs must be non-negative")
         if self.finetune_epochs is not None and self.finetune_epochs < 0:
             raise ValueError("finetune_epochs must be non-negative")
-        if self.dtype is not None and np.dtype(self.dtype).kind != "f":
-            raise ValueError("dtype must be a floating dtype (e.g. 'float32')")
+        if self.dtype is not None:
+            float_dtype(self.dtype, "CompressionSpec.dtype")
         if self.backend is not None:
             get_backend(self.backend)  # raises KeyError for unknown names
         if self.config is not None and hasattr(self.config, "validate"):

@@ -12,9 +12,9 @@ memory that already exists — ``plan(x)`` performs no large allocations.
 Numerical contract: with the default options a plan forward is
 **bit-identical** to the eager ``model(x)`` under ``no_grad()``.  Every
 specialized step replays the exact eager kernel with an ``out=``
-destination (the in-place substitutions are verified bit-exact for the
-numpy backend); anything without a verified in-place form falls back to
-the op's own forward.  Two opt-ins trade bits for speed/memory:
+destination (the in-place substitutions are verified bit-exact);
+anything without a verified in-place form falls back to the op's own
+forward.  Two opt-ins trade bits for speed/memory:
 ``fold_bn=True`` folds inference-mode BatchNorm affine chains into the
 preceding convolution's weights (equal only to floating-point
 tolerance), and ``memory_budget=`` streams oversized convolutions in row
@@ -38,7 +38,9 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..nn.backend import Backend, current_backend, get_backend, use_backend
+from ..nn.backend import (Backend, BackendLike, current_backend, get_backend,
+                          use_backend)
+from ..nn.functional import im2col_out
 from ..nn.module import Module
 from ..nn.tensor import (
     Tensor,
@@ -532,10 +534,9 @@ class PlanStats:
 
 @dataclass
 class _Lowering:
-    """What an op lowering reserves buffers in and compiles against."""
+    """What an op lowering reserves buffers in and records into."""
 
     arena: BufferArena
-    backend: Backend
     memory_budget: Optional[int]
     stats: PlanStats
     registers: List[Optional[np.ndarray]]
@@ -609,7 +610,7 @@ def _lower_conv(cx: _Lowering, node: _Node, ins: List[int]) -> Optional[_Step]:
         refs["mask_ref"] = arena.reserve(node.out.shape, np.bool_)
     refs["out_ref"] = cx.output(node)
 
-    backend, activation = cx.backend, node.activation
+    activation = node.activation
     src, kernel, stride = ins[0], (kh, kw), node.kwargs["stride"]
     w_mat = weight.array.reshape(co, -1)
     bias_r = None if bias is None else bias.array.reshape(1, co, 1, 1)
@@ -623,17 +624,16 @@ def _lower_conv(cx: _Lowering, node: _Node, ins: List[int]) -> Optional[_Step]:
         def run(regs):
             x = regs[src]
             if direct:
-                backend.matmul_out(w_mat, x.reshape(nb, ci, h * w),
-                                   out=out3d)
+                np.matmul(w_mat, x.reshape(nb, ci, h * w), out=out3d)
             elif stream is not None:
-                stream.run(backend, x, x if padded is None else padded,
-                           cols, w_mat, out3d)
+                stream.run(x, x if padded is None else padded, cols, w_mat,
+                           out3d)
             else:
                 if padded is not None:
                     padded[center] = x
                     x = padded
-                backend.im2col_out(x, kernel, stride, (0, 0), out=cols)
-                backend.matmul_out(w_mat, cols, out=out3d)
+                im2col_out(x, kernel, stride, (0, 0), out=cols)
+                np.matmul(w_mat, cols, out=out3d)
             if bias_r is not None:
                 np.add(out4, bias_r, out=out4)
             if epilogue is not None:
@@ -656,7 +656,7 @@ def _lower_pool(cx: _Lowering, node: _Node, ins: List[int]) -> _Step:
     if is_max:
         refs["argmax_ref"] = cx.arena.reserve((nb, c, oh * ow), np.intp)
     refs["out_ref"] = cx.output(node)
-    backend, src = cx.backend, ins[0]
+    src = ins[0]
 
     def build(arrays):
         cols, out4 = arrays["cols_ref"], arrays["out_ref"]
@@ -665,17 +665,16 @@ def _lower_pool(cx: _Lowering, node: _Node, ins: List[int]) -> _Step:
             out3 = out4.reshape(nb, c, oh * ow)
 
             def run(regs):
-                backend.im2col_out(regs[src], kernel, stride, (0, 0),
-                                   out=cols)
+                im2col_out(regs[src], kernel, stride, (0, 0), out=cols)
                 np.mean(cols4, axis=2, out=out3)
             return run
         argmax = arrays["argmax_ref"]
         index = argmax[:, :, None, :]
 
         def run(regs):
-            backend.im2col_out(regs[src], kernel, stride, (0, 0), out=cols)
+            im2col_out(regs[src], kernel, stride, (0, 0), out=cols)
             np.argmax(cols4, axis=2, out=argmax)
-            taken = backend.take_along_axis(cols4, index, axis=2)
+            taken = np.take_along_axis(cols4, index, axis=2)
             np.copyto(out4, taken.reshape(out4.shape))
         return run
 
@@ -730,8 +729,7 @@ def _lower_matmul(cx: _Lowering, node: _Node,
     if any(len(v.shape) < 2 for v in node.inputs):
         return None
     a, b = ins
-    matmul_out = cx.backend.matmul_out
-    return _out_step("matmul", cx, node, lambda out: lambda regs: matmul_out(
+    return _out_step("matmul", cx, node, lambda out: lambda regs: np.matmul(
         regs[a], regs[b], out=out))
 
 
@@ -762,8 +760,7 @@ def _lower_max(cx: _Lowering, node: _Node, ins: List[int]) -> _Step:
 
 
 #: Op name -> lowering onto the arena; a lowering returns ``None`` when this
-#: node needs the generic fallback.  Only backends with verified in-place
-#: kernels (``supports_inplace``) use the table.
+#: node needs the generic fallback.
 _LOWERINGS = {
     "conv2d": _lower_conv,
     "max_pool2d": _lower_pool,
@@ -818,8 +815,7 @@ def _lower(graph: _Graph, backend: Backend, *, input_shape, batch,
     arena = BufferArena()
     registers: List[Optional[np.ndarray]] = [None] * len(values)
     live: Dict[_Value, BufferRef] = {}
-    cx = _Lowering(arena, backend, memory_budget, stats, registers, live)
-    lowerings = _LOWERINGS if backend.supports_inplace else {}
+    cx = _Lowering(arena, memory_budget, stats, registers, live)
     steps: List[_Step] = []
 
     for i, node in enumerate(graph.nodes):
@@ -827,8 +823,8 @@ def _lower(graph: _Graph, backend: Backend, *, input_shape, batch,
         step = None
         if node.op_name in _VIEW_OPS:
             step = _view_step(node, ins)
-        elif node.op_name in lowerings:
-            step = lowerings[node.op_name](cx, node, ins)
+        elif node.op_name in _LOWERINGS:
+            step = _LOWERINGS[node.op_name](cx, node, ins)
         if step is None:
             step = _generic_step(node, ins)
         steps.append(step)
@@ -1086,7 +1082,7 @@ class InferencePlan:
 def _trace_graph(model: Module, backend: Backend, batch: int,
                  input_shape) -> _Graph:
     """Trace one eval-mode forward at ``batch`` into a dataflow graph."""
-    dummy = Tensor(backend.zeros((batch,) + input_shape))
+    dummy = Tensor(np.zeros((batch,) + input_shape, dtype=backend.dtype))
     tracer = _Tracer()
     hook = add_op_hook(_noop_hook)
     try:
@@ -1099,15 +1095,13 @@ def _trace_graph(model: Module, backend: Backend, batch: int,
     return _build_graph(tracer.records, dummy.data, out.data)
 
 
-def _optimize_graph(graph: _Graph, backend: Backend, *, fold_bn: bool,
-                    elide_dead: bool,
+def _optimize_graph(graph: _Graph, *, fold_bn: bool, elide_dead: bool,
                     stats: Optional[PlanStats] = None) -> _Graph:
     """Run the standard pass pipeline in place (deterministic per graph)."""
     frozen = _freeze_consts(graph)
     folded = _fold_affine_chains(graph) if fold_bn else 0
     elided = _elide_dead_filters(graph) if elide_dead else 0
-    if backend.supports_inplace:
-        _fuse_activations(graph)
+    _fuse_activations(graph)
     removed = _eliminate_dead_code(graph)
     if stats is not None:
         stats.frozen_consts = frozen
@@ -1120,7 +1114,7 @@ def _optimize_graph(graph: _Graph, backend: Backend, *, fold_bn: bool,
 def compile(model: Module, input_shape, *, batch: int = 1,
             memory_budget: Optional[int] = None, fold_bn: bool = False,
             elide_dead: bool = True,
-            backend: Optional[Backend] = None) -> InferencePlan:
+            backend: Optional[BackendLike] = None) -> InferencePlan:
     """Compile ``model`` into a static :class:`InferencePlan`.
 
     Traces one inference-mode forward over a ``(batch, *input_shape)``
@@ -1148,15 +1142,11 @@ def compile(model: Module, input_shape, *, batch: int = 1,
         Physically drop all-zero conv filters (fully-masked code filters)
         together with the matching input channels of the consuming conv.
     backend:
-        Backend (or registered backend name) to compile against; defaults
-        to the active backend.  Backends without verified in-place kernels
-        (``supports_inplace`` false) lower every op to its generic
-        forward, trading the arena wins for portability.
+        Backend name (e.g. ``"numpy32"``) or :class:`~repro.nn.Backend`
+        record whose default dtype the model is traced and the plan is
+        run under; defaults to the active backend.
     """
-    if isinstance(backend, str):
-        backend = get_backend(backend)
-    if backend is None:
-        backend = current_backend()
+    backend = current_backend() if backend is None else get_backend(backend)
     input_shape = tuple(int(s) for s in input_shape)
     batch = int(batch)
     stats = PlanStats()
@@ -1177,11 +1167,11 @@ def compile(model: Module, input_shape, *, batch: int = 1,
         finally:
             if was_training:
                 model.train()
-        _optimize_graph(graph, backend, fold_bn=fold_bn,
-                        elide_dead=elide_dead, stats=stats)
+        _optimize_graph(graph, fold_bn=fold_bn, elide_dead=elide_dead,
+                        stats=stats)
         if graph_next is not None:
             try:
-                _optimize_graph(graph_next, backend, fold_bn=fold_bn,
+                _optimize_graph(graph_next, fold_bn=fold_bn,
                                 elide_dead=elide_dead)
             except Exception:
                 graph_next = None

@@ -303,7 +303,7 @@ def _build_program(graph: _Graph, graph_next: Optional[_Graph], *,
 
     return PlanProgram(
         backend_name=backend.name,
-        backend_dtype=str(backend.default_dtype),
+        backend_dtype=str(backend.dtype),
         input_dtype=str(graph.input.dtype),
         batch=int(batch),
         input_shape=tuple(int(s) for s in input_shape),
@@ -386,9 +386,7 @@ def bind_program(program: PlanProgram, batch: int,
             f"depends on the batch size); only batch={program.batch} is "
             f"servable — recompile for batch={batch}")
     if backend is None:
-        backend = get_backend(program.backend_name)
-        if str(backend.default_dtype) != program.backend_dtype:
-            backend = backend.with_dtype(np.dtype(program.backend_dtype))
+        backend = get_backend(program.backend_name, program.backend_dtype)
     graph = program_to_graph(program, batch)
     return _lower(graph, backend, input_shape=tuple(program.input_shape),
                   batch=batch, memory_budget=program.memory_budget,

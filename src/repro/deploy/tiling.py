@@ -28,6 +28,8 @@ from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
+from ..nn.functional import sliding_windows
+
 #: Never shrink a band below this many output rows: extremely narrow GEMMs
 #: waste the whole point of the lowering (and amplify the numerical
 #: difference between banded and unbanded contraction paths).
@@ -99,12 +101,11 @@ class StreamedConv:
     band_rows: int
     out_hw: Tuple[int, int]
 
-    def run(self, backend, x: np.ndarray, padded: np.ndarray,
-            cols: np.ndarray, w_mat: np.ndarray, out3d: np.ndarray) -> None:
+    def run(self, x: np.ndarray, padded: np.ndarray, cols: np.ndarray,
+            w_mat: np.ndarray, out3d: np.ndarray) -> None:
         """One full banded convolution: fill ``out3d`` slice by slice."""
         n, c = x.shape[0], x.shape[1]
         kh, kw = self.kernel
-        sh, sw = self.stride
         out_h, out_w = self.out_hw
         ph = (padded.shape[2] - x.shape[2]) // 2
         pw = (padded.shape[3] - x.shape[3]) // 2
@@ -113,13 +114,7 @@ class StreamedConv:
             source = padded
         else:
             source = x
-        strides = (
-            source.strides[0], source.strides[1], source.strides[2],
-            source.strides[3], source.strides[2] * sh, source.strides[3] * sw,
-        )
-        shape = (n, c, kh, kw, out_h, out_w)
-        windows = np.lib.stride_tricks.as_strided(
-            source, shape=shape, strides=strides)
+        windows = sliding_windows(source, self.kernel, self.stride, (0, 0))
         for r0, r1 in iter_bands(out_h, aligned_band_rows(self.band_rows,
                                                           out_w)):
             rows = r1 - r0
@@ -128,5 +123,5 @@ class StreamedConv:
                 band_cols.reshape(n, c, kh, kw, rows, out_w),
                 windows[:, :, :, :, r0:r1, :],
             )
-            backend.matmul_out(w_mat, band_cols,
-                               out=out3d[:, :, r0 * out_w:r1 * out_w])
+            np.matmul(w_mat, band_cols,
+                      out=out3d[:, :, r0 * out_w:r1 * out_w])

@@ -1,17 +1,17 @@
 """``repro.nn`` — a compact numpy deep-learning framework.
 
 This package is the training substrate for the ALF reproduction: a
-tape-based autograd engine over pluggable array backends
-(:mod:`repro.nn.tensor`, :mod:`repro.nn.backend`), functional ops
-(:mod:`repro.nn.functional`), layers and containers, initializers,
-optimizers, losses and straight-through-estimator primitives.
+tape-based autograd engine over numpy arrays (:mod:`repro.nn.tensor`),
+functional ops (:mod:`repro.nn.functional`), layers and containers,
+initializers, optimizers, losses and straight-through-estimator
+primitives.
 
 Execution is controlled by two orthogonal switches:
 
-* the **backend** (:func:`use_backend` / :func:`set_backend`) owns array
-  creation, einsum/matmul, the im2col conv lowering and the default dtype
-  (``"numpy"`` float64 by default, ``"numpy32"`` for the float32 fast
-  path, or any backend registered via :func:`register_backend`);
+* the **backend** (:func:`use_backend` / :func:`set_backend`) is a named
+  default dtype (:mod:`repro.nn.backend`): ``"numpy"`` float64 by default,
+  ``"numpy32"`` for the float32 fast path, the same as
+  ``use_backend(dtype="float32")``;
 * the **grad mode** (:func:`no_grad` / :func:`enable_grad`) decides
   whether forward passes record tape nodes; eval-mode modules run
   tape-free automatically.
@@ -27,14 +27,10 @@ from . import ste
 from . import utils
 from .backend import (
     Backend,
-    ExecutionState,
-    NumpyBackend,
     available_backends,
-    capture_execution_state,
     current_backend,
     get_backend,
     get_default_dtype,
-    register_backend,
     set_backend,
     set_default_dtype,
     use_backend,
@@ -110,8 +106,7 @@ __all__ = [
     "OpProfile", "OpStat", "RunProfile", "collect_profile",
     "layer_op_seconds", "profile_inference",
     # engine: backends
-    "Backend", "NumpyBackend", "available_backends", "current_backend",
-    "get_backend", "register_backend", "set_backend", "use_backend",
+    "Backend", "available_backends", "current_backend",
+    "get_backend", "set_backend", "use_backend",
     "get_default_dtype", "set_default_dtype",
-    "ExecutionState", "capture_execution_state",
 ]

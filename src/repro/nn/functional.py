@@ -2,9 +2,10 @@
 
 Every function takes and returns :class:`~repro.nn.tensor.Tensor` objects
 and participates in the recorded-op tape.  Convolutions are implemented
-with an im2col lowering (owned by the active :mod:`repro.nn.backend`) so
-that the heavy lifting is a single matrix multiply, which keeps
-pure-numpy training of the small CNNs used in the ALF paper tractable.
+with an im2col lowering (:func:`im2col`, shared with compiled plans via
+:func:`im2col_out`) so that the heavy lifting is a single matrix
+multiply, which keeps pure-numpy training of the small CNNs used in the
+ALF paper tractable.
 
 The conv/pool primitives are **registered ops** (see
 :func:`repro.nn.tensor.register_op`): their backward rules live next to
@@ -19,7 +20,6 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from .backend import conv_output_size, current_backend
 from .tensor import Tensor, apply_op, register_op, unbroadcast  # noqa: F401
 
 IntPair = Union[int, Tuple[int, int]]
@@ -32,51 +32,105 @@ def _pair(value: IntPair) -> Tuple[int, int]:
 
 
 # --------------------------------------------------------------------------- #
-# im2col / col2im (delegated to the active backend)
+# im2col / col2im
 # --------------------------------------------------------------------------- #
+def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
+    """Spatial output size of a convolution along one dimension."""
+    return (size + 2 * padding - kernel) // stride + 1
+
+
+def sliding_windows(x: np.ndarray, kernel: Tuple[int, int],
+                    stride: Tuple[int, int],
+                    padding: Tuple[int, int]) -> np.ndarray:
+    """Every conv window of a zero-padded ``(N, C, H, W)`` array.
+
+    Returns an ``(N, C, kh, kw, out_h, out_w)`` strided view of ``x`` (of a
+    padded copy when ``padding`` is non-zero); the windows are not copied.
+    """
+    ph, pw = padding
+    if ph or pw:
+        x = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    n, c, h, w = x.shape
+    kh, kw = kernel
+    sh, sw = stride
+    shape = (n, c, kh, kw, conv_output_size(h, kh, sh, 0),
+             conv_output_size(w, kw, sw, 0))
+    s = x.strides
+    strides = (s[0], s[1], s[2], s[3], s[2] * sh, s[3] * sw)
+    return np.lib.stride_tricks.as_strided(x, shape=shape, strides=strides)
+
+
 def im2col(x: np.ndarray, kernel: Tuple[int, int], stride: Tuple[int, int],
            padding: Tuple[int, int]) -> Tuple[np.ndarray, Tuple[int, int]]:
-    """Lower a batched image tensor to column form (backend-owned)."""
-    return current_backend().im2col(x, kernel, stride, padding)
+    """Lower a batched ``(N, C, H, W)`` image tensor to column form.
+
+    Returns ``(cols, (out_h, out_w))`` with ``cols`` a fresh contiguous
+    array of shape ``(N, C * kh * kw, out_h * out_w)``.
+    """
+    windows = sliding_windows(x, kernel, stride, padding)
+    n, c, kh, kw, out_h, out_w = windows.shape
+    cols = windows.reshape(n, c * kh * kw, out_h * out_w)
+    return np.ascontiguousarray(cols), (out_h, out_w)
+
+
+def im2col_out(x: np.ndarray, kernel: Tuple[int, int],
+               stride: Tuple[int, int], padding: Tuple[int, int],
+               out: np.ndarray) -> Tuple[np.ndarray, Tuple[int, int]]:
+    """:func:`im2col` gathering into the contiguous ``out`` (same shape).
+
+    Viewing ``out`` in window layout and copying produces exactly the
+    bytes :func:`im2col` returns.
+    """
+    windows = sliding_windows(x, kernel, stride, padding)
+    np.copyto(out.reshape(windows.shape), windows)
+    return out, windows.shape[4:]
 
 
 def col2im(cols: np.ndarray, input_shape: Tuple[int, int, int, int],
            kernel: Tuple[int, int], stride: Tuple[int, int],
            padding: Tuple[int, int], output_size: Tuple[int, int]) -> np.ndarray:
-    """Inverse of :func:`im2col` by scatter-add (backend-owned)."""
-    return current_backend().col2im(cols, input_shape, kernel, stride,
-                                    padding, output_size)
+    """Inverse of :func:`im2col` by scatter-add (conv backward)."""
+    n, c, h, w = input_shape
+    kh, kw = kernel
+    sh, sw = stride
+    ph, pw = padding
+    out_h, out_w = output_size
+
+    padded = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=cols.dtype)
+    cols = cols.reshape(n, c, kh, kw, out_h, out_w)
+    for i in range(kh):
+        i_end = i + sh * out_h
+        for j in range(kw):
+            j_end = j + sw * out_w
+            padded[:, :, i:i_end:sh, j:j_end:sw] += cols[:, :, i, j, :, :]
+    if ph or pw:
+        return padded[:, :, ph:ph + h, pw:pw + w]
+    return padded
 
 
 # --------------------------------------------------------------------------- #
 # Convolution / pooling ops
 # --------------------------------------------------------------------------- #
 def _conv2d_fwd(x, weight, *bias, stride, padding):
-    backend = current_backend()
     n, ci, h, w = x.shape
     co, ci_w, kh, kw = weight.shape
     if ci != ci_w:
         raise ValueError(f"input channels ({ci}) do not match weight channels ({ci_w})")
-    cols, (out_h, out_w) = backend.im2col(x, (kh, kw), stride, padding)
+    cols, (out_h, out_w) = im2col(x, (kh, kw), stride, padding)
     w_mat = weight.reshape(co, -1)
     # (o, f) @ (n, f, l) -> (n, o, l): the same GEMM call the compiled plan
     # makes into its arena buffers, so both reduce in one order.
-    out = backend.matmul(w_mat, cols).reshape(n, co, out_h, out_w)
+    out = (w_mat @ cols).reshape(n, co, out_h, out_w)
     if bias:
-        # The GEMM output is fresh and unshared, so backends that allow
-        # in-place ufuncs can add the bias without materializing a second
-        # full activation array.
-        if backend.supports_inplace:
-            out += bias[0].reshape(1, co, 1, 1)
-        else:
-            out = out + bias[0].reshape(1, co, 1, 1)
+        # The GEMM output is fresh and unshared, so the bias is added in
+        # place without materializing a second full activation array.
+        out += bias[0].reshape(1, co, 1, 1)
     ctx = (cols, w_mat, x.shape, weight.shape, (kh, kw), stride, padding,
            (out_h, out_w), bias[0].shape if bias else None)
     return out, ctx
 
 
 def _conv2d_bwd(ctx, grad, needs):
-    backend = current_backend()
     cols, w_mat, x_shape, w_shape, kernel, stride, padding, out_hw, b_shape = ctx
     n = x_shape[0]
     co = w_shape[0]
@@ -84,60 +138,56 @@ def _conv2d_bwd(ctx, grad, needs):
     grad_mat = grad.reshape(n, co, out_h * out_w)
     grad_x = grad_w = grad_b = None
     if needs[1]:
-        grad_w = backend.einsum("nol,nfl->of", grad_mat, cols).reshape(w_shape)
+        grad_w = np.einsum("nol,nfl->of", grad_mat, cols,
+                           optimize=True).reshape(w_shape)
     if needs[0]:
-        grad_cols = backend.einsum("of,nol->nfl", w_mat, grad_mat)
-        grad_x = backend.col2im(grad_cols, x_shape, kernel, stride, padding, out_hw)
+        grad_cols = np.einsum("of,nol->nfl", w_mat, grad_mat, optimize=True)
+        grad_x = col2im(grad_cols, x_shape, kernel, stride, padding, out_hw)
     if len(needs) > 2 and needs[2]:
         grad_b = grad.sum(axis=(0, 2, 3)).reshape(b_shape)
     return (grad_x, grad_w, grad_b)[:len(needs)]
 
 
 def _max_pool2d_fwd(x, *, kernel, stride):
-    backend = current_backend()
     n, c, h, w = x.shape
-    cols, (out_h, out_w) = backend.im2col(x, kernel, stride, (0, 0))
+    cols, (out_h, out_w) = im2col(x, kernel, stride, (0, 0))
     cols = cols.reshape(n, c, kernel[0] * kernel[1], out_h * out_w)
     argmax = cols.argmax(axis=2)
-    out = backend.take_along_axis(cols, argmax[:, :, None, :], axis=2).squeeze(2)
+    out = np.take_along_axis(cols, argmax[:, :, None, :], axis=2).squeeze(2)
     out = out.reshape(n, c, out_h, out_w)
     return out, (argmax, x.shape, kernel, stride, (out_h, out_w))
 
 
 def _max_pool2d_bwd(ctx, grad, needs):
-    backend = current_backend()
     argmax, x_shape, kernel, stride, (out_h, out_w) = ctx
     n, c, _, _ = x_shape
     window = kernel[0] * kernel[1]
-    grad_cols = backend.zeros((n, c, window, out_h * out_w), dtype=grad.dtype)
-    backend.put_along_axis(
+    grad_cols = np.zeros((n, c, window, out_h * out_w), dtype=grad.dtype)
+    np.put_along_axis(
         grad_cols, argmax[:, :, None, :], grad.reshape(n, c, 1, out_h * out_w), axis=2
     )
     grad_cols = grad_cols.reshape(n, c * window, out_h * out_w)
-    return (backend.col2im(grad_cols, x_shape, kernel, stride, (0, 0),
-                           (out_h, out_w)),)
+    return (col2im(grad_cols, x_shape, kernel, stride, (0, 0), (out_h, out_w)),)
 
 
 def _avg_pool2d_fwd(x, *, kernel, stride):
-    backend = current_backend()
     n, c, h, w = x.shape
-    cols, (out_h, out_w) = backend.im2col(x, kernel, stride, (0, 0))
+    cols, (out_h, out_w) = im2col(x, kernel, stride, (0, 0))
     cols = cols.reshape(n, c, kernel[0] * kernel[1], out_h * out_w)
     out = cols.mean(axis=2).reshape(n, c, out_h, out_w)
     return out, (x.shape, kernel, stride, (out_h, out_w))
 
 
 def _avg_pool2d_bwd(ctx, grad, needs):
-    backend = current_backend()
     x_shape, kernel, stride, (out_h, out_w) = ctx
     n, c, _, _ = x_shape
     window = kernel[0] * kernel[1]
-    grad_cols = backend.broadcast_to(
+    grad_cols = np.broadcast_to(
         grad.reshape(n, c, 1, out_h * out_w) / window,
         (n, c, window, out_h * out_w),
     ).reshape(n, c * window, out_h * out_w)
-    return (backend.col2im(backend.ascontiguousarray(grad_cols), x_shape, kernel,
-                           stride, (0, 0), (out_h, out_w)),)
+    return (col2im(np.ascontiguousarray(grad_cols), x_shape, kernel,
+                   stride, (0, 0), (out_h, out_w)),)
 
 
 _CONV2D = register_op("conv2d", _conv2d_fwd, _conv2d_bwd)

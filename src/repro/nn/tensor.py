@@ -1,11 +1,12 @@
 """Reverse-mode automatic differentiation on an explicit recorded-op tape.
 
 The :class:`Tensor` class is the foundation of the ``repro.nn`` framework.
-It wraps an array produced by the active :mod:`repro.nn.backend` and — when
-gradients are enabled — records the operation that produced it as a
-:class:`TapeNode` referencing a **registered op**: a named
-(forward, backward) pair in the global op registry.  :meth:`Tensor.backward`
-replays the recorded tape in reverse topological order.
+It wraps a numpy array (python data adopts the default dtype of
+:mod:`repro.nn.backend`) and — when gradients are enabled — records the
+operation that produced it as a :class:`TapeNode` referencing a
+**registered op**: a named (forward, backward) pair in the global op
+registry.  :meth:`Tensor.backward` replays the recorded tape in reverse
+topological order.
 
 Compared to the previous design (one backward *closure* captured per
 operation), the explicit tape buys three things:
@@ -39,7 +40,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Un
 
 import numpy as np
 
-from .backend import current_backend, get_default_dtype, set_default_dtype  # noqa: F401
+from .backend import get_default_dtype, set_default_dtype  # noqa: F401
 
 ArrayLike = Union[np.ndarray, float, int, Sequence]
 
@@ -54,7 +55,7 @@ def _as_array(data: ArrayLike, dtype=None) -> np.ndarray:
         if data.dtype.kind not in "fc":
             return data.astype(get_default_dtype())
         return data
-    return current_backend().asarray(data, dtype=dtype)
+    return np.asarray(data, dtype=dtype or get_default_dtype())
 
 
 def unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
@@ -454,7 +455,7 @@ def _pow_bwd(ctx, grad, needs):
 
 
 def _matmul_fwd(a, b):
-    return current_backend().matmul(a, b), (a, b)
+    return a @ b, (a, b)
 
 
 def _matmul_bwd(ctx, grad, needs):
@@ -694,7 +695,7 @@ _STACK = register_op("stack", _stack_fwd, _stack_bwd)
 
 
 class Tensor:
-    """A backend-array tensor participating in reverse-mode autodiff."""
+    """A numpy-array tensor participating in reverse-mode autodiff."""
 
     __slots__ = ("data", "grad", "requires_grad", "_node", "name")
 
@@ -957,12 +958,16 @@ def stack(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
 
 
 def zeros(shape, requires_grad: bool = False) -> Tensor:
-    return Tensor(current_backend().zeros(shape), requires_grad=requires_grad)
+    return Tensor(np.zeros(shape, dtype=get_default_dtype()),
+                  requires_grad=requires_grad)
 
 
 def ones(shape, requires_grad: bool = False) -> Tensor:
-    return Tensor(current_backend().ones(shape), requires_grad=requires_grad)
+    return Tensor(np.ones(shape, dtype=get_default_dtype()),
+                  requires_grad=requires_grad)
 
 
 def randn(*shape, requires_grad: bool = False, rng: Optional[np.random.Generator] = None) -> Tensor:
-    return Tensor(current_backend().randn(shape, rng=rng), requires_grad=requires_grad)
+    rng = rng or np.random.default_rng()
+    return Tensor(rng.standard_normal(shape).astype(get_default_dtype(), copy=False),
+                  requires_grad=requires_grad)

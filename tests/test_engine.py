@@ -2,7 +2,7 @@
 
 Covers the three tentpole pieces of the engine refactor:
 
-* the pluggable :class:`~repro.nn.backend.Backend` registry and the
+* the named default dtypes (:class:`~repro.nn.backend.Backend`) and the
   dtype threading (``use_backend`` / ``CompressionSpec.dtype``),
 * the grad-mode switch (``no_grad`` / ``enable_grad`` + eval-mode
   modules running tape-free),
@@ -22,12 +22,12 @@ from repro.data import DataLoader, make_synthetic_dataset
 from repro.models import lenet
 from repro.nn import functional as F
 from repro.nn.backend import (
-    NumpyBackend,
+    _initial_backend,
     available_backends,
     current_backend,
     get_backend,
     get_default_dtype,
-    register_backend,
+    set_backend,
     use_backend,
 )
 from repro.nn.tensor import (
@@ -64,8 +64,8 @@ class TestBackendRegistry:
         assert "numpy" in names and "numpy32" in names and "numpy64" in names
 
     def test_numpy32_defaults_to_float32(self):
-        assert get_backend("numpy32").default_dtype == np.float32
-        assert get_backend("numpy64").default_dtype == np.float64
+        assert get_backend("numpy32").dtype == np.float32
+        assert get_backend("numpy64").dtype == np.float64
 
     def test_unknown_backend_raises(self):
         with pytest.raises(KeyError):
@@ -80,24 +80,20 @@ class TestBackendRegistry:
 
     def test_dtype_only_override(self):
         with use_backend(dtype="float32"):
-            assert current_backend().default_dtype == np.float32
+            assert current_backend().dtype == np.float32
             assert nn.zeros((3,)).dtype == np.float32
 
-    def test_custom_backend_plugs_in_by_name(self):
-        class TracingBackend(NumpyBackend):
-            name = "tracing"
-            matmul_calls = 0
+    def test_numpy32_is_a_float32_default(self):
+        assert get_backend("numpy32") == get_backend("numpy", "float32")
+        with use_backend(dtype="float32"):
+            assert current_backend() == get_backend("numpy32")
 
-            def matmul(self, a, b):
-                TracingBackend.matmul_calls += 1
-                return super().matmul(a, b)
-
-        register_backend("tracing-test", TracingBackend, overwrite=True)
-        with use_backend("tracing-test"):
-            x = Tensor(np.random.default_rng(0).standard_normal((1, 2, 5, 5)))
-            w = Tensor(np.random.default_rng(1).standard_normal((3, 2, 3, 3)))
-            F.conv2d(x, w)
-        assert TracingBackend.matmul_calls >= 1
+    def test_backend_names_are_exact(self):
+        # A second spelling would give identical work a second cache key.
+        api.CompressionSpec(method="magnitude", backend="numpy32").validate()
+        with pytest.raises(KeyError, match="unknown backend 'NumPy32'"):
+            api.CompressionSpec(method="magnitude",
+                                backend="NumPy32").validate()
 
     def test_models_built_under_float32_backend_are_float32(self, rng):
         with use_backend("numpy32"):
@@ -113,6 +109,47 @@ class TestBackendRegistry:
             assert images.dtype == np.float32
         images, _ = next(iter(loader))
         assert images.dtype == get_default_dtype()
+
+
+def _via_env(value, monkeypatch):
+    monkeypatch.setenv("REPRO_DEFAULT_DTYPE", value)
+    _initial_backend()
+
+
+def _via_set_default_dtype(value, monkeypatch):
+    with use_backend():  # a scope, so a wrongly accepted value cannot leak
+        nn.set_default_dtype(value)
+
+
+def _via_set_backend(value, monkeypatch):
+    previous = current_backend()
+    try:
+        set_backend("numpy", dtype=value)
+    finally:
+        set_backend(previous)
+
+
+def _via_use_backend(value, monkeypatch):
+    with use_backend(dtype=value):
+        pass
+
+
+def _via_spec(value, monkeypatch):
+    api.CompressionSpec(method="magnitude", dtype=value).validate()
+
+
+@pytest.mark.parametrize("entry", [_via_env, _via_set_default_dtype,
+                                   _via_set_backend, _via_use_backend,
+                                   _via_spec])
+@pytest.mark.parametrize("value", ["int32", "int64", "bool", "complex128",
+                                   "flaot32"])
+def test_default_dtype_must_be_floating_at_every_entry_point(
+        entry, value, monkeypatch):
+    # An integer default would silently truncate: Tensor([1.5]) -> [1].
+    before = get_default_dtype()
+    with pytest.raises(ValueError, match=f"'{value}'"):
+        entry(value, monkeypatch)
+    assert get_default_dtype() == before
 
 
 class TestGradModes:
@@ -192,14 +229,13 @@ class TestGradModes:
         assert np.any(conv.weight.grad != 0)
 
     def test_set_default_dtype_does_not_corrupt_registry_cache(self):
-        from repro.nn.backend import set_backend
         previous = current_backend()
         try:
             set_backend("numpy32")
             nn.set_default_dtype("float64")
             assert get_default_dtype() == np.float64
             # The cached registry instance must be untouched.
-            assert get_backend("numpy32").default_dtype == np.float32
+            assert get_backend("numpy32").dtype == np.float32
         finally:
             set_backend(previous)
 

@@ -213,3 +213,31 @@ def test_im2col_col2im_adjoint(kh_extent, seed):
     lhs = float(np.sum(cols * y))
     rhs = float(np.sum(x * F.col2im(y, x.shape, kernel, stride, padding, out_hw)))
     assert lhs == pytest.approx(rhs, rel=1e-9)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("seed", range(8))
+def test_im2col_out_matches_im2col_and_col2im_is_its_adjoint(dtype, seed):
+    """The arena gather (compiled plans) and the eager lowering share one
+    window helper: same bytes for any geometry, and col2im is the adjoint."""
+    rng = np.random.default_rng(seed)
+    n, c, kh, kw = (int(v) for v in rng.integers(1, 4, size=4))
+    stride = tuple(int(v) for v in rng.integers(1, 3, size=2))
+    padding = tuple(int(v) for v in rng.integers(0, 3, size=2))
+    h, w = kh + int(rng.integers(0, 6)), kw + int(rng.integers(0, 6))
+    x = rng.standard_normal((n, c, h, w)).astype(dtype)
+
+    cols, out_hw = F.im2col(x, (kh, kw), stride, padding)
+    out = np.full(cols.shape, np.nan, dtype=dtype)
+    got, got_hw = F.im2col_out(x, (kh, kw), stride, padding, out=out)
+    assert got is out and tuple(got_hw) == out_hw
+    assert cols.dtype == out.dtype == dtype
+    assert out.tobytes() == cols.tobytes()
+
+    y = rng.standard_normal(cols.shape).astype(dtype)
+    back = F.col2im(y, x.shape, (kh, kw), stride, padding, out_hw)
+    assert back.shape == x.shape
+    lhs = float(np.sum(cols.astype(np.float64) * y))
+    rhs = float(np.sum(x.astype(np.float64) * back))
+    tol = 1e-4 if dtype == np.float32 else 1e-10
+    assert lhs == pytest.approx(rhs, rel=tol, abs=tol)

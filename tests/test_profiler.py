@@ -293,11 +293,11 @@ class TestDefaultDtypeEnvParsing:
                              [("float32", np.float32), ("float64", np.float64)])
     def test_valid_values_accepted(self, monkeypatch, value, expected):
         monkeypatch.setenv("REPRO_DEFAULT_DTYPE", value)
-        assert _initial_backend().default_dtype == np.dtype(expected)
+        assert _initial_backend().dtype == np.dtype(expected)
 
     def test_unset_defaults_to_float64(self, monkeypatch):
         monkeypatch.delenv("REPRO_DEFAULT_DTYPE", raising=False)
-        assert _initial_backend().default_dtype == np.dtype(np.float64)
+        assert _initial_backend().dtype == np.dtype(np.float64)
 
     def test_import_failure_names_the_variable(self):
         """A typo'd env var fails `import repro` with the curated message."""

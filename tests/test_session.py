@@ -652,9 +652,8 @@ class TestJobWireFormat:
 
     def test_engine_and_hardware_round_trip(self):
         from repro.api.executor import EngineState
-        from repro.nn.backend import ExecutionState
-        engine = EngineState(execution=ExecutionState(backend="numpy32",
-                                                      dtype="float32"),
+        from repro.nn.backend import get_backend
+        engine = EngineState(backend=get_backend("numpy32"),
                              grad_override=False)
         job = make_job(engine=engine, hardware=api.EYERISS_PAPER)
         restored = api.SweepJob.from_dict(

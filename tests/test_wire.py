@@ -40,7 +40,7 @@ from repro.deploy import PLAN_SCHEMA, InferencePlan
 from repro.deploy import compile as compile_plan
 from repro.deploy.serialize import pack_container
 from repro.models import build_model
-from repro.nn.backend import ExecutionState
+from repro.nn.backend import Backend
 from repro.nn.profiler import (PROFILE_SCHEMA, RUN_PROFILE_SCHEMA, OpProfile,
                                RunProfile)
 from repro.wire import (array_from_payload, array_to_payload, check_schema,
@@ -157,8 +157,7 @@ def canonical_job():
                                 cost={"params": 10.0, "macs": 20.0,
                                       "ops": 40.0},
                                 hardware=None, accuracy=0.5),
-        engine=api.EngineState(ExecutionState(backend="numpy",
-                                              dtype="float64")),
+        engine=api.EngineState(Backend("numpy", "float64")),
         hardware=api.EYERISS_PAPER,
         data=api.LoaderPlan(kind="synthetic", train_split=split,
                             val_split=split, seed=5),
