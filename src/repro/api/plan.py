@@ -127,8 +127,5 @@ def compile_report(report: CompressionReport, *, batch: Optional[int] = None,
                         elide_dead=elide_dead, backend=resolved)
 
     if address is not None and policy in ("write", "readwrite"):
-        try:
-            store.put_plan(address, plan.to_bytes())
-        except ValueError:
-            pass  # plans that traced unregistered ops have no wire form
+        store.put_plan(address, plan.to_bytes())
     return plan

@@ -1,10 +1,12 @@
 """Trace-based compilation of a model into a static inference plan.
 
-:func:`compile` runs one abstract forward pass of a model under the op
-tracer (:func:`repro.nn.trace_ops`), reconstructs the dataflow graph of
-registered ops, optimizes it (constant freezing, optional BatchNorm
-folding, dead-filter elision, activation fusion, dead-code elimination)
-and lowers it onto a :class:`~repro.deploy.arena.BufferArena` of
+:func:`compile` runs abstract forward passes of a model at ``batch`` and
+``batch + 1`` under the op tracer (:func:`repro.nn.trace_ops`),
+reconstructs the dataflow graphs of registered ops, optimizes them
+(constant freezing, optional BatchNorm folding, dead-filter elision,
+activation fusion, dead-code elimination), pairs them into one
+symbolic-batch program and lowers that — the path ``load`` and ``bind``
+take too — onto a :class:`~repro.deploy.arena.BufferArena` of
 preallocated, liveness-reused buffers.  The result is an
 :class:`InferencePlan`: a flat list of steps whose heavy ops write into
 memory that already exists — ``plan(x)`` performs no large allocations.
@@ -14,11 +16,12 @@ Numerical contract: with the default options a plan forward is
 specialized step replays the exact eager kernel with an ``out=``
 destination (the in-place substitutions are verified bit-exact);
 anything without a verified in-place form falls back to the op's own
-forward.  Two opt-ins trade bits for speed/memory:
-``fold_bn=True`` folds inference-mode BatchNorm affine chains into the
-preceding convolution's weights (equal only to floating-point
-tolerance), and ``memory_budget=`` streams oversized convolutions in row
-bands (same tolerance caveat, see :mod:`repro.deploy.tiling`).
+forward.  ``fold_bn=True`` trades bits for speed: it folds
+inference-mode BatchNorm affine chains into the preceding convolution's
+weights (equal only to floating-point tolerance).  ``memory_budget=``
+streams oversized convolutions in row bands; bands cut at whole 16-column
+GEMM tiles stay bit-identical, and only convolutions whose output width
+cannot align (15, 7) are tolerance-equal (see :mod:`repro.deploy.tiling`).
 
 Plans are snapshots: parameter arrays are bound by reference where the
 trace uses them directly, but any value derived from parameters (masked
@@ -788,8 +791,9 @@ def _value_order(graph: _Graph) -> List[_Value]:
     return list(dict.fromkeys(values))
 
 
-def _lower(graph: _Graph, backend: Backend, *, input_shape, batch,
-           memory_budget, stats: PlanStats) -> "InferencePlan":
+def _lower(graph: _Graph, program, backend: Backend, batch: int,
+           stats: PlanStats) -> "InferencePlan":
+    """Lower ``graph``, the ``program`` decoded at ``batch``, into a plan."""
     values = _value_order(graph)
     for index, value in enumerate(values):
         value.index = index
@@ -815,7 +819,7 @@ def _lower(graph: _Graph, backend: Backend, *, input_shape, batch,
     arena = BufferArena()
     registers: List[Optional[np.ndarray]] = [None] * len(values)
     live: Dict[_Value, BufferRef] = {}
-    cx = _Lowering(arena, memory_budget, stats, registers, live)
+    cx = _Lowering(arena, program.memory_budget, stats, registers, live)
     steps: List[_Step] = []
 
     for i, node in enumerate(graph.nodes):
@@ -868,11 +872,9 @@ def _lower(graph: _Graph, backend: Backend, *, input_shape, batch,
     stats.arena = arena.stats
     stats.batch_peaks[int(batch)] = arena.stats.peak_bytes
 
-    return InferencePlan(steps, registers, arena, backend,
+    return InferencePlan(steps, registers, arena, backend, program,
                          graph.input.index, graph.output.index,
-                         input_shape=input_shape, batch=batch,
-                         input_dtype=graph.input.dtype,
-                         memory_budget=memory_budget, stats=stats)
+                         batch=batch, stats=stats)
 
 
 # --------------------------------------------------------------------------- #
@@ -889,31 +891,29 @@ class InferencePlan:
     calls is safe; the plan itself is not thread-safe (it owns one
     buffer arena).
 
-    Plans compiled by :func:`compile` also carry a symbolic-batch
-    program: :meth:`to_bytes`/:meth:`save` emit the versioned
-    ``repro-plan/2`` container (program, raw weights, step and arena
-    layout), :meth:`from_bytes`/:meth:`load` rebuild a bit-identical plan
-    from it,
+    Every plan carries the symbolic-batch program it was lowered from
+    (:class:`~repro.deploy.serialize.PlanProgram`):
+    :meth:`to_bytes`/:meth:`save` emit the versioned ``repro-plan/2``
+    container (program, raw weights, step and arena layout),
+    :meth:`from_bytes`/:meth:`load` rebuild a bit-identical plan from it,
     and :meth:`bind` re-derives the buffer layout for another batch size
     without re-tracing the model.
     """
 
-    def __init__(self, steps, registers, arena, backend, input_index,
-                 output_index, *, input_shape, batch, input_dtype,
-                 memory_budget, stats):
+    def __init__(self, steps, registers, arena, backend, program,
+                 input_index, output_index, *, batch, stats):
         self._steps = steps
         self._registers = registers
         self._arena = arena
         self._backend = backend
+        self._program = program
         self._input_index = input_index
         self._output_index = output_index
-        self.input_shape = tuple(input_shape)
+        self.input_shape = tuple(program.input_shape)
         self.batch = int(batch)
-        self.input_dtype = np.dtype(input_dtype)
-        self.memory_budget = memory_budget
+        self.input_dtype = np.dtype(program.input_dtype)
+        self.memory_budget = program.memory_budget
         self.stats = stats
-        # Symbolic-batch program (serialize.PlanProgram), set by compile().
-        self._program = None
         # The bind() family: batch -> weak reference to its plan, shared by
         # every member, while each plan holds the plans its own bind()
         # made.  Weak family links keep the family acyclic, so a dropped
@@ -1017,14 +1017,9 @@ class InferencePlan:
             return bound
         if batch < 1:
             raise ValueError("batch must be >= 1")
-        if self._program is None:
-            raise ValueError(
-                "plan has no symbolic-batch program (the traced graph could "
-                f"not be serialized); only batch={self.batch} is servable")
         from . import serialize as _serialize
         plan = _serialize.bind_program(self._program, batch,
                                        backend=self._backend)
-        plan._program = self._program
         plan._family = self._family
         self._family[batch] = weakref.ref(plan)
         self._bound[batch] = plan
@@ -1117,9 +1112,11 @@ def compile(model: Module, input_shape, *, batch: int = 1,
             backend: Optional[BackendLike] = None) -> InferencePlan:
     """Compile ``model`` into a static :class:`InferencePlan`.
 
-    Traces one inference-mode forward over a ``(batch, *input_shape)``
-    zero input, optimizes the recorded graph and lowers it onto a
-    preallocated buffer arena.
+    Traces inference-mode forwards over zero inputs at ``batch`` and
+    ``batch + 1``, optimizes the recorded graphs, builds their
+    symbolic-batch program and lowers it onto a preallocated buffer
+    arena.  If the second trace fails or diverges, the program is
+    fixed-batch: the plan saves and loads, but binds only ``batch``.
 
     Parameters
     ----------
@@ -1132,8 +1129,10 @@ def compile(model: Module, input_shape, *, batch: int = 1,
         Batch size the plan is specialized for (buffer shapes are static).
     memory_budget:
         Optional byte budget for any single im2col column block; larger
-        convolutions are streamed in row bands (floating-point-tolerance
-        equal, not bit-identical — see :mod:`repro.deploy.tiling`).
+        convolutions are streamed in row bands.  Bands cut at whole
+        16-column GEMM tiles are bit-identical; ragged output widths
+        (15, 7) are floating-point-tolerance equal (see
+        :mod:`repro.deploy.tiling`).
     fold_bn:
         Fold inference-mode BatchNorm affine chains into the preceding
         convolution weights.  Faster, but equal only to floating-point
@@ -1155,10 +1154,9 @@ def compile(model: Module, input_shape, *, batch: int = 1,
         model.eval()
         try:
             graph = _trace_graph(model, backend, batch, input_shape)
-            # Second trace one batch up: together the pair gives every
-            # shape dimension an affine form in the batch size, which is
-            # what makes the plan batch-polymorphic and serializable
-            # (repro-plan/2).  Any failure just loses those features.
+            # Second trace one batch up, for the batch-polymorphic
+            # program.  A model that cannot run at batch + 1 (a reshape
+            # hard-coding the batch) is still a valid fixed-batch model.
             try:
                 graph_next = _trace_graph(model, backend, batch + 1,
                                           input_shape)
@@ -1170,21 +1168,11 @@ def compile(model: Module, input_shape, *, batch: int = 1,
         _optimize_graph(graph, fold_bn=fold_bn, elide_dead=elide_dead,
                         stats=stats)
         if graph_next is not None:
-            try:
-                _optimize_graph(graph_next, fold_bn=fold_bn,
-                                elide_dead=elide_dead)
-            except Exception:
-                graph_next = None
+            _optimize_graph(graph_next, fold_bn=fold_bn,
+                            elide_dead=elide_dead)
         from . import serialize as _serialize
-        try:
-            program = _serialize.program_from_graphs(
-                graph, graph_next, batch=batch, batch_next=batch + 1,
-                backend=backend, input_shape=input_shape,
-                memory_budget=memory_budget)
-        except Exception:
-            program = None
-        plan = _lower(graph, backend, input_shape=input_shape,
-                      batch=batch, memory_budget=memory_budget,
-                      stats=stats)
-        plan._program = program
-        return plan
+        program = _serialize.program_from_graphs(
+            graph, graph_next, batch=batch, backend=backend,
+            input_shape=input_shape, memory_budget=memory_budget)
+        return _serialize.bind_program(program, batch, backend=backend,
+                                       stats=stats)

@@ -52,10 +52,10 @@ about 46 ms to compile it, where the ``repro-plan/1`` JSON payload
 ``benchmarks/test_bench_plan_forward.py`` read 5.1 for dense resnet20 in
 float64.
 
-The same symbolic-batch program powers
-:meth:`~repro.deploy.plan.InferencePlan.bind`: re-deriving every buffer
-shape at another batch size is just decoding the affine dims at a new
-``batch`` and re-running the lowering — no model, no re-trace.
+Every plan is lowered from this program by :func:`bind_program`:
+:func:`~repro.deploy.plan.compile`, loading, and
+:meth:`~repro.deploy.plan.InferencePlan.bind`, which just decodes the
+affine dims at a new ``batch`` — no model, no re-trace.
 """
 
 from __future__ import annotations
@@ -97,90 +97,135 @@ class _NotPolymorphic(Exception):
 # --------------------------------------------------------------------------- #
 # Tagged kwarg codec: exact Python types, ints affine in the batch
 # --------------------------------------------------------------------------- #
-def _encode_kwarg(value: Any, other: Any, batch: int, batch_next: int) -> Any:
-    """Encode one kwarg leaf, pairing the value from the second trace.
+#: Python type -> wire tag, most specific first (bool before int); an
+#: ndarray kwarg is an index array (``x[:, np.array([2, 0])]``).
+_TAGS = ((type(None), "n"), (type(Ellipsis), "e"), ((bool, np.bool_), "b"),
+         ((int, np.integer), "i"), ((float, np.floating), "f"), (str, "s"),
+         (slice, "sl"), (tuple, "t"), (list, "l"), (dict, "d"),
+         (np.ndarray, "a"))
+
+#: Tag -> JSON payload of a leaf that must be identical in both traces.
+_LEAVES = {
+    "n": lambda v: True,
+    "e": lambda v: True,
+    "b": bool,
+    "f": float,
+    "s": str,
+    "a": lambda v: [v.dtype.str, list(v.shape), v.ravel().tolist()],
+}
+
+#: Dtype kinds an index-array kwarg may have: bool, signed, unsigned.
+_INDEX_KINDS = "biu"
+
+
+def _tag(value: Any) -> Optional[str]:
+    """The wire tag of one kwarg value, ``None`` if it has no encoding."""
+    tag = next((tag for kind, tag in _TAGS if isinstance(value, kind)), None)
+    if tag == "a" and value.dtype.kind not in _INDEX_KINDS:
+        return None
+    return tag
+
+
+def _encode_kwarg(value: Any, other: Any, batch: int) -> Any:
+    """Encode one kwarg, pairing the value from the trace at ``batch + 1``.
 
     Integers encode as ``{"i": [m, c]}`` with ``value = m·batch + c`` so a
     reshape target like ``(batch, -1)`` re-derives at any batch size.
     Everything non-integral must be identical across the two traces.
     """
-    if value is None:
-        if other is not None:
-            raise _NotPolymorphic
-        return {"n": True}
-    if value is Ellipsis:
-        if other is not Ellipsis:
-            raise _NotPolymorphic
-        return {"e": True}
-    if isinstance(value, (bool, np.bool_)):
-        if bool(value) != bool(other):
-            raise _NotPolymorphic
-        return {"b": bool(value)}
-    if isinstance(value, (int, np.integer)):
-        if not isinstance(other, (int, np.integer)):
-            raise _NotPolymorphic
+    tag = _tag(value)
+    if tag is None:
+        raise TypeError(f"kwarg of type {type(value).__name__} has no "
+                        f"{PLAN_SCHEMA} encoding")
+    if _tag(other) != tag:
+        raise _NotPolymorphic
+    if tag == "i":
         slope = int(other) - int(value)
         return {"i": [slope, int(value) - slope * batch]}
-    if isinstance(value, (float, np.floating)):
-        if float(value) != float(other):
+    if tag == "d":
+        if set(other) != set(value):
             raise _NotPolymorphic
-        return {"f": float(value)}
-    if isinstance(value, str):
-        if value != other:
-            raise _NotPolymorphic
-        return {"s": value}
-    if isinstance(value, slice):
-        if not isinstance(other, slice):
-            raise _NotPolymorphic
-        return {"sl": [_encode_kwarg(value.start, other.start, batch, batch_next),
-                       _encode_kwarg(value.stop, other.stop, batch, batch_next),
-                       _encode_kwarg(value.step, other.step, batch, batch_next)]}
-    if isinstance(value, tuple):
-        if not isinstance(other, tuple) or len(other) != len(value):
-            raise _NotPolymorphic
-        return {"t": [_encode_kwarg(v, o, batch, batch_next)
-                      for v, o in zip(value, other)]}
-    if isinstance(value, list):
-        if not isinstance(other, list) or len(other) != len(value):
-            raise _NotPolymorphic
-        return {"l": [_encode_kwarg(v, o, batch, batch_next)
-                      for v, o in zip(value, other)]}
-    if isinstance(value, dict):
-        if not isinstance(other, dict) or set(other) != set(value):
-            raise _NotPolymorphic
-        return {"d": {key: _encode_kwarg(value[key], other[key],
-                                         batch, batch_next)
+        return {"d": {key: _encode_kwarg(value[key], other[key], batch)
                       for key in sorted(value)}}
-    raise TypeError(
-        f"kwarg of type {type(value).__name__} has no {PLAN_SCHEMA} encoding")
+    if tag == "sl":
+        value, other = ((v.start, v.stop, v.step) for v in (value, other))
+    if tag in ("sl", "t", "l"):
+        if len(other) != len(value):
+            raise _NotPolymorphic
+        return {tag: [_encode_kwarg(v, o, batch)
+                      for v, o in zip(value, other)]}
+    leaf = _LEAVES[tag](value)
+    # repr, not ==: a NaN leaf equals itself, as its wire text does.
+    if repr(_LEAVES[tag](other)) != repr(leaf):
+        raise _NotPolymorphic
+    return {tag: leaf}
+
+
+def _malformed(encoded: Any) -> ValueError:
+    return ValueError(f"malformed kwarg encoding: {encoded!r}")
+
+
+def _is_shape(shape: Any) -> bool:
+    return type(shape) is list and all(type(s) is int and s >= 0
+                                       for s in shape)
+
+
+#: Tag -> check of its JSON payload; parts of a container are checked as
+#: they are decoded.
+_PAYLOADS = {
+    "n": lambda v: v is True,
+    "e": lambda v: v is True,
+    "b": lambda v: type(v) is bool,
+    "s": lambda v: type(v) is str,
+    "f": lambda v: type(v) in (int, float),
+    "i": lambda v: (type(v) is list and len(v) == 2
+                    and all(type(n) is int for n in v)),
+    "sl": lambda v: type(v) is list and len(v) == 3,
+    "t": lambda v: type(v) is list,
+    "l": lambda v: type(v) is list,
+    "d": lambda v: type(v) is dict,
+    "a": lambda v: type(v) is list and len(v) == 3,
+}
 
 
 def _decode_kwarg(encoded: Mapping[str, Any], batch: int) -> Any:
-    if len(encoded) != 1:
-        raise ValueError(f"malformed kwarg encoding: {encoded!r}")
+    if not isinstance(encoded, Mapping) or len(encoded) != 1:
+        raise _malformed(encoded)
     (tag, value), = encoded.items()
-    if tag == "n":
-        return None
-    if tag == "e":
-        return Ellipsis
-    if tag == "b":
-        return bool(value)
+    if tag not in _PAYLOADS:
+        raise ValueError(f"unknown kwarg tag {tag!r} in {PLAN_SCHEMA} header")
+    if not _PAYLOADS[tag](value):
+        raise _malformed(encoded)
     if tag == "i":
-        return int(value[0]) * batch + int(value[1])
-    if tag == "f":
-        return float(value)
-    if tag == "s":
-        return str(value)
-    if tag == "sl":
-        return slice(*(_decode_kwarg(part, batch) for part in value))
-    if tag == "t":
-        return tuple(_decode_kwarg(part, batch) for part in value)
-    if tag == "l":
-        return [_decode_kwarg(part, batch) for part in value]
+        return value[0] * batch + value[1]
     if tag == "d":
         return {key: _decode_kwarg(part, batch)
                 for key, part in value.items()}
-    raise ValueError(f"unknown kwarg tag {tag!r} in {PLAN_SCHEMA} header")
+    if tag in ("sl", "t", "l"):
+        parts = [_decode_kwarg(part, batch) for part in value]
+        if tag == "sl":
+            return slice(*parts)
+        return tuple(parts) if tag == "t" else parts
+    if tag == "a":
+        return _decode_index_array(encoded)
+    if tag in ("n", "e"):
+        return None if tag == "n" else Ellipsis
+    return float(value) if tag == "f" else value
+
+
+def _decode_index_array(encoded: Mapping[str, Any]) -> np.ndarray:
+    """``{"a": [dtype, shape, items]}`` back into the traced index array."""
+    text, shape, items = encoded["a"]
+    dtype = _plain_dtype("malformed kwarg encoding", text, _INDEX_KINDS)
+    item_type = bool if dtype.kind == "b" else int
+    if (not _is_shape(shape) or type(items) is not list
+            or len(items) != math.prod(shape)
+            or not all(type(item) is item_type for item in items)):
+        raise _malformed(encoded)
+    try:
+        return np.array(items, dtype=dtype).reshape(shape)
+    except OverflowError:  # an item out of the dtype's range
+        raise _malformed(encoded) from None
 
 
 # --------------------------------------------------------------------------- #
@@ -212,64 +257,45 @@ class PlanProgram:
     output: int
 
 
-def _affine_dims(shape, other_shape, batch: int,
-                 batch_next: int) -> List[List[int]]:
-    dims: List[List[int]] = []
-    for position, size in enumerate(shape):
-        size = int(size)
-        if other_shape is None:
-            dims.append([0, size])
-            continue
-        slope = int(other_shape[position]) - size
-        intercept = size - slope * batch
-        if slope < 0 or intercept < 0:
-            raise _NotPolymorphic
-        dims.append([slope, intercept])
-    return dims
-
-
-def _build_program(graph: _Graph, graph_next: Optional[_Graph], *,
-                   batch: int, batch_next: int, backend: Backend,
-                   input_shape, memory_budget) -> PlanProgram:
+def _build_program(graph: _Graph, graph_next: _Graph, batch: int,
+                   backend: Backend, input_shape,
+                   memory_budget) -> PlanProgram:
+    """The program pairing ``graph`` with its trace at ``batch + 1``; a
+    graph paired with itself gives the fixed-batch program."""
     from ..nn.tensor import _OP_REGISTRY
-    order = _value_order(graph)
+    order, order_next = _value_order(graph), _value_order(graph_next)
     index = {value: position for position, value in enumerate(order)}
-    pair: Optional[List[_Value]] = None
-    if graph_next is not None:
-        order_next = _value_order(graph_next)
-        index_next = {value: position
-                      for position, value in enumerate(order_next)}
-        if (len(order_next) != len(order)
-                or len(graph_next.nodes) != len(graph.nodes)
-                or index_next[graph_next.input] != index[graph.input]
-                or index_next[graph_next.output] != index[graph.output]):
+    index_next = {value: position for position, value in enumerate(order_next)}
+    if (len(order_next) != len(order)
+            or len(graph_next.nodes) != len(graph.nodes)
+            or index_next[graph_next.input] != index[graph.input]
+            or index_next[graph_next.output] != index[graph.output]):
+        raise _NotPolymorphic
+    for node, node_next in zip(graph.nodes, graph_next.nodes):
+        if (node.op_name != node_next.op_name
+                or node.layer != node_next.layer
+                or node.activation != node_next.activation
+                or len(node.inputs) != len(node_next.inputs)
+                or [index[v] for v in node.inputs]
+                != [index_next[v] for v in node_next.inputs]
+                or index[node.out] != index_next[node_next.out]
+                or set(node.kwargs) != set(node_next.kwargs)):
             raise _NotPolymorphic
-        for node, node_next in zip(graph.nodes, graph_next.nodes):
-            if (node.op_name != node_next.op_name
-                    or node.layer != node_next.layer
-                    or node.activation != node_next.activation
-                    or len(node.inputs) != len(node_next.inputs)
-                    or [index[v] for v in node.inputs]
-                    != [index_next[v] for v in node_next.inputs]
-                    or index[node.out] != index_next[node_next.out]
-                    or set(node.kwargs) != set(node_next.kwargs)):
-                raise _NotPolymorphic
-        pair = order_next
 
     values: List[Dict[str, Any]] = []
     consts: List[np.ndarray] = []
-    for position, value in enumerate(order):
-        other = pair[position] if pair is not None else None
-        if other is not None:
-            if (other.kind != value.kind
-                    or other.dtype != value.dtype
-                    or len(other.shape) != len(value.shape)
-                    or (other.is_const and other.array is not None)
-                    != (value.is_const and value.array is not None)):
-                raise _NotPolymorphic
-        dims = _affine_dims(value.shape,
-                            other.shape if other is not None else None,
-                            batch, batch_next)
+    for value, other in zip(order, order_next):
+        if (other.kind != value.kind
+                or other.dtype != value.dtype
+                or len(other.shape) != len(value.shape)
+                or (other.is_const and other.array is not None)
+                != (value.is_const and value.array is not None)):
+            raise _NotPolymorphic
+        # dim = m·batch + c, from the sizes at batch and batch + 1.
+        dims = [[size_next - size, size - (size_next - size) * batch]
+                for size, size_next in zip(value.shape, other.shape)]
+        if any(m < 0 or c < 0 for m, c in dims):
+            raise _NotPolymorphic
         entry: Dict[str, Any] = {"kind": value.kind, "dtype": str(value.dtype),
                                  "dims": dims, "const": None}
         if value.is_const and value.array is not None:
@@ -282,18 +308,14 @@ def _build_program(graph: _Graph, graph_next: Optional[_Graph], *,
         values.append(entry)
 
     nodes: List[Dict[str, Any]] = []
-    for position, node in enumerate(graph.nodes):
+    for node, node_next in zip(graph.nodes, graph_next.nodes):
         if _OP_REGISTRY.get(node.op_name) is not node.op:
             raise TypeError(
                 f"op {node.op_name!r} is not resolvable from the op "
                 f"registry; the plan cannot be serialized")
-        node_next = graph_next.nodes[position] if pair is not None else None
-        kwargs: Dict[str, Any] = {}
-        for key in sorted(node.kwargs):
-            other_value = (node_next.kwargs[key] if node_next is not None
-                           else node.kwargs[key])
-            kwargs[key] = _encode_kwarg(node.kwargs[key], other_value,
-                                        batch, batch_next)
+        kwargs = {key: _encode_kwarg(node.kwargs[key], node_next.kwargs[key],
+                                     batch)
+                  for key in sorted(node.kwargs)}
         nodes.append({"op": node.op_name,
                       "inputs": [index[v] for v in node.inputs],
                       "out": index[node.out],
@@ -308,17 +330,17 @@ def _build_program(graph: _Graph, graph_next: Optional[_Graph], *,
         batch=int(batch),
         input_shape=tuple(int(s) for s in input_shape),
         memory_budget=int(memory_budget) if memory_budget else None,
-        polymorphic=pair is not None,
+        polymorphic=graph_next is not graph,
         values=values, consts=consts, nodes=nodes,
         input=index[graph.input], output=index[graph.output])
 
 
 def program_from_graphs(graph: _Graph, graph_next: Optional[_Graph], *,
-                        batch: int, batch_next: int, backend: Backend,
-                        input_shape, memory_budget) -> PlanProgram:
+                        batch: int, backend: Backend, input_shape,
+                        memory_budget) -> PlanProgram:
     """Build the symbolic-batch program from one or two optimized graphs.
 
-    With ``graph_next`` (the same model traced at ``batch_next``), every
+    With ``graph_next`` (the same model traced at ``batch + 1``), every
     shape dimension and integer kwarg gets an affine form in the batch
     and the program is batch-polymorphic.  Structural divergence between
     the traces — or a missing second graph — falls back to a fixed-batch
@@ -326,15 +348,12 @@ def program_from_graphs(graph: _Graph, graph_next: Optional[_Graph], *,
     """
     if graph_next is not None:
         try:
-            return _build_program(graph, graph_next, batch=batch,
-                                  batch_next=batch_next, backend=backend,
-                                  input_shape=input_shape,
-                                  memory_budget=memory_budget)
+            return _build_program(graph, graph_next, batch, backend,
+                                  input_shape, memory_budget)
         except _NotPolymorphic:
             pass
-    return _build_program(graph, None, batch=batch, batch_next=batch_next,
-                          backend=backend, input_shape=input_shape,
-                          memory_budget=memory_budget)
+    return _build_program(graph, graph, batch, backend, input_shape,
+                          memory_budget)
 
 
 def program_to_graph(program: PlanProgram, batch: int) -> _Graph:
@@ -372,12 +391,14 @@ def program_to_graph(program: PlanProgram, batch: int) -> _Graph:
 
 
 def bind_program(program: PlanProgram, batch: int,
-                 backend: Optional[Backend] = None) -> InferencePlan:
+                 backend: Optional[Backend] = None,
+                 stats: Optional[PlanStats] = None) -> InferencePlan:
     """Lower the program at ``batch`` into a fresh :class:`InferencePlan`.
 
     No tracing happens here — the graph is decoded from the program and
     run through the standard lowering, so two binds of the same program
-    at the same batch produce bit-identical plans.
+    at the same batch produce bit-identical plans.  ``stats`` carries
+    :func:`~repro.deploy.plan.compile`'s pass counts into the plan.
     """
     batch = int(batch)
     if batch != program.batch and not program.polymorphic:
@@ -388,9 +409,8 @@ def bind_program(program: PlanProgram, batch: int,
     if backend is None:
         backend = get_backend(program.backend_name, program.backend_dtype)
     graph = program_to_graph(program, batch)
-    return _lower(graph, backend, input_shape=tuple(program.input_shape),
-                  batch=batch, memory_budget=program.memory_budget,
-                  stats=PlanStats())
+    return _lower(graph, program, backend, batch,
+                  PlanStats() if stats is None else stats)
 
 
 # --------------------------------------------------------------------------- #
@@ -473,14 +493,14 @@ def unpack_container(data: bytes) -> Tuple[bytes, memoryview]:
     return header, blob
 
 
-def _const_dtype(where: str, text: Any) -> np.dtype:
+def _plain_dtype(where: str, text: Any, kinds: str = "biufc") -> np.dtype:
     try:
         dtype = np.dtype(text) if isinstance(text, str) else None
     except Exception:  # numpy raises TypeError, ValueError or SyntaxError
         dtype = None
-    if dtype is None or dtype.kind not in "biufc":
+    if dtype is None or dtype.kind not in kinds:
         raise ValueError(f"{where}: dtype {text!r} is not a plain numeric "
-                         f"dtype")
+                         f"dtype (kinds {kinds!r})")
     return dtype
 
 
@@ -501,11 +521,10 @@ def _consts_from_table(table: Any, blob: memoryview) -> List[np.ndarray]:
         if not isinstance(entry, Mapping) or set(entry) != _CONST_KEYS:
             raise ValueError(f"{where}: entry must hold exactly "
                              f"{sorted(_CONST_KEYS)}")
-        dtype = _const_dtype(where, entry["dtype"])
+        dtype = _plain_dtype(where, entry["dtype"])
         offset, nbytes = entry["offset"], entry["nbytes"]
         shape = entry["shape"]
-        if (not isinstance(shape, list)
-                or not all(type(s) is int and s >= 0 for s in shape)):
+        if not _is_shape(shape):
             raise ValueError(f"{where}: shape {shape!r} is not a list of "
                              f"sizes")
         count = math.prod(shape)
@@ -607,10 +626,6 @@ def _arena_payload(plan: InferencePlan) -> Dict[str, Any]:
 def plan_to_bytes(plan: InferencePlan) -> bytes:
     """The ``repro-plan/2`` container of a compiled plan (byte-stable)."""
     program = plan._program
-    if program is None:
-        raise ValueError(
-            f"plan is not serializable: the traced graph contains values "
-            f"the {PLAN_SCHEMA} codec cannot represent")
     table, blob = _blob(program.consts)
     budget = program.memory_budget
     header = {
@@ -675,7 +690,6 @@ def plan_from_bytes(data: bytes) -> InferencePlan:
     except (KeyError, IndexError, TypeError, AttributeError) as exc:
         raise ValueError(f"malformed {PLAN_SCHEMA} header: "
                          f"{type(exc).__name__}: {exc}") from None
-    plan._program = program
     if (_steps_payload(plan) != header.get("steps")
             or _arena_payload(plan) != header.get("arena")):
         raise ValueError(

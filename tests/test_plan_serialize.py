@@ -36,7 +36,7 @@ from repro.deploy.serialize import pack_container, unpack_container
 from repro.models import available_models, bench_input_shape, build_model
 from repro.nn import Tensor, no_grad
 from repro.nn.backend import get_backend, use_backend
-from repro.nn.layers import Conv2d
+from repro.nn.layers import Conv2d, Linear
 from repro.nn.module import Module
 
 INPUT_SHAPE = (1, 16, 16)  # lenet's native geometry
@@ -249,6 +249,14 @@ def _shift_after_first(header):
         entry["offset"] += 64
 
 
+def _conv_kwarg(key, encoded):
+    """Re-encode kwarg ``key`` of the first conv node as ``encoded``."""
+    def change(header):
+        node = next(n for n in header["nodes"] if n["op"] == "conv2d")
+        node["kwargs"][key] = encoded
+    return change
+
+
 #: name -> (edit the parsed header, expected ValueError message); the
 #: container is re-packed with valid digests around the edit.
 HEADER_MUTATIONS = {
@@ -277,6 +285,14 @@ HEADER_MUTATIONS = {
     "node-missing-key": (lambda h: h["nodes"][0].pop("inputs"), "malformed"),
     "header-missing-key": (lambda h: h.pop("input_shape"), "malformed"),
     "header-untagged": (lambda h: h.pop("schema"), "unsupported plan schema"),
+    "kwarg-int-as-str": (_conv_kwarg("stride", {"t": [{"i": ["0", "1"]}] * 2}),
+                         "malformed"),
+    "kwarg-tuple-not-list": (_conv_kwarg("padding", {"t": {"i": [0, 1]}}),
+                             "malformed"),
+    "kwarg-array-object": (_conv_kwarg("stride", {"a": ["|O", [2], [1, 1]]}),
+                           "malformed"),
+    "kwarg-array-count": (_conv_kwarg("stride", {"a": ["<i8", [3], [1, 1]]}),
+                          "malformed"),
 }
 
 
@@ -377,7 +393,7 @@ def test_bind_rejects_bad_batches():
 
 
 class _ChannelPick(Module):
-    """Picks channels with a numpy array: a kwarg the wire cannot encode."""
+    """Picks channels with a numpy index array (an ``"a"`` kwarg)."""
 
     def __init__(self, rng):
         super().__init__()
@@ -387,19 +403,78 @@ class _ChannelPick(Module):
         return self.conv(x)[:, np.array([2, 0])]
 
 
-def test_unencodable_graph_serves_but_does_not_serialize(tmp_path):
+def test_array_index_graph_serves_serializes_and_binds():
     model = _ChannelPick(np.random.default_rng(0))
     plan = compile(model, (3, 8, 8), batch=2)
-    assert plan._program is None
-    x = np.random.default_rng(1).standard_normal((2, 3, 8, 8))
-    x = x.astype(plan.input_dtype)
+    x = _input(plan)
     assert plan(x).data.tobytes() == _eager(model, x).tobytes()
-    with pytest.raises(ValueError, match="plan is not serializable"):
-        plan.to_bytes()
-    with pytest.raises(ValueError, match="plan is not serializable"):
-        plan.save(tmp_path / "plan.plan")
-    with pytest.raises(ValueError, match="plan has no symbolic-batch program"):
-        plan.bind(3)
+    data = plan.to_bytes()
+    loaded = InferencePlan.from_bytes(data)
+    assert loaded.to_bytes() == data
+    assert loaded(x).data.tobytes() == plan(x).data.tobytes()
+    x3 = _input(plan, batch=3, seed=2)
+    assert plan.bind(3)(x3).data.tobytes() == _eager(model, x3).tobytes()
+
+
+class _NanClip(Module):
+    """A NaN float kwarg: the same in both traces, as its wire text is."""
+
+    def __init__(self, rng):
+        super().__init__()
+        self.conv = Conv2d(3, 4, 3, padding=1, rng=rng)
+
+    def forward(self, x):
+        return self.conv(x).clip(float("nan"), 1.0)
+
+
+def test_nan_float_kwarg_keeps_the_program_polymorphic():
+    model = _NanClip(np.random.default_rng(0))
+    plan = compile(model, (3, 8, 8), batch=2)
+    assert plan._program.polymorphic is True
+    data = plan.to_bytes()
+    assert InferencePlan.from_bytes(data).to_bytes() == data
+    x3 = _input(plan, batch=3, seed=2)
+    assert plan.bind(3)(x3).data.tobytes() == _eager(model, x3).tobytes()
+
+
+class _BatchOneHead(Module):
+    """Flattens the whole batch into one row: cannot run at batch + 1."""
+
+    def __init__(self, rng):
+        super().__init__()
+        self.conv = Conv2d(3, 4, 3, padding=1, rng=rng)
+        self.fc = Linear(4 * 8 * 8, 5, rng=rng)
+
+    def forward(self, x):
+        return self.fc(self.conv(x).relu().reshape(1, -1))
+
+
+class _ParityActivation(Module):
+    """relu at odd batch sizes, tanh at even: the two traces diverge."""
+
+    def __init__(self, rng):
+        super().__init__()
+        self.conv = Conv2d(3, 4, 3, padding=1, rng=rng)
+
+    def forward(self, x):
+        out = self.conv(x)
+        return out.relu() if x.shape[0] % 2 else out.tanh()
+
+
+@pytest.mark.parametrize("make", [_BatchOneHead, _ParityActivation])
+def test_fixed_batch_fallback_serves_and_round_trips(make):
+    model = make(np.random.default_rng(0))
+    plan = compile(model, (3, 8, 8), batch=1)
+    x = _input(plan)
+    assert plan(x).data.tobytes() == _eager(model, x).tobytes()
+    data = plan.to_bytes()
+    loaded = InferencePlan.from_bytes(data)
+    assert loaded.to_bytes() == data
+    assert loaded(x).data.tobytes() == plan(x).data.tobytes()
+    assert plan._program.polymorphic is False
+    assert loaded._program.polymorphic is False
+    with pytest.raises(ValueError, match="not batch-polymorphic"):
+        plan.bind(plan.batch + 1)
 
 
 # --------------------------------------------------------------------------- #
