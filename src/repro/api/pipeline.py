@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import copy
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -40,39 +40,21 @@ DataArg = Union[None, SyntheticImageDataset, DataLoader, Tuple]
 REPORT_SCHEMA = "repro-report/1"
 
 
-@dataclass
-class HardwareTotals:
-    """Legacy wire-format stand-in for a :class:`NetworkReport`.
-
-    Early ``repro-report/1`` payloads carried only the network-level
-    energy / latency totals; reports rebuilt from such payloads get this
-    stand-in, which supports exactly the reduction / table computations.
-    Current payloads ship the full per-layer breakdown and rebuild a real
-    :class:`NetworkReport` (see :func:`_hardware_report_from_dict`), so
-    cached replays and remote results keep the Fig. 3 style per-layer
-    energy / latency views.
-    """
-
-    total_energy: float
-    total_latency: float
-
-
-def _hardware_report_to_dict(report) -> Optional[Dict[str, Any]]:
+def _hardware_report_to_dict(report: Optional[NetworkReport]
+                             ) -> Optional[Dict[str, Any]]:
     if report is None:
         return None
-    payload: Dict[str, Any] = {"total_energy": float(report.total_energy),
-                               "total_latency": float(report.total_latency)}
-    if isinstance(report, NetworkReport):
-        payload.update(report.to_dict())
-    return payload
+    return {"total_energy": float(report.total_energy),
+            "total_latency": float(report.total_latency),
+            **report.to_dict()}
 
 
-def _hardware_report_from_dict(payload: Optional[Dict[str, Any]]):
+def _hardware_report_from_dict(payload: Optional[Dict[str, Any]],
+                               key: str) -> Optional[NetworkReport]:
     if payload is None:
         return None
-    if "layers" not in payload:  # legacy totals-only payload
-        return HardwareTotals(total_energy=float(payload["total_energy"]),
-                              total_latency=float(payload["total_latency"]))
+    if "layers" not in payload:
+        raise ValueError(f"report payload {key!r} lacks the key 'layers'")
     return NetworkReport.from_dict(payload)
 
 
@@ -104,7 +86,8 @@ class DenseBaseline:
         return cls(
             profile=None,  # type: ignore[arg-type]  # dropped by the wire format
             cost=dict(payload["cost"]),
-            hardware=_hardware_report_from_dict(payload.get("hardware")),
+            hardware=_hardware_report_from_dict(payload.get("hardware"),
+                                                "dense.hardware"),
             accuracy=payload.get("accuracy"),
         )
 
@@ -174,7 +157,7 @@ class CompressionReport:
     # -- deployment ----------------------------------------------------- #
     def plan(self, *, batch: Optional[int] = None,
              memory_budget: Optional[int] = None, fold_bn: bool = False,
-             elide_dead: bool = True, backend=None, cache=None):
+             backend=None, cache=None):
         """Compile the compressed model into a static inference plan.
 
         Delegates to :func:`repro.api.compile_report`: the spec's input
@@ -185,8 +168,7 @@ class CompressionReport:
         """
         from .plan import compile_report
         return compile_report(self, batch=batch, memory_budget=memory_budget,
-                              fold_bn=fold_bn, elide_dead=elide_dead,
-                              backend=backend, cache=cache)
+                              fold_bn=fold_bn, backend=backend, cache=cache)
 
     # -- views ---------------------------------------------------------- #
     def as_method_result(self) -> MethodResult:
@@ -281,9 +263,9 @@ class CompressionReport:
             compressed=compressed,
             accuracy=payload.get("accuracy"),
             dense_hardware=_hardware_report_from_dict(
-                payload.get("dense_hardware")),
+                payload.get("dense_hardware"), "dense_hardware"),
             compressed_hardware=_hardware_report_from_dict(
-                payload.get("compressed_hardware")),
+                payload.get("compressed_hardware"), "compressed_hardware"),
             profile=(None if payload.get("profile") is None
                      else RunProfile.from_dict(payload["profile"])),
         )

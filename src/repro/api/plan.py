@@ -54,7 +54,7 @@ def _resolve_backend(report: CompressionReport, backend):
 
 def plan_address(report: CompressionReport, *, input_shape: Tuple[int, ...],
                  batch: int, backend, memory_budget: Optional[int],
-                 fold_bn: bool, elide_dead: bool) -> str:
+                 fold_bn: bool) -> str:
     """Content address of the plan ``compile_report`` would produce.
 
     A plan is a deterministic function of the model's parameter bytes and
@@ -71,14 +71,15 @@ def plan_address(report: CompressionReport, *, input_shape: Tuple[int, ...],
         "dtype": backend.dtype.name,
         "memory_budget": None if memory_budget is None else int(memory_budget),
         "fold_bn": bool(fold_bn),
-        "elide_dead": bool(elide_dead),
+        # The retired dead-filter elision option; the constant keeps every
+        # stored plan address valid.
+        "elide_dead": True,
     })
 
 
 def compile_report(report: CompressionReport, *, batch: Optional[int] = None,
                    memory_budget: Optional[int] = None, fold_bn: bool = False,
-                   elide_dead: bool = True, backend=None,
-                   cache: CacheArg = None) -> InferencePlan:
+                   backend=None, cache: CacheArg = None) -> InferencePlan:
     """Compile ``report.model`` into a static :class:`InferencePlan`.
 
     The input shape comes from ``report.spec.input_shape`` (falling back
@@ -110,7 +111,7 @@ def compile_report(report: CompressionReport, *, batch: Optional[int] = None,
     if store is not None and report.model is not None:
         address = plan_address(report, input_shape=input_shape, batch=batch,
                                backend=resolved, memory_budget=memory_budget,
-                               fold_bn=fold_bn, elide_dead=elide_dead)
+                               fold_bn=fold_bn)
     if address is not None and policy in ("read", "readwrite"):
         data = store.get_plan(address)
         if data is not None:
@@ -124,7 +125,7 @@ def compile_report(report: CompressionReport, *, batch: Optional[int] = None,
 
     plan = compile_plan(report.model, input_shape, batch=batch,
                         memory_budget=memory_budget, fold_bn=fold_bn,
-                        elide_dead=elide_dead, backend=resolved)
+                        backend=resolved)
 
     if address is not None and policy in ("write", "readwrite"):
         store.put_plan(address, plan.to_bytes())

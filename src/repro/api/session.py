@@ -369,7 +369,7 @@ class SweepSession:
     def plan(self, report: CompressionReport, *,
              batch: Optional[int] = None,
              memory_budget: Optional[int] = None, fold_bn: bool = False,
-             elide_dead: bool = True, backend=None):
+             backend=None):
         """Compile ``report`` into an inference plan through this session.
 
         Same surface as :meth:`CompressionReport.plan`, but routed through
@@ -383,8 +383,7 @@ class SweepSession:
                  else (self._cache, self._cache_policy))
         return compile_report(report, batch=batch,
                               memory_budget=memory_budget, fold_bn=fold_bn,
-                              elide_dead=elide_dead, backend=backend,
-                              cache=cache)
+                              backend=backend, cache=cache)
 
     # -- progress events -------------------------------------------------- #
     def add_progress_callback(self, fn: Callable[[SessionEvent], None]) -> None:

@@ -370,18 +370,19 @@ class CompressionSpec:
     def from_dict(cls, payload: Mapping[str, Any]) -> "CompressionSpec":
         """Rebuild a spec from :meth:`to_dict` output (extra keys rejected).
 
-        Payloads tagged with a different wire-format version are rejected
-        outright — a future ``repro-spec/2`` must not be silently misparsed
-        as today's fields.  Untagged payloads are accepted for backward
-        compatibility with pre-tag dicts.
+        Payloads with no tag or tagged with a different wire-format
+        version are rejected outright — a future ``repro-spec/2`` must not
+        be silently misparsed as today's fields.
         """
-        check_schema(payload, SPEC_SCHEMA, untagged=True)
+        check_schema(payload, SPEC_SCHEMA)
         data = dict(payload)
-        data.pop("schema", None)
+        data.pop("schema")
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"unknown CompressionSpec fields: {sorted(unknown)}")
+        if "method" not in data:
+            raise ValueError("spec payload lacks the required key 'method'")
         data["config"] = config_from_dict(data.get("config"))
         if data.get("input_shape") is not None:
             data["input_shape"] = tuple(data["input_shape"])

@@ -30,19 +30,4 @@ __all__ = [
     "AMCPruner", "AMCResult", "LayerState", "default_reward",
     "LCNNCompressor", "LCNNCompressionResult", "LayerDictionary",
     "LowRankDecomposer", "LowRankResult", "LayerFactorization",
-    "MagnitudeMethod", "FPGMMethod", "AMCMethod", "LCNNMethod", "LowRankMethod",
-    "MagnitudeSpec", "FPGMSpec", "AMCSpec", "LCNNSpec", "LowRankSpec",
 ]
-
-# Unified-pipeline adapters for every baseline live in ``repro.api``;
-# re-export them lazily so old ``repro.baselines`` imports keep working
-# alongside the new protocol-based surface.
-from .._compat import lazy_reexport
-
-__getattr__ = lazy_reexport(__name__, {
-    **{name: "repro.api.adapters" for name in (
-        "MagnitudeMethod", "FPGMMethod", "AMCMethod", "LCNNMethod",
-        "LowRankMethod")},
-    **{name: "repro.api.spec" for name in (
-        "MagnitudeSpec", "FPGMSpec", "AMCSpec", "LCNNSpec", "LowRankSpec")},
-})

@@ -48,14 +48,4 @@ __all__ = [
     "evaluate_accuracy",
     "compress_model", "compress_block", "compressed_blocks",
     "CompressedConv2d", "CompressionRecord", "CompressionResult",
-    "ALFMethod", "ALFSpec",
 ]
-
-# The unified-pipeline view of ALF lives in ``repro.api``; re-export it
-# lazily so ``repro.core`` keeps its light import footprint.
-from .._compat import lazy_reexport
-
-__getattr__ = lazy_reexport(__name__, {
-    "ALFMethod": "repro.api.adapters",
-    "ALFSpec": "repro.api.spec",
-})

@@ -105,27 +105,12 @@ class CompressionResult:
             return 1.0
         return self.total_kept_filters / self.total_filters
 
-    def compile(self, input_shape: Tuple[int, ...], *, batch: int = 1,
-                memory_budget: Optional[int] = None, fold_bn: bool = False,
-                elide_dead: bool = True, backend=None):
-        """Compile the compressed model into a static inference plan.
 
-        Each :class:`CompressedConv2d` lowers to two plan steps — the
-        reduced code convolution (with its intermediate activation fused
-        in) and the 1x1 expansion — over preallocated buffers.  See
-        :func:`repro.deploy.compile` for the options.
-        """
-        from ..deploy import compile as compile_plan
-        return compile_plan(self.model, input_shape, batch=batch,
-                            memory_budget=memory_budget, fold_bn=fold_bn,
-                            elide_dead=elide_dead, backend=backend)
-
-
-def compress_block(block: ALFConv2d, keep_at_least_one: bool = True) -> Tuple[CompressedConv2d, CompressionRecord]:
+def compress_block(block: ALFConv2d) -> Tuple[CompressedConv2d, CompressionRecord]:
     """Build the deployed form of a single ALF block."""
     code = block.autoencoder.compute_code(block.weight.data)
     keep = block.keep_indices()
-    if keep.size == 0 and keep_at_least_one:
+    if keep.size == 0:
         # Never produce an empty layer: keep the single most salient filter.
         magnitudes = np.abs(block.weight.data).reshape(block.out_channels, -1).sum(axis=1)
         keep = np.array([int(np.argmax(magnitudes))])
@@ -150,13 +135,13 @@ def compress_block(block: ALFConv2d, keep_at_least_one: bool = True) -> Tuple[Co
     return compressed, record
 
 
-def compress_model(model: Module, inplace: bool = False) -> CompressionResult:
+def compress_model(model: Module) -> CompressionResult:
     """Replace every ALF block of ``model`` with its dense deployed form.
 
-    By default the input model is left untouched and a deep copy is
-    compressed and returned.
+    The input model is left untouched: a deep copy is compressed and
+    returned.
     """
-    target = model if inplace else copy.deepcopy(model)
+    target = copy.deepcopy(model)
     records: List[CompressionRecord] = []
     for parent_name, parent in target.named_modules():
         for child_name, child in list(parent._modules.items()):

@@ -3,13 +3,13 @@
 :func:`compile` runs abstract forward passes of a model at ``batch`` and
 ``batch + 1`` under the op tracer (:func:`repro.nn.trace_ops`),
 reconstructs the dataflow graphs of registered ops, optimizes them
-(constant freezing, optional BatchNorm folding, dead-filter elision,
-activation fusion, dead-code elimination), pairs them into one
-symbolic-batch program and lowers that — the path ``load`` and ``bind``
-take too — onto a :class:`~repro.deploy.arena.BufferArena` of
-preallocated, liveness-reused buffers.  The result is an
-:class:`InferencePlan`: a flat list of steps whose heavy ops write into
-memory that already exists — ``plan(x)`` performs no large allocations.
+(constant freezing, optional BatchNorm folding, activation fusion,
+dead-code elimination), pairs them into one symbolic-batch program and
+lowers that — the path ``load`` and ``bind`` take too — onto a
+:class:`~repro.deploy.arena.BufferArena` of preallocated, liveness-reused
+buffers.  The result is an :class:`InferencePlan`: a flat list of steps
+whose heavy ops write into memory that already exists — ``plan(x)``
+performs no large allocations.
 
 Numerical contract: with the default options a plan forward is
 **bit-identical** to the eager ``model(x)`` under ``no_grad()``.  Every
@@ -32,6 +32,8 @@ buffers; compile one plan per thread instead.
 
 from __future__ import annotations
 
+import os
+import sys
 import time
 import warnings
 import weakref
@@ -188,7 +190,7 @@ def _is_const(value: _Value) -> bool:
 
 def _const_conv_params(node: _Node):
     """``(weight, bias)`` of a conv whose parameters are all constants, else
-    ``None``.  Only such a conv is folded, elided, fused or specialized, so
+    ``None``.  Only such a conv is folded, fused or specialized, so
     a fused activation always lands on a step that applies it."""
     weight = node.inputs[1]
     bias = node.inputs[2] if len(node.inputs) > 2 else None
@@ -284,84 +286,6 @@ def _fold_affine_chains(graph: _Graph) -> int:
             break
         if not applied:
             return folded
-
-
-_ZERO_PRESERVING = ("relu", "tanh")
-
-
-def _elide_dead_filters(graph: _Graph) -> int:
-    """Remove all-zero conv output channels consumed by a following conv.
-
-    A fully-masked code filter produces an exactly-zero channel; through
-    zero-preserving activations it contributes exactly-zero addends to the
-    next convolution's reduction, so both the dead filter rows and the
-    matching input channels of the consumer can be dropped.
-    """
-    elided = 0
-    while True:
-        uses = graph.consumers()
-        applied = False
-        for node in graph.nodes:
-            if node.op_name != "conv2d":
-                continue
-            params = _const_conv_params(node)
-            if params is None:
-                continue
-            weight, bias = params
-            w = weight.array
-            co = w.shape[0]
-            zero = ~w.reshape(co, -1).any(axis=1)
-            if bias is not None:
-                zero &= (bias.array == 0)
-            if not zero.any() or zero.all() and co == 1:
-                continue
-            keep = np.flatnonzero(~zero)
-            if keep.size == 0:
-                keep = np.array([0])
-            if keep.size == co:
-                continue
-            # Walk the sole-consumer chain of zero-preserving activations
-            # down to a consuming convolution.
-            chain: List[_Node] = []
-            value = node.out
-            consumer = None
-            while True:
-                consumers = uses.get(value, [])
-                if len(consumers) != 1 or value is graph.output:
-                    break
-                nxt, position = consumers[0]
-                if nxt.op_name == "conv2d" and position == 0:
-                    consumer = nxt
-                    break
-                if nxt.op_name in _ZERO_PRESERVING and len(nxt.inputs) == 1:
-                    chain.append(nxt)
-                    value = nxt.out
-                    continue
-                break
-            if consumer is None:
-                continue
-            next_weight = consumer.inputs[1]
-            if not _is_const(next_weight):
-                continue
-            new_w = np.ascontiguousarray(w[keep])
-            weight_value = _Value("const", new_w.shape, new_w.dtype,
-                                  array=new_w, is_const=True)
-            node.inputs[1] = weight_value
-            if bias is not None:
-                new_b = np.ascontiguousarray(bias.array[keep])
-                node.inputs[2] = _Value("const", new_b.shape, new_b.dtype,
-                                        array=new_b, is_const=True)
-            new_nw = np.ascontiguousarray(next_weight.array[:, keep, :, :])
-            consumer.inputs[1] = _Value("const", new_nw.shape, new_nw.dtype,
-                                        array=new_nw, is_const=True)
-            for val in [node.out] + [n.out for n in chain]:
-                val.shape = (val.shape[0], int(keep.size)) + val.shape[2:]
-                val.array = None  # traced array has the old channel count
-            elided += int(zero.sum())
-            applied = True
-            break
-        if not applied:
-            return elided
 
 
 _FUSABLE_ACTIVATIONS = ("relu", "tanh", "sigmoid")
@@ -521,7 +445,6 @@ class PlanStats:
     fused_activations: int = 0
     frozen_consts: int = 0
     folded_ops: int = 0
-    elided_filters: int = 0
     dce_removed: int = 0
     #: Largest single-band column block any streamed conv actually needs.
     #: May exceed ``memory_budget`` when the MIN_BAND_ROWS floor wins —
@@ -555,6 +478,21 @@ def _out_step(kind: str, cx: _Lowering, node: _Node, make_run) -> _Step:
     """A step whose one buffer is its output; ``make_run(out)`` is its run."""
     return _Step(kind, node, lambda arrays: make_run(arrays["out_ref"]),
                  {"out_ref": cx.output(node)})
+
+
+#: The ``repro`` package directory, whose frames a warning points past.
+_PACKAGE_DIR = os.path.dirname(os.path.dirname(__file__)) + os.sep
+
+
+def _caller_stacklevel() -> int:
+    """The ``warnings.warn`` stacklevel, seen from the calling function, of
+    the first frame outside the ``repro`` package: the user's line, however
+    deep ``compile``, ``load`` or ``bind`` reached the warning."""
+    frame, level = sys._getframe(1), 1
+    while frame is not None and frame.f_code.co_filename.startswith(
+            _PACKAGE_DIR):
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 def _lower_conv(cx: _Lowering, node: _Node, ins: List[int]) -> Optional[_Step]:
@@ -594,7 +532,8 @@ def _lower_conv(cx: _Lowering, node: _Node, ins: List[int]) -> Optional[_Step]:
                         f"for conv layer '{node.layer or '<root>'}': the "
                         f"MIN_BAND_ROWS={MIN_BAND_ROWS} floor needs "
                         f"{band_bytes} bytes per band ({overrun} over "
-                        f"budget)", UserWarning, stacklevel=3)
+                        f"budget)", UserWarning,
+                        stacklevel=_caller_stacklevel())
                 stats.streaming_peak_bytes = max(stats.streaming_peak_bytes,
                                                  band_bytes)
                 stream = StreamedConv(kernel=(kh, kw),
@@ -1090,25 +1029,22 @@ def _trace_graph(model: Module, backend: Backend, batch: int,
     return _build_graph(tracer.records, dummy.data, out.data)
 
 
-def _optimize_graph(graph: _Graph, *, fold_bn: bool, elide_dead: bool,
+def _optimize_graph(graph: _Graph, *, fold_bn: bool,
                     stats: Optional[PlanStats] = None) -> _Graph:
     """Run the standard pass pipeline in place (deterministic per graph)."""
     frozen = _freeze_consts(graph)
     folded = _fold_affine_chains(graph) if fold_bn else 0
-    elided = _elide_dead_filters(graph) if elide_dead else 0
     _fuse_activations(graph)
     removed = _eliminate_dead_code(graph)
     if stats is not None:
         stats.frozen_consts = frozen
         stats.folded_ops = folded
-        stats.elided_filters = elided
         stats.dce_removed = removed
     return graph
 
 
 def compile(model: Module, input_shape, *, batch: int = 1,
             memory_budget: Optional[int] = None, fold_bn: bool = False,
-            elide_dead: bool = True,
             backend: Optional[BackendLike] = None) -> InferencePlan:
     """Compile ``model`` into a static :class:`InferencePlan`.
 
@@ -1137,9 +1073,6 @@ def compile(model: Module, input_shape, *, batch: int = 1,
         Fold inference-mode BatchNorm affine chains into the preceding
         convolution weights.  Faster, but equal only to floating-point
         tolerance; off by default to preserve bit-identity.
-    elide_dead:
-        Physically drop all-zero conv filters (fully-masked code filters)
-        together with the matching input channels of the consuming conv.
     backend:
         Backend name (e.g. ``"numpy32"``) or :class:`~repro.nn.Backend`
         record whose default dtype the model is traced and the plan is
@@ -1165,11 +1098,9 @@ def compile(model: Module, input_shape, *, batch: int = 1,
         finally:
             if was_training:
                 model.train()
-        _optimize_graph(graph, fold_bn=fold_bn, elide_dead=elide_dead,
-                        stats=stats)
+        _optimize_graph(graph, fold_bn=fold_bn, stats=stats)
         if graph_next is not None:
-            _optimize_graph(graph_next, fold_bn=fold_bn,
-                            elide_dead=elide_dead)
+            _optimize_graph(graph_next, fold_bn=fold_bn)
         from . import serialize as _serialize
         program = _serialize.program_from_graphs(
             graph, graph_next, batch=batch, backend=backend,

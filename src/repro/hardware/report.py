@@ -130,7 +130,7 @@ class NetworkReport:
         return cls(
             name=payload.get("name", "network"),
             layers=[LayerReport.from_dict(entry)
-                    for entry in payload.get("layers", [])],
+                    for entry in payload["layers"]],
         )
 
 

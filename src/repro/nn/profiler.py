@@ -255,12 +255,11 @@ class RunProfile:
     def from_dict(cls, payload: Mapping[str, Any]) -> "RunProfile":
         """Rebuild from :meth:`to_dict` output.
 
-        A payload tagged with a different wire-format version is rejected
-        (untagged pre-tag payloads are accepted for backward
-        compatibility) — a future ``repro-run-profile/2`` must fail loudly
-        instead of being misparsed.
+        A payload with no tag, or one tagged with a different wire-format
+        version, is rejected — a future ``repro-run-profile/2`` must fail
+        loudly instead of being misparsed.
         """
-        check_schema(payload, RUN_PROFILE_SCHEMA, untagged=True)
+        check_schema(payload, RUN_PROFILE_SCHEMA)
         kwargs = {}
         for name in ("dense", "train", "eval"):
             phase = payload.get(name)

@@ -10,8 +10,8 @@ This module is the one home of what those kinds have in common:
 * :func:`check_schema` — the one tag check.  A payload must be a JSON
   object (``TypeError`` otherwise) carrying exactly its kind's tag
   (``ValueError`` otherwise, worded ``unsupported <kind> schema <got>:
-  expected '<tag>'``), so a future ``/2`` payload fails loudly instead of
-  being misparsed.
+  expected '<tag>'``), so a payload with no tag or a future ``/2`` one
+  fails loudly instead of being misparsed.
 * :func:`array_to_payload` / :func:`array_from_payload` — the one
   base64-npy array codec (job datasets, warm-start states, plan
   containers shipped to workers as ``uint8`` arrays).
@@ -46,20 +46,18 @@ from typing import Any, Dict, Mapping, Optional
 import numpy as np
 
 
-def check_schema(payload: Any, tag: str, *, untagged: bool = False) -> None:
+def check_schema(payload: Any, tag: str) -> None:
     """Raise unless ``payload`` is a JSON object tagged ``tag``.
 
     The kind named in errors is the tag without its ``repro-`` prefix and
-    version (``repro-cache-entry/1`` → ``cache-entry``).  ``untagged``
-    accepts payloads with no ``schema`` key, for kinds that predate their
-    tag.
+    version (``repro-cache-entry/1`` → ``cache-entry``).
     """
     kind = tag[len("repro-"):].split("/", 1)[0]
     if not isinstance(payload, Mapping):
         raise TypeError(
             f"{kind} payload must be a JSON object, "
             f"got {type(payload).__name__}")
-    schema = payload.get("schema", tag if untagged else None)
+    schema = payload.get("schema")
     if schema != tag:
         raise ValueError(
             f"unsupported {kind} schema {schema!r}: expected '{tag}'")

@@ -248,15 +248,6 @@ class TestFormatting:
 
 
 class TestBackwardCompatibility:
-    def test_core_and_baseline_reexports_resolve(self):
-        from repro.core import ALFMethod, ALFSpec  # noqa: F401
-        from repro.baselines import (  # noqa: F401
-            AMCMethod, FPGMMethod, LCNNMethod, LowRankMethod, MagnitudeMethod,
-            MagnitudeSpec,
-        )
-        assert ALFMethod is api.ALFMethod
-        assert MagnitudeSpec is api.MagnitudeSpec
-
     def test_top_level_facade_reexports(self):
         import repro
         assert repro.compress is api.compress

@@ -366,7 +366,7 @@ class TestConvertAndDeploy:
     def test_compress_model_leaves_original_untouched(self, rng):
         model = lenet(num_classes=4, in_channels=1, width=8, rng=rng)
         convert_to_alf(model, ALFConfig(), rng=rng)
-        result = compress_model(model, inplace=False)
+        result = compress_model(model)
         assert len(alf_blocks(model)) > 0            # original still has ALF blocks
         assert len(alf_blocks(result.model)) == 0     # copy has none
         assert result.remaining_filter_fraction == pytest.approx(1.0)

@@ -514,7 +514,7 @@ def test_plan_cache_respects_policy(report):
 def test_plan_address_tracks_model_and_options(report):
     resolved = get_backend("numpy64")
     base = dict(input_shape=INPUT_SHAPE, batch=2, backend=resolved,
-                memory_budget=None, fold_bn=False, elide_dead=True)
+                memory_budget=None, fold_bn=False)
     first = api.plan_address(report, **base)
     assert first == api.plan_address(report, **base)  # deterministic
     assert first != api.plan_address(report, **{**base, "batch": 4})

@@ -16,6 +16,7 @@ forwards are bit-identical in both working precisions.
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -88,6 +89,36 @@ class TestSpecRoundTrip:
         assert config_to_dict(rebuilt) == payload
 
 
+def _totals_only(*path):
+    def mutate(payload):
+        *parents, last = path
+        for name in parents:
+            payload = payload[name]
+        payload[last] = {"total_energy": payload[last]["total_energy"],
+                         "total_latency": payload[last]["total_latency"]}
+    return mutate
+
+
+#: Report damage no current writer produces -> the error it must raise.
+UNREADABLE = {
+    "dense_hardware": (_totals_only("dense_hardware"),
+                       "report payload 'dense_hardware' lacks the key "
+                       "'layers'"),
+    "compressed_hardware": (_totals_only("compressed_hardware"),
+                            "report payload 'compressed_hardware' lacks the "
+                            "key 'layers'"),
+    "dense.hardware": (_totals_only("dense", "hardware"),
+                       "report payload 'dense.hardware' lacks the key "
+                       "'layers'"),
+    "spec-untagged": (lambda payload: payload["spec"].pop("schema"),
+                      "unsupported spec schema None"),
+    "spec-no-method": (lambda payload: payload["spec"].pop("method"),
+                       "spec payload lacks the required key 'method'"),
+    "profile-untagged": (lambda payload: payload.update(profile={}),
+                         "unsupported run-profile schema None"),
+}
+
+
 @pytest.mark.parametrize("method", METHODS)
 class TestReportRoundTrip:
     @pytest.fixture(scope="class")
@@ -127,18 +158,29 @@ class TestReportRoundTrip:
             assert back.energy_by_level() == original.energy_by_level()
             assert back.grouped_latency() == original.grouped_latency()
 
-    def test_legacy_totals_only_hardware_payloads_still_load(self, method,
-                                                             reports):
-        report = reports(method)
-        payload = json_round_trip(report.to_dict())
-        for key in ("dense_hardware", "compressed_hardware"):
-            payload[key] = {"total_energy": payload[key]["total_energy"],
-                            "total_latency": payload[key]["total_latency"]}
-        rebuilt = api.CompressionReport.from_dict(payload)
-        assert rebuilt.energy_reduction == pytest.approx(
-            report.energy_reduction)
-        assert rebuilt.latency_reduction == pytest.approx(
-            report.latency_reduction)
+    @pytest.mark.parametrize("damage", list(UNREADABLE))
+    def test_retired_payloads_raise(self, method, reports, damage):
+        """Totals-only hardware, an untagged or method-less spec and an
+        untagged run profile are rejected by name, directly and as a warned
+        cache miss — never read as an empty report or a bare TypeError."""
+        mutate, message = UNREADABLE[damage]
+        payload = json_round_trip(reports(method).to_dict())
+        mutate(payload)
+        with pytest.raises(ValueError) as caught:
+            api.CompressionReport.from_dict(payload)
+        assert message in str(caught.value)
+        store = api.MemoryReportCache()
+        key = api.CacheKey(method=method, spec="a" * 64, model="b" * 64,
+                           data="c" * 64)
+        store._write("entry", key.combined, json.dumps({
+            "schema": api.CACHE_ENTRY_SCHEMA, "key": key.to_dict(),
+            "spec": payload["spec"], "report": payload,
+            "report_digest": api.payload_digest(payload),
+            "checkpoint": False, "warm_source": None}).encode("utf-8"))
+        with pytest.warns(api.CacheIntegrityWarning,
+                          match=re.escape(message)):
+            assert store.get(key) is None
+        assert store.stats().misses == 1
 
     def test_cached_replay_equals_the_original(self, method, reports):
         """The cache stores and replays through exactly this round trip."""

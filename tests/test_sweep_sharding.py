@@ -388,7 +388,8 @@ class TestSerialization:
 
     def test_spec_from_dict_rejects_unknown_fields(self):
         with pytest.raises(ValueError, match="unknown"):
-            api.CompressionSpec.from_dict({"method": "alf", "gpu": True})
+            api.CompressionSpec.from_dict(
+                {**api.CompressionSpec(method="alf").to_dict(), "gpu": True})
 
     @pytest.fixture(scope="class")
     def report(self):

@@ -2,13 +2,13 @@
 
 The contracts pinned here:
 
-* Every parsed wire kind rejects a payload tagged with another version
-  with ``unsupported <kind> schema <got>: expected '<tag>'``, and a
-  payload that is not a JSON object (a list, a string, ``null``) with a
-  ``TypeError`` naming the kind — never an ``AttributeError``.  Kinds read
-  from a store degrade to a :class:`~repro.api.CacheIntegrityWarning`
-  plus a miss; worker frames raise
-  :class:`~repro.api.RemoteWorkerError`.
+* Every parsed wire kind rejects a payload tagged with another version,
+  or with no tag, with ``unsupported <kind> schema <got>: expected
+  '<tag>'``, and a payload that is not a JSON object (a list, a string,
+  ``null``) with a ``TypeError`` naming the kind — never an
+  ``AttributeError``.  Kinds read from a store degrade to a
+  :class:`~repro.api.CacheIntegrityWarning` plus a miss; worker frames
+  raise :class:`~repro.api.RemoteWorkerError`.
 * Every kind without a round-trip test elsewhere (job, failure,
   op-profile, run-profile, cache entry) is a serialization fixed point:
   serialize → JSON → deserialize → serialize is byte-equal, and the
@@ -43,8 +43,7 @@ from repro.models import build_model
 from repro.nn.backend import Backend
 from repro.nn.profiler import (PROFILE_SCHEMA, RUN_PROFILE_SCHEMA, OpProfile,
                                RunProfile)
-from repro.wire import (array_from_payload, array_to_payload, check_schema,
-                        payload_digest)
+from repro.wire import array_from_payload, array_to_payload, payload_digest
 
 FIXTURE_ENTRY = os.path.join(
     os.path.dirname(__file__), "data", "cache_store", "entries",
@@ -116,7 +115,7 @@ READERS = {
 NON_OBJECTS = {"list": [1, 2], "string": "x", "null": None}
 
 
-@pytest.mark.parametrize("bad", ["wrong-tag", *NON_OBJECTS])
+@pytest.mark.parametrize("bad", ["wrong-tag", "untagged", *NON_OBJECTS])
 @pytest.mark.parametrize("site", list(READERS))
 def test_every_kind_rejects_wrong_tags_and_non_objects(site, bad):
     kind, tag, read = READERS[site]
@@ -125,21 +124,12 @@ def test_every_kind_rejects_wrong_tags_and_non_objects(site, bad):
         message = read({"schema": wrong})
         assert f"unsupported {kind} schema '{wrong}': expected '{tag}'" \
             in message
+    elif bad == "untagged":
+        message = read({})
+        assert f"unsupported {kind} schema None: expected '{tag}'" in message
     else:
         message = read(NON_OBJECTS[bad])
         assert f"{kind} payload must be a JSON object" in message
-
-
-def test_untagged_payloads_pass_only_for_kinds_older_than_their_tag():
-    # Specs and run profiles accept pre-tag payloads, so a round trip would
-    # not notice if to_dict() stopped tagging them.
-    assert api.CompressionSpec(method="magnitude").to_dict()["schema"] == \
-        SPEC_SCHEMA
-    assert RunProfile().to_dict()["schema"] == RUN_PROFILE_SCHEMA
-    assert api.CompressionSpec.from_dict({"method": "fpgm"}).method == "fpgm"
-    assert RunProfile.from_dict({}).phases() == {}
-    with pytest.raises(ValueError, match="expected 'repro-plan/2'"):
-        check_schema({}, PLAN_SCHEMA)
 
 
 def canonical_job():
