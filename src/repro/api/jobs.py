@@ -268,7 +268,8 @@ class SweepJob:
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "SweepJob":
-        check_schema(payload, JOB_SCHEMA)
+        check_schema(payload, JOB_SCHEMA, required=(
+            "spec", "model", "seed", "dense", "dense_digest"))
         dense_payload = payload["dense"]
         if payload.get("dense_digest") != payload_digest(dense_payload):
             raise ValueError(
@@ -546,7 +547,10 @@ class _RemotePool(ThreadPoolExecutor):
             error = result.get("error") or {}
             raise RemoteJobError(error.get("type", "Exception"),
                                  error.get("message", ""))
-        return CompressionReport.from_dict(result["report"])
+        try:
+            return CompressionReport.from_dict(result.get("report"))
+        except (TypeError, ValueError) as exc:
+            raise RemoteWorkerError(f"malformed job result: {exc}") from None
 
     def shutdown(self, wait: bool = True, **kwargs) -> None:
         super().shutdown(wait=wait, **kwargs)

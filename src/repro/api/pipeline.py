@@ -83,6 +83,8 @@ class DenseBaseline:
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "DenseBaseline":
+        if "cost" not in payload:
+            raise ValueError("dense payload lacks the required key 'cost'")
         return cls(
             profile=None,  # type: ignore[arg-type]  # dropped by the wire format
             cost=dict(payload["cost"]),
@@ -243,7 +245,9 @@ class CompressionReport:
         """Rebuild a (model-free) report from :meth:`to_dict` output."""
         from ..hardware.layer import ConvLayerShape
 
-        check_schema(payload, REPORT_SCHEMA)
+        check_schema(payload, REPORT_SCHEMA, required=(
+            "method", "policy", "spec", "dense", "cost",
+            "remaining_filter_fraction"))
         spec = CompressionSpec.from_dict(payload["spec"])
         compressed = CompressedModel(
             model=None,  # type: ignore[arg-type]  # dropped by the wire format

@@ -374,15 +374,13 @@ class CompressionSpec:
         version are rejected outright — a future ``repro-spec/2`` must not
         be silently misparsed as today's fields.
         """
-        check_schema(payload, SPEC_SCHEMA)
+        check_schema(payload, SPEC_SCHEMA, required=("method",))
         data = dict(payload)
         data.pop("schema")
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"unknown CompressionSpec fields: {sorted(unknown)}")
-        if "method" not in data:
-            raise ValueError("spec payload lacks the required key 'method'")
         data["config"] = config_from_dict(data.get("config"))
         if data.get("input_shape") is not None:
             data["input_shape"] = tuple(data["input_shape"])

@@ -11,8 +11,9 @@ remaining fully reproducible.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, List, Optional, Tuple
 
 from .dataflow import SpatialMapping, map_row_stationary
@@ -49,7 +50,7 @@ class Tiling:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class AccessCounts:
     """Word-granularity access counts per memory level for one layer."""
 
@@ -65,9 +66,13 @@ class AccessCounts:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class Mapping:
-    """A fully evaluated mapping: spatial + temporal tiling + access counts."""
+    """A fully evaluated mapping: spatial + temporal tiling + access counts.
+
+    Frozen, like every part of it: memoized mappings are shared between
+    all layers of one geometry.
+    """
 
     layer: ConvLayerShape
     spatial: SpatialMapping
@@ -139,9 +144,23 @@ def search_mapping(layer: ConvLayerShape, spec: EyerissSpec,
                    max_candidates: int = 100_000) -> Mapping:
     """Exhaustively search the tiling space and return the lowest-energy mapping.
 
+    The search reads only the layer's geometry, so its result is memoized
+    per process by ``(geometry, spec, max_candidates)``; the returned
+    mapping carries the caller's own ``layer``.
+
     Raises ``RuntimeError`` if no feasible mapping exists (which for the
     modelled buffer sizes only happens for degenerate layers).
     """
+    best = _search_geometry(replace(layer, name=""), spec, max_candidates)
+    if best is None:
+        raise RuntimeError(f"no feasible mapping found for layer '{layer.name}'")
+    return replace(best, layer=layer)
+
+
+@functools.lru_cache(maxsize=4096)
+def _search_geometry(layer: ConvLayerShape, spec: EyerissSpec,
+                     max_candidates: int) -> Optional[Mapping]:
+    """The search behind :func:`search_mapping`; ``None`` when nothing fits."""
     spatial = map_row_stationary(layer, spec)
     best: Optional[Mapping] = None
     evaluated = 0
@@ -159,6 +178,4 @@ def search_mapping(layer: ConvLayerShape, spec: EyerissSpec,
                 if best is None or energy < best.energy:
                     best = Mapping(layer=layer, spatial=spatial, tiling=tiling,
                                    accesses=accesses, energy=energy)
-    if best is None:
-        raise RuntimeError(f"no feasible mapping found for layer '{layer.name}'")
     return best

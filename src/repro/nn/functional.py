@@ -7,6 +7,11 @@ with an im2col lowering (:func:`im2col`, shared with compiled plans via
 multiply, which keeps pure-numpy training of the small CNNs used in the
 ALF paper tractable.
 
+Conv backward computes the input gradient of a stride-1 conv (padding at
+most ``k - 1``) as a transposed conv: im2col over the zero-padded output
+gradient and one GEMM with the flipped, channel-transposed filters.
+:func:`col2im` scatter-add remains only for strided convs and pools.
+
 The conv/pool primitives are **registered ops** (see
 :func:`repro.nn.tensor.register_op`): their backward rules live next to
 the forward code, no per-call closures are allocated, and under
@@ -130,6 +135,32 @@ def _conv2d_fwd(x, weight, *bias, stride, padding):
     return out, ctx
 
 
+def _conv2d_grad_input(grad, w_mat, x_shape, kernel, stride, padding):
+    """Input gradient of a convolution with ``(Co, Ci*kh*kw)`` filters ``w_mat``.
+
+    A stride-1 conv whose padding is at most ``k - 1`` on each axis has
+    the transposed conv as its input gradient: the output gradient,
+    zero-padded by ``k - 1 - p``, correlated with the spatially flipped,
+    channel-transposed filters -- one :func:`im2col` and one GEMM.  Every
+    other conv scatters the column gradient back with :func:`col2im`.
+    """
+    n, ci, h, w = x_shape
+    co = w_mat.shape[0]
+    kh, kw = kernel
+    ph, pw = padding
+    grad_mat = grad.reshape(n, co, -1)
+    if stride != (1, 1) or ph >= kh or pw >= kw:
+        grad_cols = np.einsum("of,nol->nfl", w_mat, grad_mat, optimize=True)
+        return col2im(grad_cols, x_shape, kernel, stride, padding,
+                      grad.shape[2:])
+    if (kh, kw, ph, pw) == (1, 1, 0, 0):
+        return (w_mat.T @ grad_mat).reshape(x_shape)
+    w_flip = w_mat.reshape(co, ci, kh, kw)[:, :, ::-1, ::-1]
+    w_t = w_flip.transpose(1, 0, 2, 3).reshape(ci, co * kh * kw)
+    grad_cols, _ = im2col(grad, kernel, (1, 1), (kh - 1 - ph, kw - 1 - pw))
+    return (w_t @ grad_cols).reshape(n, ci, h, w)
+
+
 def _conv2d_bwd(ctx, grad, needs):
     cols, w_mat, x_shape, w_shape, kernel, stride, padding, out_hw, b_shape = ctx
     n = x_shape[0]
@@ -141,8 +172,8 @@ def _conv2d_bwd(ctx, grad, needs):
         grad_w = np.einsum("nol,nfl->of", grad_mat, cols,
                            optimize=True).reshape(w_shape)
     if needs[0]:
-        grad_cols = np.einsum("of,nol->nfl", w_mat, grad_mat, optimize=True)
-        grad_x = col2im(grad_cols, x_shape, kernel, stride, padding, out_hw)
+        grad_x = _conv2d_grad_input(grad, w_mat, x_shape, kernel, stride,
+                                    padding)
     if len(needs) > 2 and needs[2]:
         grad_b = grad.sum(axis=(0, 2, 3)).reshape(b_shape)
     return (grad_x, grad_w, grad_b)[:len(needs)]

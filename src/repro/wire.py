@@ -11,7 +11,9 @@ This module is the one home of what those kinds have in common:
   object (``TypeError`` otherwise) carrying exactly its kind's tag
   (``ValueError`` otherwise, worded ``unsupported <kind> schema <got>:
   expected '<tag>'``), so a payload with no tag or a future ``/2`` one
-  fails loudly instead of being misparsed.
+  fails loudly instead of being misparsed.  A tagged payload missing one
+  of its kind's required keys is a ``ValueError`` worded ``<kind> payload
+  lacks the required key '<key>'``, never a bare ``KeyError``.
 * :func:`array_to_payload` / :func:`array_from_payload` — the one
   base64-npy array codec (job datasets, warm-start states, plan
   containers shipped to workers as ``uint8`` arrays).
@@ -41,13 +43,14 @@ import base64
 import hashlib
 import io
 import json
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Dict, Mapping, Optional, Sequence
 
 import numpy as np
 
 
-def check_schema(payload: Any, tag: str) -> None:
-    """Raise unless ``payload`` is a JSON object tagged ``tag``.
+def check_schema(payload: Any, tag: str, required: Sequence[str] = ()) -> None:
+    """Raise unless ``payload`` is a JSON object tagged ``tag`` that
+    carries every key in ``required``.
 
     The kind named in errors is the tag without its ``repro-`` prefix and
     version (``repro-cache-entry/1`` → ``cache-entry``).
@@ -61,6 +64,9 @@ def check_schema(payload: Any, tag: str) -> None:
     if schema != tag:
         raise ValueError(
             f"unsupported {kind} schema {schema!r}: expected '{tag}'")
+    for key in required:
+        if key not in payload:
+            raise ValueError(f"{kind} payload lacks the required key '{key}'")
 
 
 def array_to_payload(array: np.ndarray) -> Dict[str, str]:

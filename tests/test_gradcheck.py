@@ -71,6 +71,10 @@ def gradcheck(fn, *arrays, dtype=np.float64, seed=0):
     return True
 
 
+#: (kernel, padding) of every square conv with padding up to ``k - 1``.
+CONV_GEOMETRIES = [(k, p) for k in (1, 3, 5) for p in range(k)]
+
+
 @pytest.fixture(params=[np.float64, np.float32], ids=["float64", "float32"])
 def dtype(request):
     return request.param
@@ -93,6 +97,25 @@ class TestFunctionalGradcheck:
         x = rng.standard_normal((1, 2, 5, 5))
         w = rng.standard_normal((3, 2, 3, 3)) * 0.5
         gradcheck(lambda x_, w_: F.conv2d(x_, w_, stride=1, padding=0),
+                  x, w, dtype=dtype)
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("kernel, padding", CONV_GEOMETRIES)
+    def test_conv2d_geometry(self, dtype, rng, kernel, padding, stride):
+        """Stride 1 runs the transposed-conv input gradient, stride 2 the
+        ``col2im`` scatter; both over every padding up to ``k - 1``."""
+        x = rng.standard_normal((2, 2, 7, 6))
+        w = rng.standard_normal((3, 2, kernel, kernel)) * 0.5
+        b = rng.standard_normal(3)
+        gradcheck(lambda x_, w_, b_: F.conv2d(x_, w_, b_, stride=stride,
+                                              padding=padding),
+                  x, w, b, dtype=dtype)
+
+    def test_conv2d_padding_beyond_kernel(self, dtype, rng):
+        """Padding ``> k - 1`` on one axis falls back to ``col2im``."""
+        x = rng.standard_normal((2, 2, 5, 4))
+        w = rng.standard_normal((3, 2, 3, 1)) * 0.5
+        gradcheck(lambda x_, w_: F.conv2d(x_, w_, stride=1, padding=(1, 1)),
                   x, w, dtype=dtype)
 
     def test_max_pool2d(self, dtype, rng):
@@ -162,3 +185,28 @@ class TestFunctionalGradcheck:
         x = rng.standard_normal((5, 5))
         x = np.where(np.abs(x) < 0.1, 0.5, x)  # keep clear of the kink
         gradcheck(F.relu, x, dtype=dtype)
+
+
+def _pair_id(pair):
+    return "x".join(map(str, pair))
+
+
+@pytest.mark.parametrize("stride", [(1, 1), (2, 2), (1, 2)], ids=_pair_id)
+@pytest.mark.parametrize("kernel, padding", [
+    *(((k, k), (p, p)) for k, p in CONV_GEOMETRIES),
+    ((3, 1), (1, 0)), ((3, 1), (1, 1)), ((1, 3), (2, 1))], ids=_pair_id)
+def test_conv2d_grad_input_matches_col2im(kernel, padding, stride):
+    """The input gradient equals the ``col2im`` scatter of the column
+    gradient within float64 rounding, on both backward paths."""
+    rng = np.random.default_rng(3)
+    x = Tensor(rng.standard_normal((2, 3, 9, 8)), requires_grad=True)
+    w = Tensor(rng.standard_normal((4, 3) + kernel))
+    out = F.conv2d(x, w, stride=stride, padding=padding)
+    grad = rng.standard_normal(out.shape)
+    out.backward(grad)
+    w_mat = w.data.reshape(4, -1)
+    grad_cols = np.einsum("of,nol->nfl", w_mat, grad.reshape(2, 4, -1))
+    reference = F.col2im(grad_cols, x.shape, kernel, stride, padding,
+                         out.shape[2:])
+    np.testing.assert_allclose(x.grad, reference, rtol=0,
+                               atol=1e-13 * np.abs(reference).max())

@@ -1,5 +1,8 @@
 """Tests for the analytical Eyeriss hardware model: spec, dataflow, mapper, energy, latency."""
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +22,7 @@ from repro.hardware import (
     map_row_stationary,
     search_mapping,
 )
+from repro.hardware.mapper import _search_geometry
 from repro.models import plain8, plain20
 from repro.models.plain import plain_layer_names
 
@@ -156,6 +160,75 @@ class TestMapperEnergyLatency:
         huge = ConvLayerShape("huge", 4, 4, 500, (600, 600), stride=1, padding=0)
         with pytest.raises(RuntimeError):
             search_mapping(huge, EYERISS_PAPER)
+
+
+class TestMappingMemo:
+    """``search_mapping`` is memoized per geometry; reports never show it."""
+
+    @pytest.fixture(autouse=True)
+    def cold(self):
+        _search_geometry.cache_clear()
+        yield
+        _search_geometry.cache_clear()
+
+    def test_reports_are_byte_equal_cold_and_warm(self, rng):
+        dense = plain8(rng=rng)
+        alf = plain8(rng=rng)
+        convert_to_alf(alf, ALFConfig(), rng=rng)
+
+        def payloads():
+            return [json.dumps(evaluate_model(model, (3, 16, 16), batch=2,
+                                              name=name).to_dict())
+                    for name, model in (("dense", dense), ("alf", alf))]
+
+        cold = payloads()
+        misses = _search_geometry.cache_info().misses
+        warm = payloads()
+        assert warm == cold
+        info = _search_geometry.cache_info()
+        assert info.misses == misses and info.hits >= misses
+        _search_geometry.cache_clear()
+        assert payloads() == cold
+
+    def test_same_geometry_keeps_each_layer_name(self):
+        report = evaluate_layers([make_layer(name="conv_a"),
+                                  make_layer(name="conv_b")])
+        assert _search_geometry.cache_info().misses == 1
+        for entry, name in zip(report.layers, ("conv_a", "conv_b")):
+            assert entry.mapping.layer.name == name
+            assert entry.energy.name == name
+            assert entry.latency.name == name
+            assert entry.to_dict()["energy"]["name"] == name
+            assert entry.to_dict()["latency"]["name"] == name
+
+    def test_max_candidates_and_spec_are_part_of_the_key(self):
+        layer = make_layer(batch=4)
+        small_buffer = EyerissSpec(global_buffer_bytes=8 * 1024).validate()
+        variants = [(EYERISS_PAPER, 100_000), (EYERISS_PAPER, 1),
+                    (small_buffer, 100_000)]
+        cold = []
+        for spec, limit in variants:
+            _search_geometry.cache_clear()
+            cold.append(search_mapping(layer, spec, max_candidates=limit))
+        assert len({(m.tiling, m.energy) for m in cold}) == len(variants)
+        _search_geometry.cache_clear()
+        warm = [search_mapping(layer, spec, max_candidates=limit)
+                for spec, limit in variants]
+        assert warm == cold
+        assert _search_geometry.cache_info().misses == len(variants)
+
+    def test_shared_mappings_are_frozen(self):
+        mapping = search_mapping(make_layer(), EYERISS_PAPER)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            mapping.energy = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            mapping.accesses.dram = 0
+
+    def test_infeasible_error_names_the_callers_layer(self):
+        for name in ("first", "second"):
+            huge = ConvLayerShape(name, 4, 4, 500, (600, 600))
+            with pytest.raises(RuntimeError, match=f"layer '{name}'"):
+                search_mapping(huge, EYERISS_PAPER)
 
 
 class TestNetworkReports:

@@ -9,6 +9,9 @@ The contracts pinned here:
   ``AttributeError``.  Kinds read from a store degrade to a
   :class:`~repro.api.CacheIntegrityWarning` plus a miss; worker frames
   raise :class:`~repro.api.RemoteWorkerError`.
+* A correctly tagged report or job payload with a required key dropped
+  raises a ``ValueError`` naming the kind and the key, never a bare
+  ``KeyError``.
 * Every kind without a round-trip test elsewhere (job, failure,
   op-profile, run-profile, cache entry) is a serialization fixed point:
   serialize → JSON → deserialize → serialize is byte-equal, and the
@@ -32,7 +35,7 @@ import numpy as np
 import pytest
 
 import repro.api as api
-from repro.api.jobs import _WorkerProcess
+from repro.api.jobs import _RemotePool, _WorkerProcess
 from repro.api.pipeline import REPORT_SCHEMA
 from repro.api.spec import SPEC_SCHEMA
 from repro.data import SyntheticImageDataset
@@ -72,13 +75,30 @@ def _stored_plan(payload):
     return str(caught[0].message)
 
 
-def _worker_frame(payload):
+def _answering_worker(payload):
+    """A worker process stand-in whose one answer is ``payload``."""
     worker = _WorkerProcess.__new__(_WorkerProcess)
     worker.process = SimpleNamespace(
         stdin=io.StringIO(), stdout=io.StringIO(json.dumps(payload) + "\n"),
         poll=lambda: None)
+    return worker
+
+
+def _worker_frame(payload):
     with pytest.raises(api.RemoteWorkerError) as caught:
-        worker.roundtrip({"op": "ping"})
+        _answering_worker(payload).roundtrip({"op": "ping"})
+    return str(caught.value)
+
+
+def _worker_result_frame(payload):
+    """The pool's message for a worker that answered a job with ``payload``."""
+    pool = _RemotePool(max_workers=1)
+    pool._local.worker = _answering_worker(payload)
+    try:
+        with pytest.raises(api.RemoteWorkerError) as caught:
+            pool._run_job(canonical_job().to_dict())
+    finally:
+        pool.shutdown()
     return str(caught.value)
 
 
@@ -217,6 +237,66 @@ def test_every_kind_is_a_serialization_fixed_point(kind):
 
 def test_canonical_job_bytes_are_pinned():
     assert payload_digest(canonical_job().to_dict()) == CANONICAL_JOB_DIGEST
+
+
+def _stored_report():
+    with open(FIXTURE_ENTRY, encoding="utf-8") as handle:
+        return json.load(handle)["report"]
+
+
+def _dropped(payload, path):
+    *parents, last = path.split(".")
+    nested = payload
+    for name in parents:
+        nested = nested[name]
+    del nested[last]
+    return payload
+
+
+#: (kind, payload builder, key path) of every key a tagged report or job
+#: payload cannot be read without.
+REQUIRED_KEYS = [
+    *(("report", _stored_report, key) for key in (
+        "method", "policy", "spec", "dense", "cost",
+        "remaining_filter_fraction", "dense.cost")),
+    *(("job", lambda: canonical_job().to_dict(), key) for key in (
+        "spec", "model", "seed", "dense", "dense_digest")),
+]
+
+
+@pytest.mark.parametrize("kind, build, path", REQUIRED_KEYS,
+                         ids=[f"{kind}-{path}" for kind, _, path
+                              in REQUIRED_KEYS])
+def test_payloads_missing_a_required_key_name_the_kind_and_key(kind, build,
+                                                               path):
+    """A dropped key is a ``ValueError`` naming the kind and the key,
+    directly, as a warned cache miss (reports), as a worker's error frame
+    (jobs) and as a :class:`~repro.api.RemoteWorkerError` when a worker's
+    result frame carries the damaged report -- never a bare ``KeyError``."""
+    payload = _dropped(build(), path)
+    parent, key = (path.rsplit(".", 1) if "." in path else (kind, path))
+    message = f"{parent} payload lacks the required key '{key}'"
+    read = (api.CompressionReport.from_dict if kind == "report"
+            else api.SweepJob.from_dict)
+    with pytest.raises(ValueError, match=message):
+        read(payload)
+    if kind == "job":
+        stdout = io.StringIO()
+        api.worker_main(io.StringIO(json.dumps(payload) + "\n"), stdout)
+        result = json.loads(stdout.getvalue())
+        assert result["ok"] is False
+        assert result["error"] == {"type": "ValueError", "message": message}
+        return
+    assert message in _stored_entry({
+        "schema": api.CACHE_ENTRY_SCHEMA,
+        "key": {"method": "magnitude", "spec": "a" * 64, "model": "b" * 64,
+                "data": "c" * 64},
+        "spec": _stored_report()["spec"], "report": payload,
+        "report_digest": payload_digest(payload), "checkpoint": False,
+        "warm_source": None})
+    assert message in _worker_result_frame({
+        "schema": api.JOB_RESULT_SCHEMA, "job_id": 0, "ok": True,
+        "report": payload})
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
