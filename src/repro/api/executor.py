@@ -63,13 +63,14 @@ ExecutorLike = Union[str, "SweepExecutor"]
 # --------------------------------------------------------------------------- #
 @contextmanager
 def op_hook_isolation():
-    """Restore the op-hook list on exit, even when the body raises.
+    """Restore the op-observer list on exit, even when the body raises.
 
-    A hook installed (or leaked through an exception) inside a sweep shard
-    must never observe — or slow down — the specs that follow it.  The
-    restore may fire while a ``profile_ops`` / ``collect_profile`` context
-    opened inside the shard is still active; that context's own cleanup
-    stays safe because :func:`repro.nn.remove_op_hook` is idempotent.
+    The one list carries profilers and plan traces alike, so an observer
+    installed (or leaked through an exception) inside a sweep shard can
+    never observe — or slow down — the specs that follow it.  The restore
+    may fire while an ``observe_ops`` / ``collect_profile`` context opened
+    inside the shard is still active; that context's own cleanup stays
+    safe because :func:`repro.nn.remove_op_hook` is idempotent.
     """
     hooks = installed_op_hooks()
     try:

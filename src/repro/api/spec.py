@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field, replace
+from numbers import Integral, Real
 from typing import Any, Dict, Mapping, Optional, Sequence, Tuple, Union
 
 from ..core.config import ALFConfig
@@ -154,7 +155,7 @@ class LowRankSpec:
 
 
 # --------------------------------------------------------------------------- #
-# Wire format for configs
+# Wire format for configs and spec fields
 # --------------------------------------------------------------------------- #
 #: Config classes reconstructible from the wire format, by type name.
 _CONFIG_TYPES: Dict[str, type] = {}
@@ -190,23 +191,56 @@ def config_to_dict(config: Any) -> Optional[Dict[str, Any]]:
     return {"type": name, "fields": _jsonify(dataclasses.asdict(config))}
 
 
+def _from_fields(cls: type, fields: Mapping[str, Any]) -> Any:
+    """``cls(**fields)``, with unknown field names a ``ValueError``."""
+    unknown = set(fields) - {f.name for f in dataclasses.fields(cls)}
+    if unknown:
+        raise ValueError(f"unknown {cls.__name__} fields: {sorted(unknown)}")
+    return cls(**fields)
+
+
 def config_from_dict(payload: Optional[Mapping[str, Any]]) -> Any:
     """Rebuild a per-method config from :func:`config_to_dict` output."""
     if payload is None:
         return None
+    if "type" not in payload:
+        raise ValueError("config payload lacks the required key 'type'")
     name = payload["type"]
     if name not in _CONFIG_TYPES:
-        raise TypeError(f"unknown config type '{name}' in wire payload")
+        raise ValueError(f"unknown config type '{name}' in wire payload")
     cls = _CONFIG_TYPES[name]
     fields = dict(payload.get("fields") or {})
     if cls is ALFSpec:
         if fields.get("alf") is not None:
-            fields["alf"] = ALFConfig(**fields["alf"])
+            fields["alf"] = _from_fields(ALFConfig, fields["alf"])
         # JSON stringifies integer mapping keys; undo that on the way in.
         if fields.get("stage_remaining") is not None:
             fields["stage_remaining"] = {int(k): float(v)
                                          for k, v in fields["stage_remaining"].items()}
-    return cls(**fields)
+    return _from_fields(cls, fields)
+
+
+#: The JSON type of each :class:`CompressionSpec` wire field: ``None``
+#: marks an optional field and ``[kind]`` a list of ``kind``; ``config`` is
+#: checked by :func:`config_from_dict`.
+_WIRE_TYPES: Dict[str, Tuple[Any, ...]] = {
+    "method": (str,), "model": (str, None), "input_shape": ([Integral], None),
+    "epochs": (Integral,), "finetune_epochs": (Integral, None), "lr": (Real,),
+    "conv_only": (bool,), "hardware_batch": (Integral,),
+    "layer_names": ([str], None), "dtype": (str, None),
+    "backend": (str, None), "profile": (bool,), "seed": (Integral,),
+    "label": (str, None),
+}
+
+
+def _is_wire(value: Any, kind: Any) -> bool:
+    """Whether ``value`` has wire type ``kind``; a ``bool`` is no number."""
+    if isinstance(kind, list):
+        return (isinstance(value, (list, tuple))
+                and all(_is_wire(item, kind[0]) for item in value))
+    if kind is None:
+        return value is None
+    return isinstance(value, kind) and isinstance(value, bool) == (kind is bool)
 
 
 # --------------------------------------------------------------------------- #
@@ -377,16 +411,17 @@ class CompressionSpec:
         check_schema(payload, SPEC_SCHEMA, required=("method",))
         data = dict(payload)
         data.pop("schema")
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown CompressionSpec fields: {sorted(unknown)}")
+        for name, value in data.items():
+            kinds = _WIRE_TYPES.get(name, ())
+            if kinds and not any(_is_wire(value, kind) for kind in kinds):
+                raise ValueError(
+                    f"spec field '{name}' has the wrong type: {value!r}")
         data["config"] = config_from_dict(data.get("config"))
         if data.get("input_shape") is not None:
             data["input_shape"] = tuple(data["input_shape"])
         if data.get("layer_names") is not None:
             data["layer_names"] = tuple(data["layer_names"])
-        return cls(**data)
+        return _from_fields(cls, data)
 
 
 _register_config_types()

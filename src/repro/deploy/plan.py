@@ -1,7 +1,7 @@
 """Trace-based compilation of a model into a static inference plan.
 
 :func:`compile` runs abstract forward passes of a model at ``batch`` and
-``batch + 1`` under the op tracer (:func:`repro.nn.trace_ops`),
+``batch + 1`` under an op observer (:func:`repro.nn.observe_ops`),
 reconstructs the dataflow graphs of registered ops, optimizes them
 (constant freezing, optional BatchNorm folding, activation fusion,
 dead-code elimination), pairs them into one symbolic-batch program and
@@ -47,54 +47,11 @@ from ..nn.backend import (Backend, BackendLike, current_backend, get_backend,
                           use_backend)
 from ..nn.functional import im2col_out
 from ..nn.module import Module
-from ..nn.tensor import (
-    Tensor,
-    add_op_hook,
-    current_layer,
-    no_grad,
-    remove_op_hook,
-    trace_ops,
-)
+from ..nn.tensor import OpRecord, Tensor, no_grad, observe_ops
 from .arena import ArenaStats, BufferArena, BufferRef
 from .tiling import MIN_BAND_ROWS, StreamedConv, band_overrun, band_plan
 
 __all__ = ["compile", "InferencePlan", "PlanStats"]
-
-
-# --------------------------------------------------------------------------- #
-# Tracing
-# --------------------------------------------------------------------------- #
-class _TraceRecord:
-    __slots__ = ("op", "arrays", "kwargs", "out", "layer")
-
-    def __init__(self, op, arrays, kwargs, out, layer):
-        self.op = op
-        self.arrays = arrays
-        self.kwargs = kwargs
-        self.out = out
-        self.layer = layer
-
-
-class _Tracer:
-    """Collects one :class:`_TraceRecord` per executed op, in order.
-
-    Records hold references to every input/output array, so ``id()`` keys
-    stay unique for the lifetime of the trace.
-    """
-
-    def __init__(self):
-        self.records: List[_TraceRecord] = []
-
-    def record(self, op, arrays, kwargs, out) -> None:
-        self.records.append(
-            _TraceRecord(op, arrays, dict(kwargs), out, current_layer()))
-
-
-def _noop_hook(name: str, seconds: float, layer: str) -> None:
-    # Installed during tracing only so Module.__call__ pushes layer scopes
-    # (current_layer() then yields the same dot paths the eager profiler
-    # reports).
-    pass
 
 
 # --------------------------------------------------------------------------- #
@@ -149,7 +106,7 @@ class _Graph:
         return uses
 
 
-def _build_graph(records: List[_TraceRecord], input_array: np.ndarray,
+def _build_graph(records: List[OpRecord], input_array: np.ndarray,
                  output_array: np.ndarray) -> _Graph:
     values: Dict[int, _Value] = {}
     input_value = _Value("input", input_array.shape, input_array.dtype)
@@ -1017,16 +974,12 @@ def _trace_graph(model: Module, backend: Backend, batch: int,
                  input_shape) -> _Graph:
     """Trace one eval-mode forward at ``batch`` into a dataflow graph."""
     dummy = Tensor(np.zeros((batch,) + input_shape, dtype=backend.dtype))
-    tracer = _Tracer()
-    hook = add_op_hook(_noop_hook)
-    try:
-        with no_grad(), trace_ops(tracer):
-            out = model(dummy)
-    finally:
-        remove_op_hook(hook)
-    if not tracer.records:
+    records: List[OpRecord] = []
+    with no_grad(), observe_ops(records.append):
+        out = model(dummy)
+    if not records:
         raise ValueError("model executed no traceable ops")
-    return _build_graph(tracer.records, dummy.data, out.data)
+    return _build_graph(records, dummy.data, out.data)
 
 
 def _optimize_graph(graph: _Graph, *, fold_bn: bool,

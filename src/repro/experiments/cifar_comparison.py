@@ -139,24 +139,6 @@ def alf_compressed_cost(remaining_fraction: Optional[float] = None,
     return {"params": report.cost["params"], "ops": report.cost["ops"]}
 
 
-def amc_cost(ops_budget: float = 0.49, seed: int = 0,
-             iterations: int = 4, population: int = 8) -> Dict[str, float]:
-    """Params / OPs of an AMC-pruned ResNet-20 (cost-proxy agent search)."""
-    report = compress("resnet20", method="amc",
-                      config=AMCSpec(target_ops_fraction=ops_budget,
-                                     iterations=iterations, population=population),
-                      hardware=None, input_shape=CIFAR_INPUT, seed=seed)
-    return {"params": report.cost["params"], "ops": report.cost["ops"]}
-
-
-def fpgm_cost(prune_ratio: float = 0.3, seed: int = 0) -> Dict[str, float]:
-    """Params / OPs of an FPGM-pruned ResNet-20 with a uniform prune ratio."""
-    report = compress("resnet20", method="fpgm",
-                      config=FPGMSpec(prune_ratio=prune_ratio),
-                      hardware=None, input_shape=CIFAR_INPUT, seed=seed)
-    return {"params": report.cost["params"], "ops": report.cost["ops"]}
-
-
 def table2_cost_specs(seed: int = 0,
                       alf_remaining_fraction: Optional[float] = None
                       ) -> List[CompressionSpec]:
@@ -196,39 +178,6 @@ def _table2_cost_sweep(seed: int = 0,
                 print_progress("table2", total=len(specs)))
         session.submit_all(specs, fail_fast=True)
         return session.result()
-
-
-def table2_costs(seed: int = 0,
-                 alf_remaining_fraction: Optional[float] = None,
-                 workers: Optional[int] = None,
-                 executor: Optional[str] = None,
-                 profile: bool = False,
-                 stream: bool = False,
-                 cache: CacheArg = None) -> Dict[str, Dict[str, float]]:
-    """Cost columns of the compressed Table II rows, via one (sharded) sweep.
-
-    The three method evaluations share a single dense ResNet-20 and run in
-    parallel when ``workers`` / ``executor`` (or ``REPRO_SWEEP_EXECUTOR``)
-    select a parallel strategy; results are identical to the serial
-    per-method runs.  ``profile=True`` adds a ``"seconds"`` entry per
-    method: the measured wall-clock of one profiled inference batch of the
-    compressed model (collected inside the shard that ran the spec).
-    ``stream=True`` prints one progress line per scheduling milestone as
-    shard results stream back from the session.  ``cache`` is the result
-    cache knob (see :func:`repro.api.run_sweep`): a policy name, a store,
-    or ``(store, policy)``.
-    """
-    sweep = _table2_cost_sweep(seed=seed,
-                               alf_remaining_fraction=alf_remaining_fraction,
-                               workers=workers, executor=executor,
-                               profile=profile, stream=stream, cache=cache)
-    costs = {}
-    for report in sweep.reports:
-        entry = {"params": report.cost["params"], "ops": report.cost["ops"]}
-        if report.profile is not None and report.profile.eval is not None:
-            entry["seconds"] = report.profile.eval.total_seconds
-        costs[report.method] = entry
-    return costs
 
 
 # --------------------------------------------------------------------------- #

@@ -62,6 +62,7 @@ from .profiler import (
     profile_inference,
 )
 from .tensor import (
+    OpRecord,
     Tensor,
     add_op_hook,
     apply_op,
@@ -73,8 +74,8 @@ from .tensor import (
     is_grad_enabled,
     no_grad,
     ones,
+    observe_ops,
     op_hooks_active,
-    profile_ops,
     randn,
     register_op,
     registered_ops,
@@ -83,7 +84,6 @@ from .tensor import (
     set_grad_mode,
     stack,
     tape_nodes_created,
-    trace_ops,
     zeros,
 )
 
@@ -101,7 +101,7 @@ __all__ = [
     "set_grad_mode", "tape_nodes_created",
     "register_op", "registered_ops", "apply_op",
     "add_op_hook", "remove_op_hook", "installed_op_hooks", "restore_op_hooks",
-    "profile_ops", "op_hooks_active", "current_layer", "trace_ops",
+    "observe_ops", "OpRecord", "op_hooks_active", "current_layer",
     # profiler: structured layer-scoped reports
     "OpProfile", "OpStat", "RunProfile", "collect_profile",
     "layer_op_seconds", "profile_inference",

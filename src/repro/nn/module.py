@@ -174,10 +174,10 @@ class Module:
         raise NotImplementedError
 
     def __call__(self, *args, **kwargs):
-        # Layer-scoped profiling: while op hooks are installed in this
-        # thread, nested module calls maintain a path stack so apply_op can
-        # attribute every op to its executing layer.  Without hooks the
-        # check is a single truthiness test and no scope is ever pushed.
+        # Layer scopes: while op observers are installed in this thread,
+        # nested module calls maintain a path stack so apply_op can
+        # attribute every op to its executing layer.  Without observers
+        # the check is a single truthiness test and no scope is pushed.
         if op_hooks_active():
             push_layer_scope(self._scope or type(self).__name__)
             try:

@@ -1,7 +1,8 @@
-"""Layer-scoped op profiling: structured reports over the op-hook surface.
+"""Layer-scoped op profiling: structured reports over the op-observer list.
 
-:func:`repro.nn.profile_ops` yields a raw ``{op: [calls, seconds]}`` dict;
-this module grows that into a first-class subsystem:
+Every op the engine runs reaches the observers installed with
+:func:`repro.nn.observe_ops` as one :class:`~repro.nn.tensor.OpRecord`;
+this module aggregates those records into a first-class subsystem:
 
 * :class:`OpProfile` — per-op **and per-layer** call counts / wall-clock of
   one profiled phase, with top-k tables, deterministic merging and a JSON
@@ -11,17 +12,19 @@ this module grows that into a first-class subsystem:
   (``dense`` / ``train`` / ``eval`` phases), surfaced on
   :attr:`repro.api.CompressionReport.profile`;
 * :func:`collect_profile` — the context manager filling an
-  :class:`OpProfile` through a thread-local op hook;
+  :class:`OpProfile` through a thread-local op observer;
 * :func:`profile_inference` — profile a single tape-free forward pass, the
   measured-wall-clock counterpart of the modeled Eyeriss evaluation.
 
 Layer attribution comes from the layer-scope stack ``Module.__call__``
-pushes while hooks are installed (see :mod:`repro.nn.tensor`): each op is
-recorded under the dot-joined module path of the innermost module call
+pushes while observers are installed (see :mod:`repro.nn.tensor`): each op
+is recorded under the dot-joined module path of the innermost module call
 executing it (e.g. ``"ResNet.stage1.layer0.conv1"``), or ``""`` when it
 runs outside any module forward (optimizer updates, loss arithmetic at the
-top level).  Profiling costs nothing when inactive — the no-hook fast path
-in ``apply_op`` and ``Module.__call__`` is a single truthiness check.
+top level).  Profiling costs nothing when inactive — the no-observer fast
+path in ``apply_op`` and ``Module.__call__`` is a single truthiness check.
+Every observer sees every op, so a plan compiled inside
+:func:`collect_profile` shows up as the ops of its trace forwards.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import numpy as np
 
 from ..wire import check_schema
 from .backend import get_default_dtype
-from .tensor import Tensor, add_op_hook, no_grad, remove_op_hook
+from .tensor import Tensor, no_grad, observe_ops
 
 #: Wire-format identifier of :meth:`OpProfile.to_dict` payloads.
 PROFILE_SCHEMA = "repro-op-profile/1"
@@ -85,10 +88,6 @@ class OpProfile:
         if layer_stat is None:
             layer_stat = per_layer[op] = OpStat()
         layer_stat.add(seconds)
-
-    def as_hook(self):
-        """An op hook (``(name, seconds, layer)``) recording into this profile."""
-        return lambda name, seconds, layer: self.record(name, seconds, layer)
 
     # -- aggregate views -------------------------------------------------- #
     @property
@@ -277,15 +276,12 @@ def collect_profile(into: Optional[OpProfile] = None):
     """Collect a structured :class:`OpProfile` while the context is active.
 
     Yields the profile being filled (``into`` when given, else a fresh
-    one).  Like every op hook the collection is thread-local; profile
+    one).  Like every op observer the collection is thread-local; profile
     inside a sweep shard, not around the sweep.
     """
     profile = into if into is not None else OpProfile()
-    hook = add_op_hook(profile.as_hook())
-    try:
+    with observe_ops(lambda r: profile.record(r.op.name, r.seconds, r.layer)):
         yield profile
-    finally:
-        remove_op_hook(hook)
 
 
 def profile_inference(model, input_shape: Tuple[int, ...],

@@ -19,11 +19,10 @@ operation), the explicit tape buys three things:
   their forwards and new ops plug in uniformly (see
   :mod:`repro.nn.functional` for conv/pool, :mod:`repro.nn.ste` for the
   straight-through estimators).
-* **Per-op profiling hooks** — :func:`add_op_hook` /
-  :func:`profile_ops` observe every op execution (name + wall-clock + the
-  executing layer's module path) with zero overhead when no hook is
-  installed; :mod:`repro.nn.profiler` builds structured per-layer reports
-  on top.
+* **One op-observation channel** — :func:`observe_ops` hands every
+  observer an :class:`OpRecord` per executed op, at zero overhead when
+  none is installed: :mod:`repro.nn.profiler` builds per-layer reports
+  from the records, :mod:`repro.deploy` the dataflow graph of a forward.
 
 Only the operations required by the ALF reproduction are implemented, but
 they are implemented completely (broadcasting, axis reductions, slicing)
@@ -36,7 +35,8 @@ import functools
 import threading
 import time
 from contextlib import contextmanager
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional,
+                    Sequence, Tuple, Union)
 
 import numpy as np
 
@@ -226,14 +226,26 @@ def tape_nodes_created() -> int:
     return _TAPE_NODES_CREATED
 
 
-# -- profiling hooks -------------------------------------------------------- #
-#: Per-thread hook lists: like the grad mode and scoped backends, hooks are
-#: thread-local so a ``profile_ops`` context in one sweep shard observes
-#: exactly its own ops — and a shard restoring its snapshot on exit cannot
-#: clobber a hook a concurrently-running shard installed.
+# -- op observers ------------------------------------------------------------ #
+class OpRecord(NamedTuple):
+    """One executed op: raw input/output arrays (a kept record keeps their
+    ``id()`` unique), wall-clock and :func:`current_layer` while it ran."""
+
+    op: Op
+    arrays: Tuple[np.ndarray, ...]
+    kwargs: Dict[str, object]
+    out: np.ndarray
+    seconds: float
+    layer: str
+
+
+#: Per-thread observer lists: like the grad mode and scoped backends,
+#: observers are thread-local so a profile or plan trace in one sweep shard
+#: sees exactly its own ops — and a shard restoring its snapshot on exit
+#: cannot clobber an observer a concurrently-running shard installed.
 _OP_HOOKS_TLS = threading.local()
 
-OpHook = Callable[[str, float, str], None]
+OpHook = Callable[[OpRecord], None]
 
 
 def _op_hooks() -> List[OpHook]:
@@ -244,22 +256,18 @@ def _op_hooks() -> List[OpHook]:
 
 
 def op_hooks_active() -> bool:
-    """Whether any op hook is installed in the calling thread.
+    """Whether any op observer is installed in the calling thread.
 
     This is the one check :meth:`repro.nn.Module.__call__` performs before
-    pushing a layer scope — the no-profile path stays a single truthiness
-    test, exactly like the hook fast path in :func:`apply_op`.
+    pushing a layer scope — the unobserved path stays a single truthiness
+    test, exactly like the observer fast path in :func:`apply_op`.
     """
     return bool(getattr(_OP_HOOKS_TLS, "hooks", None))
 
 
 def add_op_hook(hook: OpHook) -> OpHook:
-    """Install ``hook(op_name, seconds, layer)`` on every op run by this thread.
-
-    ``layer`` is the executing layer's module path (dot-joined
-    :func:`current_layer` of the innermost :class:`~repro.nn.Module` call),
-    or ``""`` for ops executed outside any module forward.
-    """
+    """Install ``hook(record)`` on every op run by this thread, whatever
+    the grad mode; each call gets that op's :class:`OpRecord`."""
     _op_hooks().append(hook)
     return hook
 
@@ -269,8 +277,8 @@ def remove_op_hook(hook: OpHook) -> None:
 
     Idempotency matters: sweep shards restore their op-hook snapshot via
     :func:`restore_op_hooks` on exit, and when that reset fires *inside* an
-    active :func:`profile_ops` / ``collect_profile`` context the context's
-    own hook is already gone by the time its ``finally`` runs.
+    active :func:`observe_ops` context the context's own hook is already
+    gone by the time its ``finally`` runs.
     """
     hooks = _op_hooks()
     try:
@@ -294,11 +302,22 @@ def restore_op_hooks(hooks: Iterable[OpHook]) -> None:
     _op_hooks()[:] = list(hooks)
 
 
+@contextmanager
+def observe_ops(hook: OpHook):
+    """Call ``hook(record)`` for every op this thread runs in the context;
+    observers nest, and every installed one sees every op."""
+    add_op_hook(hook)
+    try:
+        yield
+    finally:
+        remove_op_hook(hook)
+
+
 # -- layer scopes ------------------------------------------------------------ #
 #: Per-thread stack of module names pushed by ``Module.__call__`` while op
-#: hooks are installed; :func:`apply_op` joins it into the layer path handed
-#: to every hook.  Thread-local for the same reason the hooks are: a profiled
-#: shard must attribute ops to *its* layers only.
+#: observers are installed; :func:`apply_op` joins it into the layer path of
+#: every :class:`OpRecord`.  Thread-local for the same reason the observers
+#: are: an observed shard must attribute ops to *its* layers only.
 _LAYER_SCOPE_TLS = threading.local()
 
 
@@ -310,7 +329,7 @@ def _layer_stack() -> List[str]:
 
 
 def push_layer_scope(name: str) -> None:
-    """Enter a named layer scope (called by ``Module.__call__`` when profiling)."""
+    """Enter a named layer scope (called by ``Module.__call__`` when observed)."""
     _layer_stack().append(name)
 
 
@@ -327,56 +346,6 @@ def current_layer() -> str:
     return ".".join(stack) if stack else ""
 
 
-# -- op tracing --------------------------------------------------------------- #
-#: Per-thread op tracer installed by :func:`trace_ops`.  Unlike op hooks
-#: (which observe only name/time/layer), a tracer receives the op object,
-#: the raw input arrays, the kwargs and the output array of every executed
-#: op — enough to reconstruct the dataflow graph of a forward pass.  The
-#: plan compiler (:mod:`repro.deploy`) is the one consumer.
-_TRACER_TLS = threading.local()
-
-
-@contextmanager
-def trace_ops(tracer):
-    """Route every op executed by this thread through ``tracer.record``.
-
-    ``tracer`` must expose ``record(op, input_arrays, kwargs, out_array)``;
-    it is called after each forward, whatever the grad mode.  Tracers nest:
-    the innermost scope wins, and the previous tracer is restored on exit.
-    """
-    previous = getattr(_TRACER_TLS, "tracer", None)
-    _TRACER_TLS.tracer = tracer
-    try:
-        yield tracer
-    finally:
-        _TRACER_TLS.tracer = previous
-
-
-@contextmanager
-def profile_ops():
-    """Collect per-op call counts and wall-clock while the context is active.
-
-    Yields a dict ``{op_name: [calls, total_seconds]}`` filled in place.
-    Hooks are thread-local: ops executed by other threads (e.g. parallel
-    sweep shards) are not observed — profile inside the shard instead.
-    For layer-resolved statistics use
-    :func:`repro.nn.profiler.collect_profile`, which returns a structured
-    :class:`~repro.nn.profiler.OpProfile`.
-    """
-    stats: Dict[str, List[float]] = {}
-
-    def hook(name: str, seconds: float, layer: str) -> None:
-        entry = stats.setdefault(name, [0, 0.0])
-        entry[0] += 1
-        entry[1] += seconds
-
-    add_op_hook(hook)
-    try:
-        yield stats
-    finally:
-        remove_op_hook(hook)
-
-
 def apply_op(op: Op, *inputs: "Tensor", **kwargs) -> "Tensor":
     """Execute a registered op on tensors, recording a tape node if needed."""
     arrays = tuple(t.data for t in inputs)
@@ -385,14 +354,12 @@ def apply_op(op: Op, *inputs: "Tensor", **kwargs) -> "Tensor":
         layer = current_layer()
         start = time.perf_counter()
         data, ctx = op.forward(*arrays, **kwargs)
-        elapsed = time.perf_counter() - start
+        record = OpRecord(op, arrays, kwargs, data,
+                          time.perf_counter() - start, layer)
         for hook in tuple(hooks):
-            hook(op.name, elapsed, layer)
+            hook(record)
     else:
         data, ctx = op.forward(*arrays, **kwargs)
-    tracer = getattr(_TRACER_TLS, "tracer", None)
-    if tracer is not None:
-        tracer.record(op, arrays, kwargs, data)
     if _grad_mode() is False:
         return Tensor(data)
     needs = tuple(t.requires_grad for t in inputs)

@@ -38,7 +38,7 @@ from repro.nn import functional as F
 from repro.nn.backend import get_backend, use_backend
 from repro.nn.layers import BatchNorm2d, Conv2d, Linear, ReLU
 from repro.nn.module import Module, Sequential
-from repro.nn.profiler import profile_inference
+from repro.nn.profiler import collect_profile, profile_inference
 from repro.nn.tensor import concatenate
 
 
@@ -261,6 +261,22 @@ def test_compile_frees_its_traced_graphs():
         gc.enable()
     assert plan.stats.steps > 0
     assert alive == 0
+
+
+def test_compile_inside_a_profile_is_byte_equal_and_observed():
+    """Tracing is one more observer: a profile open around ``compile`` sees
+    the conv2d ops of both traces (batch and batch + 1) and the plan bytes
+    equal those of a compile without it."""
+    model = build_model("lenet", rng=np.random.default_rng(0))
+    shape = bench_input_shape("lenet")
+    solo = compile(model, shape, batch=2).to_bytes()
+    with collect_profile() as eager:
+        _eager(model, np.zeros((2,) + shape))
+    with collect_profile() as profile:
+        plan = compile(model, shape, batch=2)
+    assert plan.to_bytes() == solo
+    assert profile.ops["conv2d"].calls == 2 * eager.ops["conv2d"].calls > 0
+    assert list(profile.layers) == list(eager.layers)
 
 
 def test_plan_rejects_wrong_shape_and_dtype():

@@ -35,7 +35,7 @@ from repro.nn.tensor import (
     enable_grad,
     is_grad_enabled,
     no_grad,
-    profile_ops,
+    observe_ops,
     registered_ops,
     tape_nodes_created,
 )
@@ -331,10 +331,13 @@ class TestTapeIntrospection:
     def test_profile_ops_counts_conv(self, rng):
         model = lenet(num_classes=4, in_channels=1, width=8, rng=rng)
         x = Tensor(rng.standard_normal((2, 1, 12, 12)))
-        with profile_ops() as stats:
+        records = []
+        with observe_ops(records.append):
             model(x)
-        assert stats["conv2d"][0] >= 2
-        assert stats["conv2d"][1] >= 0.0
+        convs = [record for record in records if record.op.name == "conv2d"]
+        assert len(convs) >= 2
+        assert all(record.seconds >= 0.0 for record in convs)
+        assert all(record.out.shape[0] == 2 for record in convs)
 
     def test_spec_validates_dtype_and_backend(self):
         with pytest.raises(ValueError):

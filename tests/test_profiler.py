@@ -21,15 +21,18 @@ import os
 import pickle
 import subprocess
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 import repro.api as api
-from repro import nn
+from repro import deploy, nn
 from repro.api.executor import op_hook_isolation
 from repro.data import make_synthetic_dataset
-from repro.models import lenet
+from repro.models import bench_input_shape, lenet
+from repro.models import build_model as build_named_model
 from repro.nn.backend import _initial_backend
 from repro.nn.profiler import (
     PROFILE_SCHEMA,
@@ -45,8 +48,8 @@ from repro.nn.tensor import (
     add_op_hook,
     current_layer,
     installed_op_hooks,
+    observe_ops,
     op_hooks_active,
-    profile_ops,
     remove_op_hook,
     restore_op_hooks,
 )
@@ -232,7 +235,7 @@ class TestLayerAttribution:
 # --------------------------------------------------------------------------- #
 class TestHookLifecycle:
     def test_remove_op_hook_is_idempotent(self):
-        hook = add_op_hook(lambda name, seconds, layer: None)
+        hook = add_op_hook(lambda record: None)
         remove_op_hook(hook)
         remove_op_hook(hook)  # pre-fix: ValueError: list.remove(x) ...
         assert hook not in installed_op_hooks()
@@ -241,23 +244,24 @@ class TestHookLifecycle:
         """Regression: a snapshot restore firing mid-profile must not break exit.
 
         This reproduces a sweep shard's ``restore_op_hooks`` /
-        ``op_hook_isolation`` resetting the thread's hook list while a
-        ``profile_ops`` context opened around it is still active: the
+        ``op_hook_isolation`` resetting the thread's hook list while an
+        ``observe_ops`` context opened around it is still active: the
         context's own hook is already gone when its ``finally`` runs.
         """
         snapshot = installed_op_hooks()
-        with profile_ops() as stats:
+        seen = []
+        with observe_ops(lambda record: seen.append(record.op.name)):
             t = Tensor(np.ones((2, 2)))
             t + t
             restore_op_hooks(snapshot)  # shard-style reset, profile active
             t + t  # no longer observed — and exit must not raise
-        assert stats["add"][0] == 1
+        assert seen == ["add"]
         assert installed_op_hooks() == snapshot
 
     def test_op_hook_isolation_closing_over_profile(self):
-        with profile_ops():
+        with observe_ops(lambda record: None):
             with op_hook_isolation():
-                add_op_hook(lambda name, seconds, layer: None)  # leaked
+                add_op_hook(lambda record: None)  # leaked
             # isolation restored its snapshot (profile hook included)
             assert len(installed_op_hooks()) == 1
         assert not installed_op_hooks()
@@ -273,6 +277,50 @@ class TestHookLifecycle:
         with collect_profile():
             assert op_hooks_active()
         assert not op_hooks_active()
+
+
+# --------------------------------------------------------------------------- #
+# One observer list: plan tracing and profiling side by side
+# --------------------------------------------------------------------------- #
+class TestObserverChannel:
+    def test_concurrent_compile_and_profile_stay_apart(self):
+        """A plan traced in one thread and a profile collected in another
+        share nothing: the plan bytes equal a solo compile and the profile
+        holds only the profiled thread's own lenet ops."""
+        resnet = build_named_model("resnet20", rng=np.random.default_rng(0))
+        shape = bench_input_shape("resnet20")
+        solo = deploy.compile(resnet, shape).to_bytes()
+        small = build_model()
+        x = Tensor(np.zeros((2,) + INPUT_SHAPE))
+        with collect_profile() as reference:
+            small(x)
+        started, compiled = threading.Event(), threading.Event()
+
+        def compile_plan():
+            try:
+                assert started.wait(timeout=60)
+                return deploy.compile(resnet, shape).to_bytes()
+            finally:
+                compiled.set()
+
+        def profile_lenet():
+            runs = 0
+            with collect_profile() as profile:
+                started.set()
+                while runs == 0 or not compiled.is_set():
+                    small(x)
+                    runs += 1
+            return profile, runs
+
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            plan_bytes = pool.submit(compile_plan)
+            profiled = pool.submit(profile_lenet)
+            assert plan_bytes.result(timeout=300) == solo
+            profile, runs = profiled.result(timeout=300)
+        assert layer_counts(profile) == {
+            layer: {op: runs * calls for op, calls in per_layer.items()}
+            for layer, per_layer in layer_counts(reference).items()}
+        assert not installed_op_hooks()
 
 
 # --------------------------------------------------------------------------- #

@@ -301,7 +301,7 @@ def leaky_method():
                          summary="leaks an op hook (test only)")
     class LeakyMethod(MagnitudeMethod):
         def fit(self, train_loader=None, val_loader=None, epochs: int = 0):
-            add_op_hook(lambda name, seconds, layer: None)  # deliberately leaked
+            add_op_hook(lambda record: None)  # deliberately leaked
             return super().fit(train_loader, val_loader, epochs)
 
     yield "leaky-test"

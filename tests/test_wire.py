@@ -244,6 +244,17 @@ def _stored_report():
         return json.load(handle)["report"]
 
 
+def _entry_around(report):
+    """A cache entry payload storing ``report`` under a valid digest."""
+    return {
+        "schema": api.CACHE_ENTRY_SCHEMA,
+        "key": {"method": "magnitude", "spec": "a" * 64, "model": "b" * 64,
+                "data": "c" * 64},
+        "spec": _stored_report()["spec"], "report": report,
+        "report_digest": payload_digest(report), "checkpoint": False,
+        "warm_source": None}
+
+
 def _dropped(payload, path):
     *parents, last = path.split(".")
     nested = payload
@@ -287,13 +298,7 @@ def test_payloads_missing_a_required_key_name_the_kind_and_key(kind, build,
         assert result["ok"] is False
         assert result["error"] == {"type": "ValueError", "message": message}
         return
-    assert message in _stored_entry({
-        "schema": api.CACHE_ENTRY_SCHEMA,
-        "key": {"method": "magnitude", "spec": "a" * 64, "model": "b" * 64,
-                "data": "c" * 64},
-        "spec": _stored_report()["spec"], "report": payload,
-        "report_digest": payload_digest(payload), "checkpoint": False,
-        "warm_source": None})
+    assert message in _stored_entry(_entry_around(payload))
     assert message in _worker_result_frame({
         "schema": api.JOB_RESULT_SCHEMA, "job_id": 0, "ok": True,
         "report": payload})
@@ -357,3 +362,25 @@ def test_stored_v1_plan_is_a_warned_miss_with_the_uniform_error():
                       match="unsupported plan schema 'repro-plan/1': "
                             "expected 'repro-plan/2'"):
         assert store.get_plan("a" * 64) is None
+
+
+#: The field each damaged spec must name -> the spec fields that damage it.
+DAMAGED_SPECS = {
+    "epochs": {"epochs": "x"},
+    "hardware_batch": {"hardware_batch": 2.5},
+    "conv_only": {"conv_only": "yes"},
+    "bogus": {"config": {"type": "MagnitudeSpec", "fields": {"bogus": 1}}},
+    "type": {"config": {"fields": {}}},
+}
+
+
+@pytest.mark.parametrize("field", list(DAMAGED_SPECS))
+def test_spec_fields_of_the_wrong_type_or_name_are_value_errors(field):
+    """A spec payload with a mistyped field, an unknown config field or a
+    config without ``type`` is a ``ValueError`` naming the field, directly
+    and as a warned miss when the damaged spec sits in a stored report."""
+    report = _stored_report()
+    report["spec"].update(DAMAGED_SPECS[field])
+    with pytest.raises(ValueError, match=f"'{field}'"):
+        api.CompressionSpec.from_dict(report["spec"])
+    assert f"'{field}'" in _stored_entry(_entry_around(report))
