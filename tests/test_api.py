@@ -20,6 +20,17 @@ FAST_CONFIGS = {
                          kmeans_iterations=3),
 }
 
+#: ``payload_digest`` prefixes of the cost-only Table II reports on
+#: ResNet-20 (identical in float64 and float32).
+TABLE2_REPORT_DIGESTS = {
+    "magnitude": "ac65403deea0328b",
+    "fpgm": "6ebb60e3e740fe76",
+    "amc": "0e60427bbcf36e96",
+    "lcnn": "49ceec0575e55271",
+    "lowrank": "6b99dc6bce44ae95",
+    "alf": "dc7a2ef1623e8ce4",
+}
+
 
 class TestRegistry:
     def test_all_six_methods_registered(self):
@@ -213,6 +224,19 @@ class TestRunSweep:
         report = sweep.by_method("magnitude")
         assert report.accuracy is not None
         assert sweep.dense.accuracy is not None
+
+    @pytest.mark.parametrize("spec", api.table2_specs(seed=0),
+                             ids=lambda spec: spec.method)
+    def test_table2_report_bytes_pinned(self, spec):
+        """Cost-only Table II reports are byte-stable across refactors.
+
+        The digest covers the whole report payload (costs, layer
+        workloads, Eyeriss energy/latency) and is the same in float64
+        and float32.
+        """
+        report = api.run_sweep([spec], model="resnet20").reports[0]
+        assert api.payload_digest(report.to_dict()).startswith(
+            TABLE2_REPORT_DIGESTS[spec.method])
 
     def test_sweep_rejects_empty_specs(self):
         with pytest.raises(ValueError):

@@ -119,6 +119,21 @@ class TestTable3ImageNet:
         assert squeeze.params / 1e6 == pytest.approx(1.23, rel=0.05)
 
     @pytest.mark.slow
+    def test_costs_pinned(self, table3):
+        expected = {
+            "ResNet-18": (11_679_912, 3_595_411_456),
+            "LCNN": (2_010_624, 483_493_888),
+            "FPGM": (7_487_252.296875, 2_298_490_854),
+            "AMC": (7_058_967.796875, 1_935_597_690),
+            "ALF": (4_769_207, 1_375_502_336),
+            "SqueezeNet": (1_248_424, 1_671_629_824),
+            "GoogleNet": (6_998_552, 2_863_112_704),
+        }
+        for method, (params, ops) in expected.items():
+            row = table3.by_method(method)
+            assert (row.params, row.ops) == (params, ops), method
+
+    @pytest.mark.slow
     def test_alf_relative_ops_factors(self, table3):
         factors = imagenet_comparison.relative_ops_factors(table3)
         # Paper: x1.4 / x2.4 / x3.0 fewer OPs than SqueezeNet / GoogLeNet / ResNet-18.
