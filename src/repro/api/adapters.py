@@ -6,6 +6,12 @@ Each adapter translates one method's bespoke calling convention
 ``LowRankDecomposer.decompose``; ...) into the uniform
 prepare → fit → finalize lifecycle, including the method's own effective
 cost model and the per-layer workloads the Eyeriss model consumes.
+
+LCNN and low-rank share one adapter base: both deploy each eligible
+convolution as a code convolution plus a 1x1 expansion, the same form as
+a deployed ALF block, so their costs come from one
+:func:`~repro.baselines.factored_cost` loop and their workloads from one
+:func:`~repro.hardware.layer.factored_shapes` rule.
 """
 
 from __future__ import annotations
@@ -25,10 +31,11 @@ from ..baselines import (
     PruningPlan,
     apply_filter_masks,
     effective_cost,
+    factored_cost,
 )
 from ..core import ALFConfig, ALFTrainer, ClassifierTrainer, compress_model, convert_to_alf
 from ..core.trainer import evaluate_accuracy
-from ..hardware.layer import ConvLayerShape, conv_shapes_from_model
+from ..hardware.layer import ConvLayerShape, conv_shapes_from_model, factored_shapes
 from ..metrics.ops import profile_model
 from ..nn.module import Module
 from .protocol import CompressedModel
@@ -350,19 +357,33 @@ class AMCMethod(_FilterPruningAdapter):
 
 
 # --------------------------------------------------------------------------- #
-# LCNN dictionary sharing
+# Code + 1x1 expansion factorizations (LCNN / low-rank)
 # --------------------------------------------------------------------------- #
-@register_method("lcnn", LCNNSpec, policy="Automatic",
-                 summary="Lookup/dictionary filter sharing (Bagherinezhad et al.)")
-class LCNNMethod(CompressionAdapter):
+class _FactorizationAdapter(CompressionAdapter):
+    """Shared lifecycle of the methods that deploy each eligible convolution
+    as a narrow code convolution followed by a 1x1 expansion.
 
-    def __init__(self, config: LCNNSpec, spec: CompressionSpec):
+    The factors are learned from the weights, so training is the optional
+    classifier pre-training that gives them something to share.  Each
+    subclass names its factorizer, the factors' code width and the
+    remaining-filter fraction it reports.
+    """
+
+    def __init__(self, config, spec: CompressionSpec):
         super().__init__(config, spec)
         self.result = None
 
+    def _factorize(self, model: Module) -> List:
+        """Factor every eligible convolution; store the result on ``self.result``."""
+        raise NotImplementedError
+
+    def _code_channels(self, factor) -> int:
+        raise NotImplementedError
+
+    def _remaining_fraction(self, factors: List) -> float:
+        raise NotImplementedError
+
     def fit(self, train_loader=None, val_loader=None, epochs: int = 0):
-        # The dictionaries are learned from the weights; training here is the
-        # optional classifier pre-training that gives them something to share.
         if train_loader is None or epochs <= 0 or self.warm:
             return None
         trainer = ClassifierTrainer(self._require_model(), lr=self.spec.lr)
@@ -371,109 +392,71 @@ class LCNNMethod(CompressionAdapter):
 
     def finalize(self) -> CompressedModel:
         model = self._require_model()
+        # Profiled before the (optional) weight rewrite; costs and workload
+        # shapes depend only on the layer geometry.
+        profile = profile_model(model, self.input_shape)
+        base_shapes = conv_shapes_from_model(model, self.input_shape,
+                                             batch=self.spec.hardware_batch,
+                                             profile=profile)
+        factors = {factor.name: factor for factor in self._factorize(model)}
+        cost = factored_cost(profile, factors, conv_only=self.spec.conv_only)
+        shapes: List[ConvLayerShape] = []
+        for shape in base_shapes:
+            factor = factors.get(shape.name)
+            if factor is None:
+                shapes.append(shape)
+            else:
+                shapes.extend(factored_shapes(shape, self._code_channels(factor)))
+        return CompressedModel(
+            model=model,
+            method=self.name,
+            cost={k: float(v) for k, v in cost.items()},
+            layer_shapes=shapes,
+            remaining_filter_fraction=self._remaining_fraction(list(factors.values())),
+            detail=self.result,
+        )
+
+
+@register_method("lcnn", LCNNSpec, policy="Automatic",
+                 summary="Lookup/dictionary filter sharing (Bagherinezhad et al.)")
+class LCNNMethod(_FactorizationAdapter):
+    """Per-layer dictionaries: one conv with the D atoms, then a sparse recombination."""
+
+    def _factorize(self, model: Module) -> List:
         compressor = LCNNCompressor(
             dictionary_fraction=self.config.dictionary_fraction,
             sparsity=self.config.sparsity,
             kmeans_iterations=self.config.kmeans_iterations,
             seed=self.spec.seed,
         )
-        # Workload shapes are taken before the (optional) weight rewrite so
-        # they reflect the original layer geometry.
-        base_shapes = conv_shapes_from_model(model, self.input_shape,
-                                             batch=self.spec.hardware_batch)
         self.result = compressor.compress(model, min_kernel=self.config.min_kernel,
                                           apply=self.config.apply)
-        cost = compressor.effective_cost(model, self.result, self.input_shape,
-                                         conv_only=self.spec.conv_only)
-        dictionaries = {d.name: d for d in self.result.dictionaries}
-        shapes: List[ConvLayerShape] = []
-        for shape in base_shapes:
-            dictionary = dictionaries.get(shape.name)
-            if dictionary is None:
-                shapes.append(shape)
-                continue
-            # LCNN inference: one convolution with the D dictionary atoms,
-            # then a cheap 1x1-style recombination back to Co outputs.
-            code = replace(shape, out_channels=dictionary.dictionary_size).validate()
-            shapes.append(code)
-            shapes.append(ConvLayerShape(
-                name=f"{shape.name}_exp",
-                in_channels=dictionary.dictionary_size,
-                out_channels=shape.out_channels,
-                kernel_size=1,
-                input_hw=code.output_hw,
-                stride=1,
-                padding=0,
-                batch=shape.batch,
-            ).validate())
-        return CompressedModel(
-            model=model,
-            method=self.name,
-            cost={k: float(v) for k, v in cost.items()},
-            layer_shapes=shapes,
-            remaining_filter_fraction=self.config.dictionary_fraction,
-            detail=self.result,
-        )
+        return self.result.dictionaries
+
+    def _code_channels(self, factor) -> int:
+        return factor.dictionary_size
+
+    def _remaining_fraction(self, factors: List) -> float:
+        return self.config.dictionary_fraction
 
 
-# --------------------------------------------------------------------------- #
-# Low-rank SVD factorization
-# --------------------------------------------------------------------------- #
 @register_method("lowrank", LowRankSpec, policy="Handcrafted",
                  summary="Truncated-SVD factorization into code + 1x1 expansion")
-class LowRankMethod(CompressionAdapter):
+class LowRankMethod(_FactorizationAdapter):
+    """Truncated SVD: a rank-r code convolution, then a 1x1 expansion."""
 
-    def __init__(self, config: LowRankSpec, spec: CompressionSpec):
-        super().__init__(config, spec)
-        self.result = None
-
-    def fit(self, train_loader=None, val_loader=None, epochs: int = 0):
-        if train_loader is None or epochs <= 0 or self.warm:
-            return None
-        trainer = ClassifierTrainer(self._require_model(), lr=self.spec.lr)
-        self.history = trainer.fit(train_loader, val_loader, epochs=epochs)
-        return self.history
-
-    def finalize(self) -> CompressedModel:
-        model = self._require_model()
+    def _factorize(self, model: Module) -> List:
         decomposer = LowRankDecomposer(
             rank_fraction=self.config.rank_fraction,
             energy_threshold=self.config.energy_threshold,
         )
-        base_shapes = conv_shapes_from_model(model, self.input_shape,
-                                             batch=self.spec.hardware_batch)
         self.result = decomposer.decompose(model, min_kernel=self.config.min_kernel,
                                            apply=self.config.apply)
-        cost = decomposer.effective_cost(model, self.result, self.input_shape,
-                                         conv_only=self.spec.conv_only)
-        factorizations = {f.name: f for f in self.result.factorizations}
-        shapes: List[ConvLayerShape] = []
-        total_rank = 0
-        total_out = 0
-        for shape in base_shapes:
-            factorization = factorizations.get(shape.name)
-            if factorization is None:
-                shapes.append(shape)
-                continue
-            total_rank += factorization.rank
-            total_out += factorization.out_channels
-            code = replace(shape, out_channels=factorization.rank).validate()
-            shapes.append(code)
-            shapes.append(ConvLayerShape(
-                name=f"{shape.name}_exp",
-                in_channels=factorization.rank,
-                out_channels=shape.out_channels,
-                kernel_size=1,
-                input_hw=code.output_hw,
-                stride=1,
-                padding=0,
-                batch=shape.batch,
-            ).validate())
-        return CompressedModel(
-            model=model,
-            method=self.name,
-            cost={k: float(v) for k, v in cost.items()},
-            layer_shapes=shapes,
-            remaining_filter_fraction=total_rank / max(1, total_out),
-            detail=self.result,
-        )
+        return self.result.factorizations
+
+    def _code_channels(self, factor) -> int:
+        return factor.rank
+
+    def _remaining_fraction(self, factors: List) -> float:
+        return (sum(f.rank for f in factors)
+                / max(1, sum(f.out_channels for f in factors)))

@@ -14,6 +14,7 @@ from .common import (
     PruningPlan,
     apply_filter_masks,
     effective_cost,
+    factored_cost,
     keep_top_filters,
     prunable_convolutions,
 )
@@ -24,7 +25,8 @@ from .magnitude import MagnitudePruner
 
 __all__ = [
     "FilterPruner", "PruningPlan", "LayerPruningDecision",
-    "prunable_convolutions", "apply_filter_masks", "effective_cost", "keep_top_filters",
+    "prunable_convolutions", "apply_filter_masks", "effective_cost", "factored_cost",
+    "keep_top_filters",
     "MagnitudePruner",
     "FPGMPruner", "geometric_median",
     "AMCPruner", "AMCResult", "LayerState", "default_reward",

@@ -11,7 +11,7 @@ substrate as ALF.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 import numpy as np
 
@@ -128,6 +128,31 @@ def effective_cost(model: Module, plan: PruningPlan,
             params += layer.params * previous_survival
             macs += layer.macs * previous_survival
             previous_survival = 1.0
+    return {"params": params, "macs": macs, "ops": macs * OPS_PER_MAC}
+
+
+def factored_cost(profile, factors: Mapping[str, object],
+                  conv_only: bool = False) -> Dict[str, float]:
+    """Params / MACs / OPs of a profiled model with some layers factored.
+
+    ``factors`` maps a layer name to its factored replacement — an LCNN
+    :class:`~repro.baselines.LayerDictionary` or a low-rank
+    :class:`~repro.baselines.LayerFactorization` — whose ``params()`` and
+    ``macs(output_hw)`` stand in for the dense layer's cost; every other
+    layer of ``profile`` (a :func:`profile_model` result) counts as is.
+    """
+    params = 0.0
+    macs = 0.0
+    for layer in profile.layers:
+        if conv_only and layer.kind == "linear":
+            continue
+        factor = factors.get(layer.name)
+        if factor is None:
+            params += layer.params
+            macs += layer.macs
+        else:
+            params += factor.params()
+            macs += factor.macs(tuple(layer.output_shape[1:]))
     return {"params": params, "macs": macs, "ops": macs * OPS_PER_MAC}
 
 

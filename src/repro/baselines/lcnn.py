@@ -14,11 +14,10 @@ requiring end-to-end retraining on this substrate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
-from ..metrics.ops import OPS_PER_MAC, profile_model
 from ..nn.layers import Conv2d
 from ..nn.module import Module
 from .common import prunable_convolutions
@@ -86,12 +85,9 @@ class LCNNCompressionResult:
 
     dictionaries: List[LayerDictionary] = field(default_factory=list)
 
-    def total_params(self) -> int:
-        return sum(d.params() for d in self.dictionaries)
-
 
 class LCNNCompressor:
-    """Learn per-layer filter dictionaries and report LCNN-style costs."""
+    """Learn per-layer filter dictionaries (costed by :func:`factored_cost`)."""
 
     method_name = "LCNN"
     policy = "Automatic"
@@ -147,23 +143,3 @@ class LCNNCompressor:
                 conv.weight.data = dictionary.reconstruct_filters()
             result.dictionaries.append(dictionary)
         return result
-
-    def effective_cost(self, model: Module, result: LCNNCompressionResult,
-                       input_shape: Tuple[int, int, int],
-                       conv_only: bool = False) -> Dict[str, float]:
-        """Params / MACs / OPs of the model with LCNN-style inference."""
-        profile = profile_model(model, input_shape)
-        dictionaries = {d.name: d for d in result.dictionaries}
-        params = 0.0
-        macs = 0.0
-        for layer in profile.layers:
-            if conv_only and layer.kind == "linear":
-                continue
-            if layer.name in dictionaries:
-                dictionary = dictionaries[layer.name]
-                params += dictionary.params()
-                macs += dictionary.macs(tuple(layer.output_shape[1:]))
-            else:
-                params += layer.params
-                macs += layer.macs
-        return {"params": params, "macs": macs, "ops": macs * OPS_PER_MAC}

@@ -12,11 +12,10 @@ chosen either explicitly or from an energy (singular-value mass) threshold.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..metrics.ops import OPS_PER_MAC, profile_model
 from ..nn.layers import Conv2d
 from ..nn.module import Module
 from .common import prunable_convolutions
@@ -55,12 +54,6 @@ class LayerFactorization:
 @dataclass
 class LowRankResult:
     factorizations: List[LayerFactorization] = field(default_factory=list)
-
-    def by_name(self, name: str) -> LayerFactorization:
-        for factorization in self.factorizations:
-            if factorization.name == name:
-                return factorization
-        raise KeyError(f"no factorization for layer '{name}'")
 
 
 class LowRankDecomposer:
@@ -116,23 +109,3 @@ class LowRankDecomposer:
                 conv.weight.data = factorization.reconstruct()
             result.factorizations.append(factorization)
         return result
-
-    def effective_cost(self, model: Module, result: LowRankResult,
-                       input_shape: Tuple[int, int, int],
-                       conv_only: bool = False) -> Dict[str, float]:
-        """Params / MACs / OPs of the model when run in factorized form."""
-        profile = profile_model(model, input_shape)
-        factorizations = {f.name: f for f in result.factorizations}
-        params = 0.0
-        macs = 0.0
-        for layer in profile.layers:
-            if conv_only and layer.kind == "linear":
-                continue
-            if layer.name in factorizations:
-                factorization = factorizations[layer.name]
-                params += factorization.params()
-                macs += factorization.macs(tuple(layer.output_shape[1:]))
-            else:
-                params += layer.params
-                macs += layer.macs
-        return {"params": params, "macs": macs, "ops": macs * OPS_PER_MAC}

@@ -2,11 +2,12 @@
 
 The Params / OPs columns are computed at the paper's true 224x224 geometry
 for all reference architectures (SqueezeNet, GoogLeNet, ResNet-18) and for
-the pruned ResNet-18 variants (LCNN, FPGM, AMC, ALF).  Accuracies cannot be
-measured at ImageNet scale on a pure-numpy substrate; an optional proxy run
-on the reduced synthetic ImageNet reproduces the accuracy *ordering*
-(uncompressed > mildly pruned > aggressively compressed), and the paper's
-reported accuracies are always attached for reference.
+the pruned ResNet-18 variants (LCNN, FPGM, AMC, ALF).  The pruned rows are
+one cost-only :func:`repro.api.run_sweep` over :func:`table3_specs`, whose
+shared dense baseline is the ResNet-18 row; every layer counts
+(``conv_only=False``), as in the paper's ImageNet table.  Accuracies cannot
+be measured at ImageNet scale on a pure-numpy substrate; the paper's
+reported accuracies are attached for reference.
 """
 
 from __future__ import annotations
@@ -16,11 +17,17 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..baselines import AMCPruner, FPGMPruner, LCNNCompressor, effective_cost
-from ..core import ALFConfig, convert_to_alf
-from ..metrics import MethodResult, pareto_front, profile_model
+from ..api import (
+    ALFSpec,
+    AMCSpec,
+    CompressionSpec,
+    FPGMSpec,
+    LCNNSpec,
+    run_sweep,
+)
+from ..metrics import MethodResult, profile_model
 from ..metrics.tables import format_count, render_table
-from ..models import googlenet, resnet18, squeezenet
+from ..models import googlenet, squeezenet
 from .paper_values import TABLE3_IMAGENET
 
 IMAGENET_INPUT = (3, 224, 224)
@@ -35,7 +42,6 @@ class Table3Row:
     paper_params_m: Optional[float]
     paper_ops_m: Optional[float]
     paper_accuracy: Optional[float]
-    measured_accuracy: Optional[float] = None
 
     def as_cells(self) -> List[str]:
         return [
@@ -69,97 +75,54 @@ class Table3Result:
                             title="Table III — benchmarking on ImageNet")
 
 
-def _reference_costs(seed: int = 0) -> Dict[str, Dict[str, float]]:
-    """Params / OPs of the three reference architectures at 224x224."""
-    rng = np.random.default_rng(seed)
-    costs = {}
-    for name, factory in [("SqueezeNet", squeezenet), ("GoogleNet", googlenet),
-                          ("ResNet-18", resnet18)]:
-        profile = profile_model(factory(rng=rng), IMAGENET_INPUT)
-        costs[name] = {
-            "params": profile.total_params(),
-            "ops": profile.total_ops(),
-        }
-    return costs
+def table3_specs(seed: int = 0,
+                 alf_remaining_fraction: float = 0.33) -> List[CompressionSpec]:
+    """The pruned ResNet-18 rows of Table III, labelled by row.
 
-
-def alf_resnet18_cost(remaining_fraction: float = 0.33, seed: int = 0) -> Dict[str, float]:
-    """ALF-compressed ResNet-18 at 224x224 (Table III's ALF row).
-
-    The default remaining-filter fraction (~33%) is the operating point that
-    yields the paper's reported ~2.8x parameter and ~3x OPs reduction.
+    The operating points match the paper's reported reductions; ALF's
+    default remaining-filter fraction (~33%) yields its ~2.8x parameter and
+    ~3x OPs reduction.  Only costs are read, so LCNN skips rewriting the
+    weights and ALF skips building the deployed model.
     """
-    rng = np.random.default_rng(seed)
-    model = resnet18(rng=rng)
-    blocks = convert_to_alf(model, ALFConfig(), rng=np.random.default_rng(seed + 1))
-    for _, block in blocks:
-        keep = max(1, int(round(block.out_channels * remaining_fraction)))
-        target = block.autoencoder.pruning_mask.mask
-        mask = np.zeros(block.out_channels, dtype=target.data.dtype)
-        mask[:keep] = 1.0
-        target.data = mask
-    profile = profile_model(model, IMAGENET_INPUT)
-    return {"params": profile.total_params(), "ops": profile.total_ops()}
-
-
-def fpgm_resnet18_cost(prune_ratio: float = 0.22, seed: int = 0) -> Dict[str, float]:
-    rng = np.random.default_rng(seed)
-    model = resnet18(rng=rng)
-    plan = FPGMPruner().plan(model, prune_ratio=prune_ratio)
-    return effective_cost(model, plan, IMAGENET_INPUT)
-
-
-def amc_resnet18_cost(ops_budget: float = 0.5, seed: int = 0,
-                      iterations: int = 3, population: int = 6) -> Dict[str, float]:
-    rng = np.random.default_rng(seed)
-    model = resnet18(rng=rng)
-    pruner = AMCPruner(target_ops_fraction=ops_budget, iterations=iterations,
-                       population=population, seed=seed)
-    plan = pruner.plan(model, prune_ratio=1.0 - ops_budget)
-    return effective_cost(model, plan, IMAGENET_INPUT)
-
-
-def lcnn_resnet18_cost(dictionary_fraction: float = 0.12, sparsity: int = 3,
-                       seed: int = 0) -> Dict[str, float]:
-    rng = np.random.default_rng(seed)
-    model = resnet18(rng=rng)
-    compressor = LCNNCompressor(dictionary_fraction=dictionary_fraction,
-                                sparsity=sparsity, seed=seed)
-    result = compressor.compress(model)
-    return compressor.effective_cost(model, result, IMAGENET_INPUT)
+    common = dict(conv_only=False, seed=seed)
+    return [
+        CompressionSpec(method="lcnn", label="LCNN", **common,
+                        config=LCNNSpec(dictionary_fraction=0.12, sparsity=3,
+                                        apply=False)),
+        CompressionSpec(method="fpgm", label="FPGM", **common,
+                        config=FPGMSpec(prune_ratio=0.22)),
+        CompressionSpec(method="amc", label="AMC", **common,
+                        config=AMCSpec(target_ops_fraction=0.5, iterations=3,
+                                       population=6)),
+        CompressionSpec(method="alf", label="ALF", **common,
+                        config=ALFSpec(remaining_fraction=alf_remaining_fraction,
+                                       deploy=False)),
+    ]
 
 
 def run(seed: int = 0, alf_remaining_fraction: float = 0.33) -> Table3Result:
     """Regenerate Table III's cost columns (accuracy columns quote the paper)."""
-    references = _reference_costs(seed=seed)
-    lcnn = lcnn_resnet18_cost(seed=seed)
-    fpgm = fpgm_resnet18_cost(seed=seed)
-    amc = amc_resnet18_cost(seed=seed)
-    alf = alf_resnet18_cost(remaining_fraction=alf_remaining_fraction, seed=seed)
-
+    sweep = run_sweep(table3_specs(seed, alf_remaining_fraction),
+                      model="resnet18", hardware=None,
+                      input_shape=IMAGENET_INPUT, seed=seed)
     paper = TABLE3_IMAGENET
     result = Table3Result()
-    for name in ("SqueezeNet", "GoogleNet", "ResNet-18"):
+
+    def add(method: str, policy: str, cost: Dict[str, float]) -> None:
         result.rows.append(Table3Row(
-            name, "—", references[name]["params"], references[name]["ops"],
-            paper[name]["params_m"], paper[name]["ops_m"], paper[name]["accuracy"],
+            method, policy, cost["params"], cost["ops"],
+            paper[method]["params_m"], paper[method]["ops_m"],
+            paper[method]["accuracy"],
         ))
-    result.rows.append(Table3Row(
-        "LCNN", "Automatic", lcnn["params"], lcnn["ops"],
-        paper["LCNN"]["params_m"], paper["LCNN"]["ops_m"], paper["LCNN"]["accuracy"],
-    ))
-    result.rows.append(Table3Row(
-        "FPGM", "Handcrafted", fpgm["params"], fpgm["ops"],
-        paper["FPGM"]["params_m"], paper["FPGM"]["ops_m"], paper["FPGM"]["accuracy"],
-    ))
-    result.rows.append(Table3Row(
-        "AMC", "RL-Agent", amc["params"], amc["ops"],
-        paper["AMC"]["params_m"], paper["AMC"]["ops_m"], paper["AMC"]["accuracy"],
-    ))
-    result.rows.append(Table3Row(
-        "ALF", "Automatic", alf["params"], alf["ops"],
-        paper["ALF"]["params_m"], paper["ALF"]["ops_m"], paper["ALF"]["accuracy"],
-    ))
+
+    rng = np.random.default_rng(seed)
+    for name, factory in [("SqueezeNet", squeezenet), ("GoogleNet", googlenet)]:
+        profile = profile_model(factory(rng=rng), IMAGENET_INPUT)
+        add(name, "—", {"params": profile.total_params(),
+                        "ops": profile.total_ops()})
+    add("ResNet-18", "—", sweep.dense.cost)
+    for report in sweep.reports:
+        add(report.spec.label, report.policy, report.cost)
     return result
 
 

@@ -71,6 +71,28 @@ class ConvLayerShape:
         return self
 
 
+def factored_shapes(shape: ConvLayerShape,
+                    code_channels: int) -> List[ConvLayerShape]:
+    """The two workloads of a convolution run as code + 1x1 expansion.
+
+    ALF blocks, LCNN dictionaries and SVD low-rank factors all deploy a
+    ``K x K`` convolution to ``shape`` as a narrow code convolution with
+    ``code_channels`` filters followed by a 1x1 expansion back to
+    ``shape.out_channels``; Fig. 3 charges the expansion as its own
+    workload, named ``<name>_exp``.
+    """
+    code = replace(shape, out_channels=code_channels).validate()
+    expansion = ConvLayerShape(
+        name=f"{shape.name}_exp",
+        in_channels=code_channels,
+        out_channels=shape.out_channels,
+        kernel_size=1,
+        input_hw=code.output_hw,
+        batch=shape.batch,
+    ).validate()
+    return [code, expansion]
+
+
 def conv_shapes_from_model(model: Module, input_shape: Tuple[int, int, int],
                            batch: int = 1, names: Optional[Sequence[str]] = None,
                            profile=None) -> List[ConvLayerShape]:
@@ -95,58 +117,26 @@ def conv_shapes_from_model(model: Module, input_shape: Tuple[int, int, int],
     conv_index = 0
     for layer in profile.layers:
         module = module_by_name.get(layer.name)
-        if isinstance(module, Conv2d):
-            label = (names[conv_index] if names and conv_index < len(names)
-                     else layer.name)
-            shapes.append(ConvLayerShape(
-                name=label,
-                in_channels=module.in_channels,
-                out_channels=module.out_channels,
-                kernel_size=module.kernel_size[0],
-                input_hw=tuple(layer.input_shape[1:]),
-                stride=module.stride[0],
-                padding=module.padding[0],
-                batch=batch,
-            ).validate())
-            conv_index += 1
-        elif isinstance(module, (ALFConv2d, CompressedConv2d)):
-            label = (names[conv_index] if names and conv_index < len(names)
-                     else layer.name)
-            if isinstance(module, ALFConv2d):
-                code_channels = max(1, module.active_filters())
-                kernel = module.kernel_size
-                stride = module.stride
-                padding = module.padding
-                out_channels = module.out_channels
-                in_channels = module.in_channels
-            else:
-                code_channels = module.code_channels
-                kernel = module.kernel_size
-                stride = module.stride
-                padding = module.padding
-                out_channels = module.out_channels
-                in_channels = module.in_channels
-            input_hw = tuple(layer.input_shape[1:])
-            code_shape = ConvLayerShape(
-                name=label,
-                in_channels=in_channels,
-                out_channels=code_channels,
-                kernel_size=kernel,
-                input_hw=input_hw,
-                stride=stride,
-                padding=padding,
-                batch=batch,
-            ).validate()
-            expansion_shape = ConvLayerShape(
-                name=f"{label}_exp",
-                in_channels=code_channels,
-                out_channels=out_channels,
-                kernel_size=1,
-                input_hw=code_shape.output_hw,
-                stride=1,
-                padding=0,
-                batch=batch,
-            ).validate()
-            shapes.extend([code_shape, expansion_shape])
-            conv_index += 1
+        if not isinstance(module, (Conv2d, ALFConv2d, CompressedConv2d)):
+            continue
+        # Conv2d keeps (h, w) pairs; the square ALF forms keep one int each.
+        square = not isinstance(module, Conv2d)
+        shape = ConvLayerShape(
+            name=(names[conv_index] if names and conv_index < len(names)
+                  else layer.name),
+            in_channels=module.in_channels,
+            out_channels=module.out_channels,
+            kernel_size=module.kernel_size if square else module.kernel_size[0],
+            input_hw=tuple(layer.input_shape[1:]),
+            stride=module.stride if square else module.stride[0],
+            padding=module.padding if square else module.padding[0],
+            batch=batch,
+        )
+        conv_index += 1
+        if isinstance(module, ALFConv2d):
+            shapes.extend(factored_shapes(shape, max(1, module.active_filters())))
+        elif isinstance(module, CompressedConv2d):
+            shapes.extend(factored_shapes(shape, module.code_channels))
+        else:
+            shapes.append(shape.validate())
     return shapes

@@ -121,7 +121,9 @@ def _profile_layer(name: str, module: Module, x: Tensor, out: Tensor) -> LayerPr
     input_shape = tuple(x.shape[1:])
     output_shape = tuple(out.shape[1:])
     if isinstance(module, ALFConv2d):
-        active = module.active_filters()
+        # Deployment never emits an empty layer (``compress_block`` keeps
+        # the most salient filter), so a fully pruned block costs one.
+        active = max(1, module.active_filters())
         out_hw = output_shape[1:]
         macs = (_conv_macs(module.in_channels, active,
                            (module.kernel_size, module.kernel_size), out_hw)

@@ -12,6 +12,7 @@ from repro.baselines import (
     MagnitudePruner,
     apply_filter_masks,
     effective_cost,
+    factored_cost,
     geometric_median,
     keep_top_filters,
     prunable_convolutions,
@@ -191,8 +192,8 @@ class TestLCNN:
         model = Sequential(Conv2d(3, 16, 3, padding=1, rng=rng))
         compressor = LCNNCompressor(dictionary_fraction=0.25, sparsity=2, seed=0)
         result = compressor.compress(model)
-        cost = compressor.effective_cost(model, result, (3, 8, 8))
         base = profile_model(model, (3, 8, 8))
+        cost = factored_cost(base, {d.name: d for d in result.dictionaries})
         assert cost["params"] < base.total_params()
         assert cost["ops"] < base.total_ops()
 
@@ -255,8 +256,8 @@ class TestLowRank:
         model = Sequential(Conv2d(3, 16, 3, padding=1, rng=rng))
         decomposer = LowRankDecomposer(rank_fraction=0.25)
         result = decomposer.decompose(model)
-        cost = decomposer.effective_cost(model, result, (3, 8, 8))
         base = profile_model(model, (3, 8, 8))
+        cost = factored_cost(base, {f.name: f for f in result.factorizations})
         assert cost["params"] < base.total_params()
         assert cost["ops"] < base.total_ops()
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import ALFConfig, convert_to_alf, compress_model, alf_blocks
+from repro.hardware import conv_shapes_from_model
 from repro.metrics import (
     ComparisonTable,
     MethodResult,
@@ -20,7 +21,7 @@ from repro.metrics import (
     profile_model,
     render_table,
 )
-from repro.models import lenet, plain8
+from repro.models import lenet, plain8, resnet20
 from repro.nn import Conv2d, Flatten, GlobalAvgPool2d, Linear, ReLU, Sequential
 
 
@@ -68,6 +69,29 @@ class TestProfiling:
         compressed_profile = profile_model(compressed.model, (1, 12, 12))
         assert alf_profile.total_params() == compressed_profile.total_params()
         assert alf_profile.total_macs() == compressed_profile.total_macs()
+
+    def test_fully_pruned_alf_block_costed_as_deployed(self, rng):
+        """A block whose mask is all zero deploys with one filter, not none."""
+        model = resnet20(rng=rng)
+        blocks = dict(convert_to_alf(model, ALFConfig(), rng=rng))
+        name = "layers.layer1.conv1"
+        blocks[name].autoencoder.pruning_mask.mask.data[:] = 0.0
+        alf_profile = profile_model(model, (3, 32, 32))
+        deployed_profile = profile_model(compress_model(model).model, (3, 32, 32))
+        alf_layer = alf_profile.by_name(name)
+        deployed_layer = deployed_profile.by_name(name)
+        assert (alf_layer.params, alf_layer.macs) == (160, 163_840)
+        assert (deployed_layer.params, deployed_layer.macs) == (160, 163_840)
+        assert (alf_profile.total_params(conv_only=True)
+                == deployed_profile.total_params(conv_only=True))
+        assert (alf_profile.total_macs(conv_only=True)
+                == deployed_profile.total_macs(conv_only=True))
+        # The Eyeriss workloads of that block add up to the same cost.
+        shapes = [s for s in conv_shapes_from_model(model, (3, 32, 32))
+                  if s.name in (name, f"{name}_exp")]
+        assert [s.out_channels for s in shapes] == [1, 16]
+        assert sum(s.weight_words for s in shapes) == alf_layer.params
+        assert sum(s.macs for s in shapes) == alf_layer.macs
 
     def test_profiling_restores_forward_methods(self, rng):
         model = plain8(rng=rng)
