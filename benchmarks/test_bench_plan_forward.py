@@ -100,6 +100,7 @@ def _plan_vs_module():
         "plan_speedup": eager_seconds / plan_seconds,
         "plan_steps": plan.stats.steps,
         "fused_activations": plan.stats.fused_activations,
+        "epilogue_ops": plan.stats.epilogue_ops,
         "arena_reuse_ratio": plan.stats.arena.reuse_ratio,
         "peak_buffer_bytes": full.peak_buffer_bytes,
         "streaming_peak_buffer_bytes": tight.peak_buffer_bytes,
@@ -115,6 +116,7 @@ def test_bench_plan_forward(benchmark, once, metric):
           f" -> plan {result['plan_seconds'] * 1e3:.2f} ms"
           f" ({result['plan_speedup']:.2f}x, {result['plan_steps']} steps,"
           f" {result['fused_activations']} fused activations,"
+          f" {result['epilogue_ops']} epilogue ops,"
           f" arena reuse {result['arena_reuse_ratio']:.2f}x)")
     print(f"streaming {STREAM_MODEL} batch={STREAM_BATCH}"
           f" budget={STREAM_BUDGET}: peak"

@@ -64,14 +64,26 @@ class LayerDictionary:
         return int(self.atoms.size + self.coefficients.size)
 
 
+def _nearest(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Index of each point's nearest centroid (squared Euclidean distance).
+
+    Uses the GEMM form ``‖p‖² − 2·p·cᵀ + ‖c‖²``: one ``(P × C)`` matrix
+    product instead of a ``(P × C × D)`` broadcast temporary.
+    """
+    distances = points @ centroids.T
+    distances *= -2.0
+    distances += (points ** 2).sum(axis=1)[:, None]
+    distances += (centroids ** 2).sum(axis=1)[None, :]
+    return distances.argmin(axis=1)
+
+
 def _kmeans(points: np.ndarray, clusters: int, iterations: int,
             rng: np.random.Generator) -> np.ndarray:
     """Plain Lloyd's k-means returning the cluster centroids."""
     clusters = min(clusters, len(points))
     centroids = points[rng.choice(len(points), size=clusters, replace=False)].copy()
     for _ in range(iterations):
-        distances = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-        labels = distances.argmin(axis=1)
+        labels = _nearest(points, centroids)
         for cluster in range(clusters):
             members = points[labels == cluster]
             if len(members):

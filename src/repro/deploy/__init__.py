@@ -3,9 +3,10 @@
 :func:`compile` turns a trained model into a static
 :class:`InferencePlan`: one traced forward pass lowered onto a
 :class:`~repro.deploy.arena.BufferArena` of preallocated, liveness-reused
-buffers, with constant freezing, optional BatchNorm folding, activation
-fusion and (under ``memory_budget=``) row-band streaming of oversized
-im2col convolutions.  Default-option plans are
+buffers, with constant freezing, optional BatchNorm folding, conv
+epilogue fusion (frozen BatchNorm, residual add and activation run in
+place inside the conv step) and (under ``memory_budget=``) row-band
+streaming of oversized im2col convolutions.  Default-option plans are
 bit-identical to the eager ``model(x)`` under ``no_grad()``.
 
 Plans also have a wire form: ``plan.save()``/``InferencePlan.load()``

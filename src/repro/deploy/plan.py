@@ -3,7 +3,7 @@
 :func:`compile` runs abstract forward passes of a model at ``batch`` and
 ``batch + 1`` under an op observer (:func:`repro.nn.observe_ops`),
 reconstructs the dataflow graphs of registered ops, optimizes them
-(constant freezing, optional BatchNorm folding, activation fusion,
+(constant freezing, optional BatchNorm folding, conv epilogue fusion,
 dead-code elimination), pairs them into one symbolic-batch program and
 lowers that — the path ``load`` and ``bind`` take too — onto a
 :class:`~repro.deploy.arena.BufferArena` of preallocated, liveness-reused
@@ -16,9 +16,14 @@ Numerical contract: with the default options a plan forward is
 specialized step replays the exact eager kernel with an ``out=``
 destination (the in-place substitutions are verified bit-exact);
 anything without a verified in-place form falls back to the op's own
-forward.  ``fold_bn=True`` trades bits for speed: it folds
-inference-mode BatchNorm affine chains into the preceding convolution's
-weights (equal only to floating-point tolerance).  ``memory_budget=``
+forward.  A conv step also runs its *epilogue* in place on its output:
+the sole-consumer chain of add/mul/div by per-channel constants (a
+frozen BatchNorm's ``add``/``div``/``mul``/``add``), adds of residuals
+computed before the conv, and one final relu/tanh/sigmoid — each the
+same ufunc on the same operands as eager, in traced order.
+``fold_bn=True`` trades bits for speed: it folds inference-mode
+BatchNorm affine chains into the preceding convolution's weights (equal
+only to floating-point tolerance).  ``memory_budget=``
 streams oversized convolutions in row bands; bands cut at whole 16-column
 GEMM tiles stay bit-identical, and only convolutions whose output width
 cannot align (15, 7) are tolerance-equal (see :mod:`repro.deploy.tiling`).
@@ -76,10 +81,17 @@ class _Value:
 
 
 class _Node:
-    """One traced op application."""
+    """One traced op application.
+
+    A conv node may carry an *epilogue*: the ops fused into its step, run
+    in place on its output in traced order — ``epilogue`` holds one
+    ``(op_name, operand, position)`` per add/mul/div (``position`` is the
+    conv value's input slot in the traced op), ``activation`` the final
+    relu/tanh/sigmoid.  ``out`` is then the last fused op's output.
+    """
 
     __slots__ = ("op", "op_name", "inputs", "kwargs", "out", "layer",
-                 "activation")
+                 "epilogue", "activation")
 
     def __init__(self, op, inputs, kwargs, out, layer):
         self.op = op
@@ -88,7 +100,12 @@ class _Node:
         self.kwargs: Dict[str, Any] = kwargs
         self.out: _Value = out
         self.layer = layer
-        self.activation: Optional[str] = None  # fused into conv steps
+        self.epilogue: List[Tuple[str, _Value, int]] = []
+        self.activation: Optional[str] = None
+
+    def operands(self) -> List[_Value]:
+        """Every value the node's step reads: inputs, then epilogue operands."""
+        return self.inputs + [operand for _, operand, _ in self.epilogue]
 
 
 class _Graph:
@@ -148,7 +165,7 @@ def _is_const(value: _Value) -> bool:
 def _const_conv_params(node: _Node):
     """``(weight, bias)`` of a conv whose parameters are all constants, else
     ``None``.  Only such a conv is folded, fused or specialized, so
-    a fused activation always lands on a step that applies it."""
+    a fused epilogue always lands on a step that applies it."""
     weight = node.inputs[1]
     bias = node.inputs[2] if len(node.inputs) > 2 else None
     if _is_const(weight) and (bias is None or _is_const(bias)):
@@ -168,6 +185,68 @@ def _freeze_consts(graph: _Graph) -> int:
     return sum(_is_const(node.out) for node in graph.nodes)
 
 
+_AFFINE_OPS = ("add", "mul", "div")
+_FUSABLE_ACTIVATIONS = ("relu", "tanh", "sigmoid")
+
+
+def _channel_const(value: _Value, out: _Value) -> bool:
+    """Whether ``value`` is a constant of ``out``'s dtype that broadcasts
+    per channel, e.g. ``(1, C, 1, 1)``: against the ``(N, C, H, W)`` conv
+    output it changes neither shape nor dtype."""
+    if not _is_const(value) or value.dtype != out.dtype:
+        return False
+    channel = (1, out.shape[1], 1, 1)
+    try:
+        return np.broadcast_shapes(value.shape, channel) == channel
+    except ValueError:
+        return False
+
+
+def _epilogue_fits(op_name: str, operand: _Value, position: int,
+                   out: _Value, ready: Optional[set]) -> bool:
+    """Whether ``op_name`` on the conv value ``out`` (in input slot
+    ``position``) and ``operand`` runs in place on ``out``'s buffer with
+    eager's bits: add/mul/div by a per-channel constant, the conv value
+    the numerator of a div — or, unless ``ready`` is ``None``, an add of
+    a same-shape, same-dtype constant or value in ``ready`` (a residual
+    computed before the conv)."""
+    if op_name not in _AFFINE_OPS or position not in (0, 1):
+        return False
+    if op_name == "div" and position != 0:
+        return False
+    if _channel_const(operand, out):
+        return True
+    return (ready is not None and op_name == "add"
+            and operand.shape == out.shape and operand.dtype == out.dtype
+            and (_is_const(operand) or operand in ready))
+
+
+def _epilogue_chain(graph: _Graph, uses, conv: _Node,
+                    ready: Optional[set] = None
+                    ) -> List[Tuple[_Node, _Value, int]]:
+    """The sole-consumer add/mul/div chain on ``conv``'s output that fits
+    in place (:func:`_epilogue_fits`), in traced order, as ``(node,
+    operand, position)``.  A residual computed after the conv (a shortcut
+    conv traced before its block's main path) ends the chain: the conv
+    step cannot read it yet."""
+    chain: List[Tuple[_Node, _Value, int]] = []
+    value = conv.out
+    while value is not graph.output:
+        consumers = uses.get(value, [])
+        if len(consumers) != 1:
+            break
+        node, position = consumers[0]
+        if len(node.inputs) != 2:
+            break
+        operand = node.inputs[1 - position]
+        if not _epilogue_fits(node.op_name, operand, position, conv.out,
+                              ready):
+            break
+        chain.append((node, operand, position))
+        value = node.out
+    return chain
+
+
 def _fold_affine_chains(graph: _Graph) -> int:
     """Fold per-channel affine chains (inference BatchNorm) into conv weights.
 
@@ -177,102 +256,79 @@ def _fold_affine_chains(graph: _Graph) -> int:
     bit-identical (the rounding of the affine is moved into the weights);
     only applied under ``fold_bn=True``.
     """
-    folded = 0
-    while True:
-        uses = graph.consumers()
-        applied = False
-        for node in graph.nodes:
-            if node.op_name != "conv2d" or node.activation is not None:
-                continue
-            params = _const_conv_params(node)
-            if params is None:
-                continue
-            weight, bias = params
-            co = weight.shape[0]
-            dtype = weight.dtype
-            scale = np.ones(co, dtype=dtype)
-            shift = np.zeros(co, dtype=dtype)
-            chain: List[_Node] = []
-            value = node.out
-            while True:
-                consumers = uses.get(value, [])
-                if len(consumers) != 1 or value is graph.output:
-                    break
-                nxt, position = consumers[0]
-                if nxt.op_name not in ("add", "mul", "div") or len(nxt.inputs) != 2:
-                    break
-                other = nxt.inputs[1 - position]
-                if not _is_const(other):
-                    break
-                if nxt.op_name == "div" and position != 0:
-                    break
-                const = other.array
-                try:
-                    bshape = np.broadcast_shapes(const.shape, (1, co, 1, 1))
-                except ValueError:
-                    break
-                if bshape != (1, co, 1, 1):
-                    break
-                cvec = np.broadcast_to(
-                    const.reshape(-1), (co,)).astype(dtype, copy=True)
-                if nxt.op_name == "add":
-                    shift = shift + cvec
-                elif nxt.op_name == "mul":
-                    scale = scale * cvec
-                    shift = shift * cvec
-                else:
-                    scale = scale / cvec
-                    shift = shift / cvec
-                chain.append(nxt)
-                value = nxt.out
-            if not chain:
-                continue
-            new_weight = weight.array * scale.reshape(co, 1, 1, 1)
-            old_bias = bias.array if bias is not None else np.zeros(co, dtype=dtype)
-            new_bias = old_bias * scale + shift
-            weight_value = _Value("const", new_weight.shape, new_weight.dtype,
-                                  array=new_weight, is_const=True)
-            bias_value = _Value("const", new_bias.shape, new_bias.dtype,
-                                array=new_bias, is_const=True)
-            node.inputs = [node.inputs[0], weight_value, bias_value]
-            node.out = chain[-1].out
-            removed = set(chain)
-            graph.nodes = [n for n in graph.nodes if n not in removed]
-            folded += len(chain)
-            applied = True
-            break
-        if not applied:
-            return folded
+    uses = graph.consumers()
+    removed: set = set()
+    for node in graph.nodes:
+        if node.op_name != "conv2d":
+            continue
+        params = _const_conv_params(node)
+        if params is None:
+            continue
+        chain = _epilogue_chain(graph, uses, node)
+        if not chain:
+            continue
+        weight, bias = params
+        co = weight.shape[0]
+        dtype = weight.dtype
+        scale = np.ones(co, dtype=dtype)
+        shift = np.zeros(co, dtype=dtype)
+        for op, operand, _ in chain:
+            cvec = np.broadcast_to(
+                operand.array.reshape(-1), (co,)).astype(dtype, copy=True)
+            if op.op_name == "add":
+                shift = shift + cvec
+            elif op.op_name == "mul":
+                scale = scale * cvec
+                shift = shift * cvec
+            else:
+                scale = scale / cvec
+                shift = shift / cvec
+        new_weight = weight.array * scale.reshape(co, 1, 1, 1)
+        old_bias = bias.array if bias is not None else np.zeros(co, dtype=dtype)
+        new_bias = old_bias * scale + shift
+        weight_value = _Value("const", new_weight.shape, new_weight.dtype,
+                              array=new_weight, is_const=True)
+        bias_value = _Value("const", new_bias.shape, new_bias.dtype,
+                            array=new_bias, is_const=True)
+        node.inputs = [node.inputs[0], weight_value, bias_value]
+        node.out = chain[-1][0].out
+        removed.update(op for op, _, _ in chain)
+    graph.nodes = [n for n in graph.nodes if n not in removed]
+    return len(removed)
 
 
-_FUSABLE_ACTIVATIONS = ("relu", "tanh", "sigmoid")
+def _fuse_epilogues(graph: _Graph) -> None:
+    """Fuse each constant-parameter conv's epilogue into the conv step.
 
-
-def _fuse_activations(graph: _Graph) -> int:
-    """Fuse a conv's sole-consumer activation into the conv step itself."""
-    fused = 0
-    while True:
-        uses = graph.consumers()
-        applied = False
-        for node in graph.nodes:
-            if node.op_name != "conv2d" or node.activation is not None:
-                continue
-            if _const_conv_params(node) is None or node.out is graph.output:
-                continue
-            consumers = uses.get(node.out, [])
-            if len(consumers) != 1:
-                continue
-            act, _ = consumers[0]
-            if act.op_name not in _FUSABLE_ACTIVATIONS or len(act.inputs) != 1:
-                continue
-            node.activation = act.op_name
-            node.out = act.out
-            graph.nodes = [n for n in graph.nodes if n is not act]
-            fused += 1
-            applied = True
-            break
-        if not applied:
-            return fused
+    The epilogue is the sole-consumer chain after the conv: add/mul/div
+    by per-channel constants (a frozen BatchNorm), adds of residuals
+    computed before the conv, then at most one relu/tanh/sigmoid.  The
+    step replays each op as the same ufunc on the same operands, in
+    place on the conv's output buffer, so the bits equal eager's.
+    """
+    uses = graph.consumers()
+    ready = {graph.input}
+    absorbed: set = set()
+    for node in graph.nodes:
+        if node in absorbed:
+            continue
+        if node.op_name == "conv2d" and _const_conv_params(node) is not None:
+            chain = _epilogue_chain(graph, uses, node, ready)
+            value = chain[-1][0].out if chain else node.out
+            consumers = uses.get(value, [])
+            if value is not graph.output and len(consumers) == 1:
+                act, _ = consumers[0]
+                if (act.op_name in _FUSABLE_ACTIVATIONS
+                        and len(act.inputs) == 1):
+                    node.activation = act.op_name
+                    value = act.out
+                    absorbed.add(act)
+            node.epilogue = [(op.op_name, operand, position)
+                             for op, operand, position in chain]
+            node.out = value
+            absorbed.update(op for op, _, _ in chain)
+        ready.add(node.out)
+    graph.nodes = [n for n in graph.nodes if n not in absorbed]
 
 
 def _eliminate_dead_code(graph: _Graph) -> int:
@@ -292,7 +348,7 @@ def _eliminate_dead_code(graph: _Graph) -> int:
         node = producer.get(value)
         if node is not None:
             needed_nodes.add(node)
-            stack.extend(node.inputs)
+            stack.extend(node.operands())
     before = len(graph.nodes)
     graph.nodes = [n for n in graph.nodes if n in needed_nodes]
     return before - len(graph.nodes)
@@ -312,17 +368,20 @@ class _Step:
     ``run(regs)`` as a closure over the concrete arrays.  ``kind``
     distinguishes specialized (arena-backed, in-place) steps from ``view``
     and ``generic`` fallback steps; ``streamed`` is a streamed conv's
-    row-band schedule.
+    row-band schedule.  A conv step names the add/mul/div ops fused into
+    it in ``epilogue`` and its fused activation in ``activation``.
     """
 
     def __init__(self, kind: str, node: _Node,
                  build: Callable[[Dict[str, np.ndarray]], Callable],
                  refs: Optional[Dict[str, BufferRef]] = None, *,
+                 epilogue: Tuple[str, ...] = (),
                  activation: Optional[str] = None,
                  streamed: Optional[StreamedConv] = None):
         self.kind = kind
         self.op_name = node.op_name
         self.layer = node.layer
+        self.epilogue = epilogue
         self.activation = activation
         self.streamed = streamed
         self.refs: Dict[str, BufferRef] = refs or {}
@@ -355,6 +414,16 @@ def _activation(name: str, mask: Optional[np.ndarray]):
         np.add(out, 1.0, out=out)
         np.divide(1.0, out, out=out)
     return sigmoid
+
+
+def _epilogue_op(op_name: str, operand: int, position: int):
+    """``op(out, regs)``: one fused add/mul/div in place on ``out``, the
+    conv value in traced input slot ``position``, the other operand read
+    from register ``operand``."""
+    ufunc = _UFUNCS[op_name]
+    if position:
+        return lambda out, regs: ufunc(regs[operand], out, out=out)
+    return lambda out, regs: ufunc(out, regs[operand], out=out)
 
 
 def _view_step(node: _Node, ins: List[int]) -> _Step:
@@ -392,7 +461,15 @@ _UFUNCS = {"add": np.add, "mul": np.multiply, "div": np.true_divide,
 
 @dataclass
 class PlanStats:
-    """Compile-time accounting of an :class:`InferencePlan`."""
+    """Compile-time accounting of an :class:`InferencePlan`.
+
+    ``fused_activations`` counts the conv steps ending in a relu, tanh or
+    sigmoid, ``epilogue_ops`` the add/mul/div ops run in place inside
+    conv steps (four per frozen BatchNorm, one per residual add) — both
+    read from the lowered steps, so loaded and bound plans report them
+    too.  ``frozen_consts``, ``folded_ops`` and ``dce_removed`` are pass
+    counts known only to :func:`compile`.
+    """
 
     steps: int = 0
     specialized: int = 0
@@ -400,6 +477,7 @@ class PlanStats:
     generic: int = 0
     streamed_convs: int = 0
     fused_activations: int = 0
+    epilogue_ops: int = 0
     frozen_consts: int = 0
     folded_ops: int = 0
     dce_removed: int = 0
@@ -453,8 +531,9 @@ def _caller_stacklevel() -> int:
 
 
 def _lower_conv(cx: _Lowering, node: _Node, ins: List[int]) -> Optional[_Step]:
-    """im2col convolution into arena memory, with the fused activation as an
-    epilogue and row-band streaming over ``memory_budget``.
+    """im2col convolution into arena memory, with row-band streaming over
+    ``memory_budget``; after the bias add, the node's epilogue runs in
+    place on the output buffer, whichever way the GEMM was computed.
 
     A 1x1, stride-1, unpadded conv over a live arena buffer skips im2col:
     its columns would be a byte-equal copy of the input in the same
@@ -513,12 +592,14 @@ def _lower_conv(cx: _Lowering, node: _Node, ins: List[int]) -> Optional[_Step]:
     src, kernel, stride = ins[0], (kh, kw), node.kwargs["stride"]
     w_mat = weight.array.reshape(co, -1)
     bias_r = None if bias is None else bias.array.reshape(1, co, 1, 1)
+    ops = [_epilogue_op(op_name, operand.index, position)
+           for op_name, operand, position in node.epilogue]
 
     def build(arrays):
         cols, out4 = arrays.get("cols_ref"), arrays["out_ref"]
         out3d = out4.reshape(nb, co, oh * ow)
-        epilogue = (_activation(activation, arrays.get("mask_ref"))
-                    if activation else None)
+        act = (_activation(activation, arrays.get("mask_ref"))
+               if activation else None)
 
         def run(regs):
             x = regs[src]
@@ -535,12 +616,15 @@ def _lower_conv(cx: _Lowering, node: _Node, ins: List[int]) -> Optional[_Step]:
                 np.matmul(w_mat, cols, out=out3d)
             if bias_r is not None:
                 np.add(out4, bias_r, out=out4)
-            if epilogue is not None:
-                epilogue(out4, out4)
+            for op in ops:
+                op(out4, regs)
+            if act is not None:
+                act(out4, out4)
         return run
 
-    return _Step("conv", node, build, refs, activation=activation,
-                 streamed=stream)
+    return _Step("conv", node, build, refs,
+                 epilogue=tuple(op_name for op_name, _, _ in node.epilogue),
+                 activation=activation, streamed=stream)
 
 
 def _lower_pool(cx: _Lowering, node: _Node, ins: List[int]) -> _Step:
@@ -677,11 +761,11 @@ _LOWERINGS = {
 
 def _value_order(graph: _Graph) -> List[_Value]:
     """Every graph value once, in register order: the input, each node's
-    inputs then output, and the output.  The lowering and the wire form
+    operands then output, and the output.  The lowering and the wire form
     both index values by it."""
     values = [graph.input]
     for node in graph.nodes:
-        values.extend(node.inputs)
+        values.extend(node.operands())
         values.append(node.out)
     values.append(graph.output)
     return list(dict.fromkeys(values))
@@ -708,7 +792,7 @@ def _lower(graph: _Graph, program, backend: Backend, batch: int,
 
     last_use: Dict[_Value, int] = {}
     for i, node in enumerate(graph.nodes):
-        for value in node.inputs:
+        for value in node.operands():
             last_use[base_of(value)] = i
 
     out_base = base_of(graph.output)
@@ -740,7 +824,7 @@ def _lower(graph: _Graph, program, backend: Backend, batch: int,
         # across processes.  Serialized plans rely on the lowering being a
         # pure function of the graph.
         bases: List[_Value] = []
-        for value in node.inputs:
+        for value in node.operands():
             base = base_of(value)
             if base not in bases:
                 bases.append(base)
@@ -765,6 +849,7 @@ def _lower(graph: _Graph, program, backend: Backend, batch: int,
     stats.generic = counts.get("generic", 0)
     stats.specialized = stats.steps - stats.views - stats.generic
     stats.fused_activations = sum(s.activation is not None for s in steps)
+    stats.epilogue_ops = sum(len(s.epilogue) for s in steps)
     stats.arena = arena.stats
     stats.batch_peaks[int(batch)] = arena.stats.peak_bytes
 
@@ -987,7 +1072,7 @@ def _optimize_graph(graph: _Graph, *, fold_bn: bool,
     """Run the standard pass pipeline in place (deterministic per graph)."""
     frozen = _freeze_consts(graph)
     folded = _fold_affine_chains(graph) if fold_bn else 0
-    _fuse_activations(graph)
+    _fuse_epilogues(graph)
     removed = _eliminate_dead_code(graph)
     if stats is not None:
         stats.frozen_consts = frozen

@@ -26,8 +26,13 @@ The header holds:
   the model at two batch sizes), constants pointing into ``consts``;
 * ``nodes`` — op name (resolved from the op registry on load), input and
   output value indices, kwargs in a tagged encoding that preserves exact
-  Python types (ints are affine in the batch too), layer path and any
-  fused activation;
+  Python types (ints are affine in the batch too), layer path, the fused
+  ``activation`` of a conv (or null) and, only on a conv with fused
+  add/mul/div ops, its ``epilogue``: ``[[op, value index, position],
+  ...]`` in run order, ``position`` being the conv value's input slot in
+  the traced op.  A plan without such a chain keeps the bytes it had
+  before epilogues existed, and a container saved then loads with its
+  chains as separate steps;
 * ``consts`` — one ``{offset, nbytes, shape, dtype, order}`` entry per
   constant; ``order`` keeps F-contiguous weights F-contiguous, so BLAS
   sees the layouts the saved plan computed with;
@@ -45,10 +50,12 @@ loaded plan is the plan that was saved, bit for bit, or it is an error.
 A ``repro-plan/1`` JSON payload fails with the uniform ``unsupported
 plan schema`` error.
 
-Measured on a shared 2-vCPU host with BLAS on one thread: loading the
-float32 ALF resnet20 serving plan (482 KB) takes about 11 ms against
-about 46 ms to compile it, where the ``repro-plan/1`` JSON payload
-(628 KB) took about 45 ms to load.  ``load_vs_compile_speedup`` in
+Measured on a shared 2-vCPU host with BLAS on one thread, before conv
+epilogues shrank the float32 ALF resnet20 serving plan from 482 KB to
+445 KB: loading it took about 11 ms against about 46 ms to compile it
+(perfbench's ``serialize.load_ms`` read 5–8 ms after), where the
+``repro-plan/1`` JSON payload (628 KB) took about 45 ms to load.
+``load_vs_compile_speedup`` in
 ``benchmarks/test_bench_plan_forward.py`` read 5.1 for dense resnet20 in
 float64.
 
@@ -73,8 +80,9 @@ import numpy as np
 
 from ..nn.backend import Backend, get_backend
 from ..wire import canonical_json, check_schema
-from .plan import (InferencePlan, PlanStats, _Graph, _lower, _Node, _Value,
-                   _value_order)
+from .plan import (_AFFINE_OPS, _FUSABLE_ACTIVATIONS, InferencePlan,
+                   PlanStats, _const_conv_params, _epilogue_fits, _Graph,
+                   _lower, _Node, _Value, _value_order)
 
 __all__ = ["PLAN_SCHEMA", "PlanProgram", "program_from_graphs",
            "bind_program", "pack_container", "unpack_container",
@@ -275,6 +283,8 @@ def _build_program(graph: _Graph, graph_next: _Graph, batch: int,
         if (node.op_name != node_next.op_name
                 or node.layer != node_next.layer
                 or node.activation != node_next.activation
+                or _wire_epilogue(node, index)
+                != _wire_epilogue(node_next, index_next)
                 or len(node.inputs) != len(node_next.inputs)
                 or [index[v] for v in node.inputs]
                 != [index_next[v] for v in node_next.inputs]
@@ -316,12 +326,15 @@ def _build_program(graph: _Graph, graph_next: _Graph, batch: int,
         kwargs = {key: _encode_kwarg(node.kwargs[key], node_next.kwargs[key],
                                      batch)
                   for key in sorted(node.kwargs)}
-        nodes.append({"op": node.op_name,
-                      "inputs": [index[v] for v in node.inputs],
-                      "out": index[node.out],
-                      "kwargs": kwargs,
-                      "layer": node.layer,
-                      "activation": node.activation})
+        entry = {"op": node.op_name,
+                 "inputs": [index[v] for v in node.inputs],
+                 "out": index[node.out],
+                 "kwargs": kwargs,
+                 "layer": node.layer,
+                 "activation": node.activation}
+        if node.epilogue:
+            entry["epilogue"] = _wire_epilogue(node, index)
+        nodes.append(entry)
 
     return PlanProgram(
         backend_name=backend.name,
@@ -333,6 +346,59 @@ def _build_program(graph: _Graph, graph_next: _Graph, batch: int,
         polymorphic=graph_next is not graph,
         values=values, consts=consts, nodes=nodes,
         input=index[graph.input], output=index[graph.output])
+
+
+def _wire_epilogue(node: _Node, index: Mapping[_Value, int]) -> List[list]:
+    """A node's epilogue as ``[[op, value index, position], ...]``."""
+    return [[op_name, index[operand], position]
+            for op_name, operand, position in node.epilogue]
+
+
+def _decode_fusion(wire: Mapping[str, Any], node: _Node,
+                   values: List[_Value], ready: set) -> None:
+    """Set ``node``'s fused activation and epilogue from its wire entry.
+
+    Rejects, with a ``ValueError`` naming the schema, anything the conv
+    step could not replay exactly: fusion on a node that is not a
+    constant-parameter conv, an unknown activation, an epilogue op other
+    than add/mul/div, an out-of-range value index, or an operand that is
+    neither a per-channel constant nor, for add, a same-shape value
+    computed before the conv.
+    """
+    activation, entries = wire["activation"], wire.get("epilogue")
+    if activation is None and entries is None:
+        return
+    where = f"{PLAN_SCHEMA} {wire['op']} node {wire['layer']!r}"
+    if node.op_name != "conv2d" or _const_conv_params(node) is None:
+        raise ValueError(f"{where}: only a conv2d with constant parameters "
+                         f"carries a fused activation or epilogue")
+    if activation is not None and activation not in _FUSABLE_ACTIVATIONS:
+        raise ValueError(f"{where}: fused activation {activation!r} is not "
+                         f"one of {list(_FUSABLE_ACTIVATIONS)}")
+    node.activation = activation
+    if entries is None:
+        return
+    if type(entries) is not list or not entries:
+        raise ValueError(f"{where}: epilogue must be a non-empty list")
+    for entry in entries:
+        if type(entry) is not list or len(entry) != 3:
+            raise ValueError(f"{where}: epilogue entry {entry!r} is not "
+                             f"[op, value index, position]")
+        op_name, at, position = entry
+        if op_name not in _AFFINE_OPS:
+            raise ValueError(f"{where}: epilogue op {op_name!r} is not one "
+                             f"of {list(_AFFINE_OPS)}")
+        if type(at) is not int or not 0 <= at < len(values):
+            raise ValueError(f"{where}: epilogue value index {at!r} is out "
+                             f"of range")
+        operand = values[at]
+        if (type(position) is not int or not _epilogue_fits(
+                op_name, operand, position, node.out, ready)):
+            raise ValueError(
+                f"{where}: epilogue {op_name!r} operand {at} (position "
+                f"{position!r}) is neither a per-channel constant nor, for "
+                f"add, a same-shape value computed before the conv")
+        node.epilogue.append((op_name, operand, position))
 
 
 def program_from_graphs(graph: _Graph, graph_next: Optional[_Graph], *,
@@ -374,6 +440,7 @@ def program_to_graph(program: PlanProgram, batch: int) -> _Graph:
                     f"declares {dtype}{list(shape)}")
         values.append(_Value(entry["kind"], shape, dtype, array=array,
                              is_const=array is not None))
+    ready = {values[program.input]}
     nodes: List[_Node] = []
     for wire in program.nodes:
         op = _OP_REGISTRY.get(wire["op"])
@@ -385,8 +452,9 @@ def program_to_graph(program: PlanProgram, batch: int) -> _Graph:
                   for key, encoded in wire["kwargs"].items()}
         node = _Node(op, [values[i] for i in wire["inputs"]], kwargs,
                      values[wire["out"]], wire["layer"])
-        node.activation = wire["activation"]
+        _decode_fusion(wire, node, values, ready)
         nodes.append(node)
+        ready.add(node.out)
     return _Graph(nodes, values[program.input], values[program.output])
 
 

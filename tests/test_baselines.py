@@ -17,6 +17,7 @@ from repro.baselines import (
     keep_top_filters,
     prunable_convolutions,
 )
+from repro.baselines.lcnn import _kmeans, _nearest
 from repro.metrics import profile_model
 from repro.models import lenet, resnet8
 from repro.nn import Conv2d, Sequential, Tensor
@@ -218,6 +219,34 @@ class TestLCNN:
             LCNNCompressor(dictionary_fraction=0.0)
         with pytest.raises(ValueError):
             LCNNCompressor(sparsity=0)
+
+    @pytest.mark.parametrize("points, clusters, dim, dtype", [
+        (8, 4, 27, np.float64), (64, 8, 144, np.float64),
+        (128, 15, 576, np.float64), (96, 12, 288, np.float32)])
+    def test_kmeans_gemm_form_matches_the_broadcast_form(self, points,
+                                                         clusters, dim, dtype):
+        # The GEMM distance picks the same nearest centroid as the
+        # (P × C × D) broadcast, so Lloyd's iterations give equal centroids.
+        def broadcast_nearest(p, c):
+            return ((p[:, None, :] - c[None, :, :]) ** 2).sum(axis=2).argmin(1)
+
+        def broadcast_kmeans(p, k, iterations, rng):
+            centroids = p[rng.choice(len(p), size=k, replace=False)].copy()
+            for _ in range(iterations):
+                labels = broadcast_nearest(p, centroids)
+                for cluster in range(k):
+                    members = p[labels == cluster]
+                    if len(members):
+                        centroids[cluster] = members.mean(axis=0)
+            return centroids
+
+        data = np.random.default_rng(points + dim)
+        p = data.standard_normal((points, dim)).astype(dtype)
+        c = data.standard_normal((clusters, dim)).astype(dtype)
+        np.testing.assert_array_equal(_nearest(p, c), broadcast_nearest(p, c))
+        got = _kmeans(p, clusters, 10, np.random.default_rng(3))
+        want = broadcast_kmeans(p, clusters, 10, np.random.default_rng(3))
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 class TestLowRank:

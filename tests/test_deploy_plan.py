@@ -13,6 +13,7 @@ import gc
 import hashlib
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -430,11 +431,19 @@ def test_unachievable_budget_warns_and_reports_achievable_peak():
 # Graph optimizations
 # --------------------------------------------------------------------------- #
 def test_fold_bn_shrinks_plan_and_stays_close():
+    # Both plans have one step per conv: the default plan runs each frozen
+    # BN as four in-place epilogue ops of its conv step, the folded plan
+    # bakes exactly those ops into the conv weights.
     model = build_model("resnet20", rng=np.random.default_rng(0))
     plain = compile(model, (3, 32, 32), batch=2)
     folded = compile(model, (3, 32, 32), batch=2, fold_bn=True)
+    program = plain._program
+    affine = sum(program.values[index]["const"] is not None
+                 for node in program.nodes
+                 for _, index, _ in node.get("epilogue", []))
     assert folded.stats.folded_ops > 0
-    assert folded.stats.steps < plain.stats.steps
+    assert affine == folded.stats.folded_ops
+    assert folded.stats.epilogue_ops == plain.stats.epilogue_ops - affine
 
     x = np.random.default_rng(6).standard_normal((2, 3, 32, 32))
     x = x.astype(plain.input_dtype)
@@ -468,6 +477,146 @@ def test_compressed_conv_lowers_to_two_fused_steps():
     assert conv_steps[0].activation == "relu"
     assert conv_steps[1].activation is None
     assert out.tobytes() == ref.tobytes()
+
+
+# --------------------------------------------------------------------------- #
+# Conv epilogues: frozen BN, residual add and activation inside the conv step
+# --------------------------------------------------------------------------- #
+def _alf_resnet20():
+    import repro.api as api
+
+    report = api.compress(
+        "resnet20", method="alf", hardware=None, seed=1,
+        config=api.ALFSpec(stage_remaining=api.ALF_TABLE2_STAGE_REMAINING))
+    return report.model
+
+
+@pytest.mark.parametrize("name, steps", [("dense", 25), ("alf", 44)])
+def test_resnet20_plans_run_one_step_per_conv(name, steps):
+    # Every BN, residual add and relu rides in a conv step; only the pooled
+    # head (sum, scale, matmul, bias) stays separate.
+    model = (build_model("resnet20", rng=np.random.default_rng(0))
+             if name == "dense" else _alf_resnet20())
+    out, ref, plan = _compile_and_run(model, (3, 32, 32), 2, "numpy32")
+    assert plan.stats.steps == steps
+    assert plan.stats.step_counts["conv"] == steps - 4
+    assert out.tobytes() == ref.tobytes()
+
+
+def _const(shape, value, dtype):
+    return Tensor(np.full(shape, value, dtype=dtype), dtype=dtype)
+
+
+class _LateResidual(Module):
+    """A shortcut conv traced before the main-path conv it is added to."""
+
+    def __init__(self, rng):
+        super().__init__()
+        self.shortcut = Conv2d(3, 4, 1, rng=rng)
+        self.bn = BatchNorm2d(4)
+        self.conv = Conv2d(3, 4, 3, padding=1, rng=rng)
+
+    def forward(self, x):
+        identity = self.bn(self.shortcut(x))
+        return (identity + self.conv(x)).relu()
+
+
+class _SharedBN(Module):
+    """A BN output read twice: by a relu and by an add."""
+
+    def __init__(self, rng):
+        super().__init__()
+        self.conv = Conv2d(3, 4, 3, rng=rng)
+        self.bn = BatchNorm2d(4)
+
+    def forward(self, x):
+        y = self.bn(self.conv(x))
+        return y.relu() + y
+
+
+class _ConstOverConv(Module):
+    """``const / conv(x)``: the conv value is the divisor."""
+
+    def __init__(self, rng):
+        super().__init__()
+        self.conv = Conv2d(3, 4, 3, rng=rng)
+        self.conv.bias.data[...] = 1.0  # no division by zero in the trace
+
+    def forward(self, x):
+        out = self.conv(x)
+        return _const((1, 4, 1, 1), 2.0, out.data.dtype) / out
+
+
+class _PromotingScale(Module):
+    """A float64 per-channel scale on a float32 conv promotes the result."""
+
+    def __init__(self, rng):
+        super().__init__()
+        self.conv = Conv2d(3, 4, 3, rng=rng)
+
+    def forward(self, x):
+        return self.conv(x) * _const((1, 4, 1, 1), 0.5, np.float64)
+
+
+def _epilogues(plan):
+    return [(s.epilogue, s.activation) for s in plan.steps
+            if s.kind == "conv"]
+
+
+def test_residual_computed_after_the_conv_is_not_absorbed():
+    model = _LateResidual(np.random.default_rng(3))
+    out, ref, plan = _compile_and_run(model, (3, 6, 6), 2, "numpy32")
+    # The shortcut keeps its BN but stops at the add, whose other operand
+    # is computed later; the main-path conv takes the add and the relu.
+    assert _epilogues(plan) == [(("add", "div", "mul", "add"), None),
+                                (("add",), "relu")]
+    assert plan.stats.steps == 2
+    assert out.tobytes() == ref.tobytes()
+    x = np.random.default_rng(4).standard_normal((3, 3, 6, 6))
+    x = x.astype(np.float32)
+    assert (InferencePlan.from_bytes(plan.to_bytes()).bind(3)(x).data.tobytes()
+            == _eager(model, x).tobytes())
+
+
+@pytest.mark.parametrize("model, epilogues, kinds", [
+    (_SharedBN, [(("add", "div", "mul", "add"), None)],
+     ["conv", "relu", "eltwise"]),
+    (_ConstOverConv, [((), None)], ["conv", "eltwise"]),
+    (_PromotingScale, [((), None)], ["conv", "eltwise"]),
+], ids=["shared-bn-output", "const-over-conv", "promoting-const"])
+def test_ops_that_cannot_run_in_place_stay_separate(model, epilogues, kinds):
+    with use_backend(get_backend("numpy32")):  # float32 parameters
+        model = model(np.random.default_rng(5))
+    out, ref, plan = _compile_and_run(model, (3, 6, 6), 2, "numpy32")
+    assert _epilogues(plan) == epilogues
+    assert [s.kind for s in plan.steps] == kinds
+    assert out.dtype == ref.dtype and out.tobytes() == ref.tobytes()
+
+
+#: A generated net (seed 7: conv → BN, residual conv → BN) in float32 at
+#: batch 2, saved before conv epilogues existed: its BN chains and residual
+#: add are separate eltwise steps in the stored program.
+PRE_EPILOGUE_PLAN = (Path(__file__).parent / "data"
+                     / "generated-seed7-float32.repro-plan-2.plan")
+
+
+def test_plan_saved_before_epilogues_loads_bit_identically():
+    from test_generated_models import generated_net
+
+    backend = get_backend("numpy32")
+    model, shape = generated_net(7, backend)
+    data = PRE_EPILOGUE_PLAN.read_bytes()
+    loaded = InferencePlan.from_bytes(data)
+    assert loaded.to_bytes() == data
+    assert loaded.stats.step_counts == {"conv": 4, "eltwise": 9, "relu": 1}
+    x = np.random.default_rng(8).standard_normal((3,) + shape)
+    x = x.astype(backend.dtype)
+    assert loaded(x[:2]).data.tobytes() == _eager(model, x[:2]).tobytes()
+    assert loaded.bind(3)(x).data.tobytes() == _eager(model, x).tobytes()
+    with use_backend(backend):
+        fresh = compile(model, shape, batch=2)
+    assert fresh.stats.steps == 5
+    assert fresh(x[:2]).data.tobytes() == loaded(x[:2]).data.tobytes()
 
 
 def test_compression_result_compile():

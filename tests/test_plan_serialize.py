@@ -257,6 +257,27 @@ def _conv_kwarg(key, encoded):
     return change
 
 
+def _fusion(op, **fields):
+    """Set ``fields`` on the first ``op`` node; an ``epilogue`` given as a
+    function gets the node and returns the entry list."""
+    def change(header):
+        node = next(n for n in header["nodes"] if n["op"] == op)
+        for key, value in fields.items():
+            node[key] = value(node) if callable(value) else value
+    return change
+
+
+def _epilogue(*entry):
+    """The first conv's epilogue ``[entry]``; a callable entry item gets the
+    node (to name its weight or output index)."""
+    return _fusion("conv2d", epilogue=lambda node: [
+        [item(node) if callable(item) else item for item in entry]])
+
+
+def _weight(node):
+    return node["inputs"][1]
+
+
 #: name -> (edit the parsed header, expected ValueError message); the
 #: container is re-packed with valid digests around the edit.
 HEADER_MUTATIONS = {
@@ -293,6 +314,28 @@ HEADER_MUTATIONS = {
                            "malformed"),
     "kwarg-array-count": (_conv_kwarg("stride", {"a": ["<i8", [3], [1, 1]]}),
                           "malformed"),
+    "activation-unknown": (_fusion("conv2d", activation="exp"),
+                           "repro-plan/2 .* fused activation 'exp'"),
+    "epilogue-op-exp": (_epilogue("exp", _weight, 0),
+                        "repro-plan/2 .* epilogue op 'exp' is not one of"),
+    "epilogue-index-past-end": (_epilogue("add", 10 ** 6, 0),
+                                "repro-plan/2 .* index 1000000 is out of"),
+    "epilogue-index-negative": (_epilogue("add", -1, 0),
+                                "repro-plan/2 .* index -1 is out of"),
+    "epilogue-index-not-int": (_epilogue("add", "0", 0),
+                               "repro-plan/2 .* index '0' is out of"),
+    "epilogue-operand-weight": (_epilogue("mul", _weight, 0),
+                                "repro-plan/2 .* neither a per-channel"),
+    "epilogue-residual-later": (_epilogue("add", lambda n: n["out"], 0),
+                                "repro-plan/2 .* neither a per-channel"),
+    "epilogue-position": (_epilogue("add", 0, 2),
+                          "repro-plan/2 .* neither a per-channel"),
+    "epilogue-entry-short": (_fusion("conv2d", epilogue=[["add", 0]]),
+                             "repro-plan/2 .* not \\[op, value index"),
+    "epilogue-empty": (_fusion("conv2d", epilogue=[]),
+                       "repro-plan/2 .* non-empty list"),
+    "epilogue-on-matmul": (_fusion("matmul", epilogue=[["add", 0, 0]]),
+                           "repro-plan/2 .* only a conv2d"),
 }
 
 
