@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Hashable, List, Optional, Tuple
 
 import numpy as np
 
@@ -82,6 +82,7 @@ class BufferArena:
         self._buffers: Optional[List[np.ndarray]] = None
         self._views: Dict[BufferRef, np.ndarray] = {}
         self._dedicated_bytes = 0
+        self._shared: Dict[tuple, np.ndarray] = {}
         self.stats = ArenaStats()
 
     # ------------------------------------------------------------------ #
@@ -167,4 +168,22 @@ class BufferArena:
         self.stats.naive_bytes += array.nbytes
         self.stats.reservations += 1
         self._dedicated_bytes += array.nbytes
+        return array
+
+    def shared_zeros_array(self, shape: Tuple[int, ...], dtype,
+                           interior: Hashable) -> np.ndarray:
+        """:meth:`zeros_array`, one per ``(shape, dtype, interior)``.
+
+        For zero-bordered scratch whose every user rewrites the same
+        ``interior`` (e.g. the padding that places it) before reading: no
+        user writes the border, so one buffer serves them all.  Each
+        request counts as naive bytes; the buffer counts once as peak.
+        """
+        key = (tuple(shape), np.dtype(dtype), interior)
+        array = self._shared.get(key)
+        if array is None:
+            array = self._shared[key] = self.zeros_array(shape, dtype)
+        else:
+            self.stats.naive_bytes += array.nbytes
+            self.stats.reservations += 1
         return array

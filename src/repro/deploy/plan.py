@@ -23,10 +23,17 @@ computed before the conv, and one final relu/tanh/sigmoid — each the
 same ufunc on the same operands as eager, in traced order.
 ``fold_bn=True`` trades bits for speed: it folds inference-mode
 BatchNorm affine chains into the preceding convolution's weights (equal
-only to floating-point tolerance).  ``memory_budget=``
-streams oversized convolutions in row bands; bands cut at whole 16-column
-GEMM tiles stay bit-identical, and only convolutions whose output width
-cannot align (15, 7) are tolerance-equal (see :mod:`repro.deploy.tiling`).
+only to floating-point tolerance).
+
+A stride-1 conv over at least 16 input channels that does not widen
+(:func:`~repro.nn.functional.shifted_conv_applies`) runs the shifted GEMM
+eager inference runs — one GEMM per kernel tap over a zero-bordered copy
+of its input, no im2col — so it keeps eager's bits and has no column
+block.  ``memory_budget=`` streams the oversized column blocks of the
+other convs (the stem, strided and widening convs) in row bands; bands
+cut at whole 16-column GEMM tiles stay bit-identical, and only
+convolutions whose output width cannot align (15, 7) are tolerance-equal
+(see :mod:`repro.deploy.tiling`).
 
 Plans are snapshots: parameter arrays are bound by reference where the
 trace uses them directly, but any value derived from parameters (masked
@@ -50,7 +57,8 @@ import numpy as np
 
 from ..nn.backend import (Backend, BackendLike, current_backend, get_backend,
                           use_backend)
-from ..nn.functional import im2col_out
+from ..nn.functional import (im2col_out, shifted_conv, shifted_conv_applies,
+                             shifted_conv_taps)
 from ..nn.module import Module
 from ..nn.tensor import OpRecord, Tensor, no_grad, observe_ops
 from .arena import ArenaStats, BufferArena, BufferRef
@@ -360,8 +368,9 @@ def _eliminate_dead_code(graph: _Graph) -> int:
 class _Step:
     """One executable unit of a plan.
 
-    ``refs`` names the arena buffers the step owns (``cols_ref``,
-    ``mask_ref``, ``argmax_ref``, ``out_ref``) in reservation order; all
+    ``refs`` names the arena buffers the step owns (``cols_ref`` or a
+    shifted conv's ``acc_ref``/``tmp_ref``, ``mask_ref``, ``argmax_ref``,
+    ``out_ref``) in reservation order; all
     but ``out_ref`` are scratch, free again once the step has run.
     ``bind(arena, regs)`` resolves them after the arena is finalized,
     publishes ``out_ref`` as the step's output register and builds
@@ -530,67 +539,90 @@ def _caller_stacklevel() -> int:
     return level
 
 
-def _lower_conv(cx: _Lowering, node: _Node, ins: List[int]) -> Optional[_Step]:
-    """im2col convolution into arena memory, with row-band streaming over
-    ``memory_budget``; after the bias add, the node's epilogue runs in
-    place on the output buffer, whichever way the GEMM was computed.
+def _band_schedule(cx: _Lowering, node: _Node, kernel: Tuple[int, int],
+                   feat: int) -> Optional[StreamedConv]:
+    """The row-band schedule of an im2col conv whose ``(N, feat, OH·OW)``
+    column block exceeds ``memory_budget``, else ``None``."""
+    memory_budget, stats = cx.memory_budget, cx.stats
+    nb, oh, ow = node.out.shape[0], node.out.shape[2], node.out.shape[3]
+    row_bytes = nb * feat * ow * node.inputs[0].dtype.itemsize
+    if not memory_budget or oh <= 1 or row_bytes * oh <= memory_budget:
+        return None
+    band_rows = band_plan(oh, row_bytes, memory_budget)
+    if band_rows >= oh:
+        return None
+    band_bytes = band_rows * row_bytes
+    overrun = band_overrun(band_rows, row_bytes, memory_budget)
+    if overrun:
+        warnings.warn(
+            f"memory_budget={memory_budget} is not achievable for conv "
+            f"layer '{node.layer or '<root>'}': the "
+            f"MIN_BAND_ROWS={MIN_BAND_ROWS} floor needs {band_bytes} bytes "
+            f"per band ({overrun} over budget)", UserWarning,
+            stacklevel=_caller_stacklevel())
+    stats.streaming_peak_bytes = max(stats.streaming_peak_bytes, band_bytes)
+    stats.streamed_convs += 1
+    return StreamedConv(kernel=kernel,
+                        stride=tuple(node.kwargs["stride"]),
+                        band_rows=band_rows, out_hw=(oh, ow))
 
-    A 1x1, stride-1, unpadded conv over a live arena buffer skips im2col:
-    its columns would be a byte-equal copy of the input in the same
-    layout, so the GEMM reads the input directly, with the same bits.
+
+def _lower_conv(cx: _Lowering, node: _Node, ins: List[int]) -> Optional[_Step]:
+    """A convolution into arena memory; after the bias add, the node's
+    epilogue runs in place on the output buffer, whichever way the conv
+    was computed.
+
+    A conv that :func:`~repro.nn.functional.shifted_conv_applies` to runs
+    the shifted GEMM over a zero-bordered copy of its input, exactly as
+    eager inference does, and has no column block to band.  A 1x1,
+    stride-1, unpadded conv over a live arena buffer skips im2col too: its
+    columns would be a byte-equal copy of the input in the same layout, so
+    the GEMM reads the input directly, with the same bits.  Every other
+    conv gathers im2col columns, in row bands over ``memory_budget``.
     """
     params = _const_conv_params(node)
     if params is None:
         return None
     weight, bias = params
-    arena, memory_budget, stats = cx.arena, cx.memory_budget, cx.stats
+    arena = cx.arena
     nb, ci, h, w = node.inputs[0].shape
     co, _, kh, kw = weight.array.shape
     oh, ow = node.out.shape[2], node.out.shape[3]
     x_dtype = node.inputs[0].dtype
     feat = ci * kh * kw
-    cols_shape = (nb, feat, oh * ow)
-    stream = None
-    direct = ((kh, kw) == (1, 1) and tuple(node.kwargs["stride"]) == (1, 1)
-              and tuple(node.kwargs["padding"]) == (0, 0)
-              and node.inputs[0] in cx.live)
-    if memory_budget and oh > 1 and not direct:
-        cols_bytes = nb * feat * oh * ow * x_dtype.itemsize
-        if cols_bytes > memory_budget:
-            row_bytes = nb * feat * ow * x_dtype.itemsize
-            band_rows = band_plan(oh, row_bytes, memory_budget)
-            if band_rows < oh:
-                band_bytes = band_rows * row_bytes
-                overrun = band_overrun(band_rows, row_bytes, memory_budget)
-                if overrun:
-                    warnings.warn(
-                        f"memory_budget={memory_budget} is not achievable "
-                        f"for conv layer '{node.layer or '<root>'}': the "
-                        f"MIN_BAND_ROWS={MIN_BAND_ROWS} floor needs "
-                        f"{band_bytes} bytes per band ({overrun} over "
-                        f"budget)", UserWarning,
-                        stacklevel=_caller_stacklevel())
-                stats.streaming_peak_bytes = max(stats.streaming_peak_bytes,
-                                                 band_bytes)
-                stream = StreamedConv(kernel=(kh, kw),
-                                      stride=tuple(node.kwargs["stride"]),
-                                      band_rows=band_rows, out_hw=(oh, ow))
-                cols_shape = (nb, feat, band_rows * ow)
-                stats.streamed_convs += 1
-    padded = center = None
+    kernel, stride = (kh, kw), tuple(node.kwargs["stride"])
     ph, pw = node.kwargs["padding"]
-    if ph or pw:
-        padded = arena.zeros_array((nb, ci, h + 2 * ph, w + 2 * pw), x_dtype)
-        center = (slice(None), slice(None),
-                  slice(ph, ph + h), slice(pw, pw + w))
-    refs = {} if direct else {"cols_ref": arena.reserve(cols_shape, x_dtype)}
+    shifted = shifted_conv_applies(ci, co, kernel, stride)
+    direct = (not shifted and kernel == (1, 1) and stride == (1, 1)
+              and (ph, pw) == (0, 0) and node.inputs[0] in cx.live)
+    stream = (None if shifted or direct
+              else _band_schedule(cx, node, kernel, feat))
+    padded = None
+    padded_shape = (nb, ci, h + 2 * ph, w + 2 * pw)
+    center = (slice(None), slice(None), slice(ph, ph + h), slice(pw, pw + w))
+    if shifted:
+        # Shifted convs of one geometry share their zero-bordered copy;
+        # each im2col conv keeps its own, the layout saved plans store.
+        padded = arena.shared_zeros_array(padded_shape, x_dtype, (ph, pw))
+        span = (oh - 1) * padded_shape[3] + ow
+        refs = {name: arena.reserve((nb, co, span), node.out.dtype)
+                for name in ("acc_ref", "tmp_ref")}
+    elif direct:
+        refs = {}
+    else:
+        if ph or pw:
+            padded = arena.zeros_array(padded_shape, x_dtype)
+        cols_w = ow * (oh if stream is None else stream.band_rows)
+        refs = {"cols_ref": arena.reserve((nb, feat, cols_w), x_dtype)}
     if node.activation == "relu":
         refs["mask_ref"] = arena.reserve(node.out.shape, np.bool_)
     refs["out_ref"] = cx.output(node)
 
     activation = node.activation
-    src, kernel, stride = ins[0], (kh, kw), node.kwargs["stride"]
-    w_mat = weight.array.reshape(co, -1)
+    src = ins[0]
+    # A shifted conv keeps only its weights' tap layout.
+    taps = shifted_conv_taps(weight.array) if shifted else None
+    w_mat = None if shifted else weight.array.reshape(co, -1)
     bias_r = None if bias is None else bias.array.reshape(1, co, 1, 1)
     ops = [_epilogue_op(op_name, operand.index, position)
            for op_name, operand, position in node.epilogue]
@@ -600,10 +632,17 @@ def _lower_conv(cx: _Lowering, node: _Node, ins: List[int]) -> Optional[_Step]:
         out3d = out4.reshape(nb, co, oh * ow)
         act = (_activation(activation, arrays.get("mask_ref"))
                if activation else None)
+        conv = (shifted_conv(padded.reshape(nb, ci, -1), taps, kernel,
+                             padded.shape[3], arrays["acc_ref"],
+                             arrays["tmp_ref"], out4)
+                if shifted else None)
 
         def run(regs):
             x = regs[src]
-            if direct:
+            if conv is not None:
+                padded[center] = x
+                conv()
+            elif direct:
                 np.matmul(w_mat, x.reshape(nb, ci, h * w), out=out3d)
             elif stream is not None:
                 stream.run(x, x if padded is None else padded, cols, w_mat,
@@ -943,7 +982,9 @@ class InferencePlan:
         registers = self._registers
         registers[self._input_index] = data
         try:
-            with use_backend(self._backend):
+            # Grad mode off, as under eager inference: a generic conv step
+            # runs the op's forward, which picks its kernel by grad mode.
+            with use_backend(self._backend), no_grad():
                 for step in self._steps:
                     if timings is None:
                         step.run(registers)
@@ -1103,7 +1144,9 @@ def compile(model: Module, input_shape, *, batch: int = 1,
         Batch size the plan is specialized for (buffer shapes are static).
     memory_budget:
         Optional byte budget for any single im2col column block; larger
-        convolutions are streamed in row bands.  Bands cut at whole
+        im2col convolutions are streamed in row bands.  Shifted-GEMM
+        convs (stride 1, at least 16 input channels, not widening) build
+        no column block and are never banded.  Bands cut at whole
         16-column GEMM tiles are bit-identical; ragged output widths
         (15, 7) are floating-point-tolerance equal (see
         :mod:`repro.deploy.tiling`).

@@ -1,9 +1,12 @@
 """Tiled / streaming convolution execution for compiled plans.
 
 The im2col lowering materializes a ``(N, C·KH·KW, OH·OW)`` column block —
-``KH·KW`` times the activation it lowers.  For deep models that block is by
-far the largest intermediate, so a plan compiled with ``memory_budget=``
-splits the spatial output into **row bands**: one band of output rows is
+``KH·KW`` times the activation it lowers.  Stride-1 convs over at least 16
+channels that do not widen run the shifted GEMM instead
+(:func:`~repro.nn.functional.shifted_conv`) and build no such block; for
+the convs that keep im2col (the stem, strided and widening convs) it is
+the largest intermediate, so a plan compiled with ``memory_budget=``
+splits their spatial output into **row bands**: one band of output rows is
 gathered into a fixed scratch buffer, contracted into the matching slice of
 the (full) output, and the scratch is reused for the next band.  Peak
 column memory then scales with one band instead of one whole layer.
@@ -17,8 +20,8 @@ same reduction axis, but BLAS rounds a ragged edge tile of GEMM output
 columns with another micro-kernel, so bands are cut at whole tiles where the
 row count allows (:func:`aligned_band_rows`) and then reproduce the unbanded
 GEMM's bits; ragged bands agree with it to normal floating-point tolerance.
-The plan compiler only bands convolutions whose column block exceeds the
-budget, and never bands below :data:`MIN_BAND_ROWS` output rows.
+The plan compiler only bands im2col convolutions whose column block exceeds
+the budget, and never bands below :data:`MIN_BAND_ROWS` output rows.
 """
 
 from __future__ import annotations

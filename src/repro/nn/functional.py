@@ -7,6 +7,14 @@ with an im2col lowering (:func:`im2col`, shared with compiled plans via
 multiply, which keeps pure-numpy training of the small CNNs used in the
 ALF paper tractable.
 
+Inference (grad mode off) needs no columns for backward, so a conv that
+:func:`shifted_conv_applies` to — stride 1, a kernel larger than 1x1, at
+least :data:`SHIFTED_MIN_CHANNELS` input channels and no more output than
+input channels — skips im2col: :func:`shifted_conv` runs one GEMM per
+kernel tap over a zero-bordered copy of the input.  Compiled plans run the
+same kernel on the same shapes, so plans keep eager inference's bits; the
+two conv paths agree to rounding only.
+
 Conv backward computes the input gradient of a stride-1 conv (padding at
 most ``k - 1``) as a transposed conv: im2col over the zero-padded output
 gradient and one GEMM with the flipped, channel-transposed filters.
@@ -21,11 +29,12 @@ immediately.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple, Union
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
-from .tensor import Tensor, apply_op, register_op, unbroadcast  # noqa: F401
+from .tensor import (Tensor, apply_op, is_grad_enabled,  # noqa: F401
+                     register_op, unbroadcast)
 
 IntPair = Union[int, Tuple[int, int]]
 
@@ -91,6 +100,88 @@ def im2col_out(x: np.ndarray, kernel: Tuple[int, int],
     return out, windows.shape[4:]
 
 
+#: Fewest input channels a shifted-GEMM conv needs: below it each tap's
+#: GEMM reduces over too few channels to beat one im2col GEMM.
+SHIFTED_MIN_CHANNELS = 16
+
+
+def shifted_conv_applies(in_channels: int, out_channels: int,
+                         kernel: Tuple[int, int],
+                         stride: Tuple[int, int]) -> bool:
+    """Whether a conv runs as a shifted GEMM instead of im2col + one GEMM.
+
+    A stride-1 conv with a kernel larger than 1x1, at least
+    :data:`SHIFTED_MIN_CHANNELS` input channels and no more output than
+    input channels: its per-tap GEMMs then write fewer bytes than im2col
+    would copy.  The rule reads only the weight shape and stride, never
+    the batch, so eager inference and every batch a plan binds agree.
+    """
+    return (tuple(stride) == (1, 1) and tuple(kernel) != (1, 1)
+            and in_channels >= SHIFTED_MIN_CHANNELS
+            and out_channels <= in_channels)
+
+
+def shifted_conv_taps(weight: np.ndarray) -> np.ndarray:
+    """``(Co, Ci, kh, kw)`` filters as ``kh*kw`` contiguous ``(Co, Ci)`` tap
+    matrices, in row-major tap order."""
+    co, ci, kh, kw = weight.shape
+    return np.ascontiguousarray(weight.transpose(2, 3, 0, 1)).reshape(
+        kh * kw, co, ci)
+
+
+def shifted_conv(flat: np.ndarray, taps: np.ndarray,
+                 kernel: Tuple[int, int], width: int, acc: np.ndarray,
+                 tmp: np.ndarray, out: np.ndarray) -> Callable[[], None]:
+    """A stride-1 convolution as one GEMM per kernel tap, without im2col.
+
+    ``flat`` is the zero-bordered input, C-contiguous ``(N, C, Hp, Wp)``
+    viewed as ``(N, C, Hp*Wp)`` with ``width = Wp``.  Output pixel
+    ``(r, c)`` reads tap ``(i, j)`` at flat offset ``(r + i)·Wp + c + j``,
+    so each tap's input is the contiguous slice of ``L = (OH-1)·Wp + OW``
+    columns starting at ``i·Wp + j``, and the conv is ``Σ_t taps[t] @
+    slice_t``: the first tap's GEMM writes ``acc``, each later one writes
+    ``tmp`` and is added into ``acc`` in place.  Column ``r·Wp + c`` of the
+    sum is output pixel ``(r, c)`` for ``c < OW``; the others wrapped round
+    a row edge, and the last add writes only the valid ones, into ``out``
+    ``(N, Co, OH, OW)``.
+
+    Returns ``run()``, which computes the conv from the current contents
+    of ``flat`` (its views are made once, so a compiled plan builds it
+    once per step).  ``acc`` and ``tmp`` are C-contiguous ``(N, Co, L)``
+    scratch, so every add but the last runs as one flat loop, and the
+    kernel has at least two taps.  Each GEMM's shapes depend only on the
+    conv's geometry and ``np.matmul`` runs one GEMM per image, so the
+    bits do not depend on the batch or on where the buffers live.
+    """
+    kh, kw = kernel
+    oh, ow = out.shape[2], out.shape[3]
+    span = acc.shape[2]
+    (first, first_window), *middle, (last, last_window) = [
+        (taps[i * kw + j], flat[:, :, i * width + j:i * width + j + span])
+        for i in range(kh) for j in range(kw)]
+    acc_valid = _valid_columns(acc, width, oh, ow)
+    tmp_valid = _valid_columns(tmp, width, oh, ow)
+    matmul, add = np.matmul, np.add
+
+    def run() -> None:
+        matmul(first, first_window, out=acc)
+        for tap, window in middle:
+            matmul(tap, window, out=tmp)
+            add(acc, tmp, out=acc)
+        matmul(last, last_window, out=tmp)
+        add(acc_valid, tmp_valid, out=out)
+    return run
+
+
+def _valid_columns(rows: np.ndarray, width: int, oh: int,
+                   ow: int) -> np.ndarray:
+    """The ``(N, Co, OH, OW)`` output pixels of a contiguous ``(N, Co, L)``
+    shifted-GEMM result whose rows are ``width`` columns apart."""
+    s = rows.strides
+    return np.ndarray(rows.shape[:2] + (oh, ow), rows.dtype, rows, 0,
+                      (s[0], s[1], width * s[2], s[2]))
+
+
 def col2im(cols: np.ndarray, input_shape: Tuple[int, int, int, int],
            kernel: Tuple[int, int], stride: Tuple[int, int],
            padding: Tuple[int, int], output_size: Tuple[int, int]) -> np.ndarray:
@@ -121,6 +212,25 @@ def _conv2d_fwd(x, weight, *bias, stride, padding):
     co, ci_w, kh, kw = weight.shape
     if ci != ci_w:
         raise ValueError(f"input channels ({ci}) do not match weight channels ({ci_w})")
+    if not is_grad_enabled() and shifted_conv_applies(ci, co, (kh, kw),
+                                                      stride):
+        # Without a tape nothing reads im2col columns back, so this conv
+        # runs the shifted GEMM: the kernel and scratch shapes a compiled
+        # plan's conv step uses, hence the same bits.  A training forward
+        # keeps im2col below, since the backward reuses the columns.
+        ph, pw = padding
+        hp, wp = h + 2 * ph, w + 2 * pw
+        padded = np.zeros((n, ci, hp, wp), dtype=x.dtype)
+        padded[:, :, ph:ph + h, pw:pw + w] = x
+        out_h, out_w = hp - kh + 1, wp - kw + 1
+        dtype = np.result_type(x, weight)
+        acc = np.empty((n, co, (out_h - 1) * wp + out_w), dtype=dtype)
+        out = np.empty((n, co, out_h, out_w), dtype=dtype)
+        shifted_conv(padded.reshape(n, ci, hp * wp), shifted_conv_taps(weight),
+                     (kh, kw), wp, acc, np.empty_like(acc), out)()
+        if bias:
+            out += bias[0].reshape(1, co, 1, 1)
+        return out, None
     cols, (out_h, out_w) = im2col(x, (kh, kw), stride, padding)
     w_mat = weight.reshape(co, -1)
     # (o, f) @ (n, f, l) -> (n, o, l): the same GEMM call the compiled plan

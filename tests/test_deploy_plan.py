@@ -41,6 +41,7 @@ from repro.nn.layers import BatchNorm2d, Conv2d, Linear, ReLU
 from repro.nn.module import Module, Sequential
 from repro.nn.profiler import collect_profile, profile_inference
 from repro.nn.tensor import concatenate
+from test_generated_models import generated_net, ragged_bands
 
 
 def _eager(model, x):
@@ -84,7 +85,7 @@ def _degenerate_gemm_net(seed=0):
     (``l == 1``)."""
     rng = np.random.default_rng(seed)
     return Sequential(
-        Conv2d(3, 1, 3, padding=1, rng=rng),    # o == 1, 16x16 out
+        Conv2d(3, 1, 3, padding=1, rng=rng),    # o == 1, input-sized out
         ReLU(),
         Conv2d(1, 4, 1, stride=2, rng=rng),     # 1x1 stride 2, 8x8 out
         Conv2d(4, 5, 8, rng=rng),               # l == 1
@@ -103,16 +104,18 @@ def test_plan_bit_identical_on_degenerate_gemm_shapes(backend):
 
 @pytest.mark.parametrize("backend", ["numpy32", "numpy64"])
 def test_streamed_degenerate_gemm_stays_close_to_eager(backend):
-    # Four rows of the o == 1 conv's columns: it streams in four bands,
-    # each GEMM writing a strided slice of the output.
+    # Four rows of the o == 1 conv's columns: over a 15x15 input it
+    # streams in four bands that cannot start at whole GEMM tiles, each
+    # GEMM writing a strided slice of the output.
     itemsize = get_backend(backend).dtype.itemsize
-    budget = 4 * 3 * 27 * 16 * itemsize
-    out, ref, plan = _compile_and_run(_degenerate_gemm_net(), (3, 16, 16), 3,
+    budget = 4 * 3 * 27 * 15 * itemsize
+    out, ref, plan = _compile_and_run(_degenerate_gemm_net(), (3, 15, 15), 3,
                                       backend, memory_budget=budget)
     streamed = [s.streamed for s in plan.steps
                 if getattr(s, "streamed", None) is not None]
     assert plan.stats.streamed_convs == len(streamed) >= 1
     assert all(s.out_hw[0] >= 2 * s.band_rows for s in streamed)
+    assert any(ragged_bands(s) for s in streamed)
     np.testing.assert_allclose(out, ref, rtol=1e-6, atol=1e-9)
 
 
@@ -230,9 +233,10 @@ def test_coverage_net_streamed_round_trips(backend, tmp_path):
 class _InputBiasConv(Module):
     """A conv whose bias is computed from the input, then relu."""
 
-    def __init__(self, rng):
+    def __init__(self, rng, channels=3):
         super().__init__()
-        self.conv = Conv2d(3, 3, 3, padding=1, bias=False, rng=rng)
+        self.conv = Conv2d(channels, channels, 3, padding=1, bias=False,
+                           rng=rng)
 
     def forward(self, x):
         bias = x[0, :, 0, 0]
@@ -244,6 +248,16 @@ def test_activation_is_not_fused_into_a_conv_that_stays_generic():
     # the relu into it would drop the relu.
     out, ref, plan = _compile_and_run(
         _InputBiasConv(np.random.default_rng(0)), (3, 8, 8), 2, "numpy")
+    assert [s.kind for s in plan.steps] == ["view", "generic", "relu"]
+    assert out.tobytes() == ref.tobytes()
+
+
+def test_generic_conv_step_runs_with_grad_mode_off():
+    # A generic step runs the op's own forward, which picks its kernel by
+    # grad mode: plans run with it off, as eager inference does, so this
+    # 16-channel conv takes the shifted GEMM in both.
+    out, ref, plan = _compile_and_run(
+        _InputBiasConv(np.random.default_rng(0), 16), (16, 8, 8), 2, "numpy")
     assert [s.kind for s in plan.steps] == ["view", "generic", "relu"]
     assert out.tobytes() == ref.tobytes()
 
@@ -357,6 +371,20 @@ def test_arena_rejects_stale_ref_release():
         arena.release(second)
 
 
+def test_arena_shares_zero_bordered_scratch_per_interior():
+    arena = BufferArena()
+    first = arena.shared_zeros_array((2, 3, 6, 6), np.float32, (1, 1))
+    again = arena.shared_zeros_array((2, 3, 6, 6), np.float32, (1, 1))
+    other = arena.shared_zeros_array((2, 3, 6, 6), np.float32, (2, 2))
+    wider = arena.shared_zeros_array((2, 3, 6, 6), np.float64, (1, 1))
+    assert again is first
+    assert other is not first and wider is not first
+    assert not first.any()
+    arena.finalize()
+    assert arena.stats.peak_bytes == 2 * first.nbytes + wider.nbytes
+    assert arena.stats.naive_bytes == 3 * first.nbytes + wider.nbytes
+
+
 def test_arena_reuse_beats_naive_allocation():
     plan = compile(build_model("plain20", rng=np.random.default_rng(0)),
                    (3, 32, 32), batch=2)
@@ -368,17 +396,95 @@ def test_arena_reuse_beats_naive_allocation():
 # --------------------------------------------------------------------------- #
 # Streaming convolution under a memory budget
 # --------------------------------------------------------------------------- #
+def _streamed(plan):
+    return [s.streamed for s in plan.steps if s.streamed is not None]
+
+
 def test_streaming_reduces_peak_memory():
+    # A 30x30 input gives stage 2 a ragged 15-wide output: the stride-2
+    # conv into it keeps im2col and streams in bands that cut GEMM tiles.
     model = build_model("resnet20", rng=np.random.default_rng(0))
-    full = compile(model, (3, 32, 32), batch=4)
-    tight = compile(model, (3, 32, 32), batch=4, memory_budget=200_000)
+    full = compile(model, (3, 30, 30), batch=4)
+    tight = compile(model, (3, 30, 30), batch=4, memory_budget=200_000)
     assert tight.stats.streamed_convs > 0
+    assert any(ragged_bands(s) for s in _streamed(tight))
     assert tight.peak_buffer_bytes < full.peak_buffer_bytes
 
-    x = np.random.default_rng(5).standard_normal((4, 3, 32, 32))
+    x = np.random.default_rng(5).standard_normal((4, 3, 30, 30))
     x = x.astype(full.input_dtype)
     ref = full(x).data
     np.testing.assert_allclose(tight(x).data, ref, rtol=1e-6, atol=1e-9)
+
+
+#: resnet20's stride-1 3x3 convs over at least 16 channels, dense or ALF
+#: (whose 1x1 expansion convs keep their direct GEMM): every 3x3 conv but
+#: the stem and the two stride-2 convs, which keep im2col as the two
+#: stride-2 1x1 shortcuts do.
+RESNET20_SHIFTED = [f"ResNetCIFAR.layers.layer{block}.conv{conv}"
+                    for block in range(9) for conv in (1, 2)
+                    if (block, conv) not in ((3, 1), (6, 1))]
+
+
+def _alf_report(dtype=None):
+    """ALF resnet20 compressed at the Table II operating point."""
+    import repro.api as api
+
+    return api.compress(
+        "resnet20", method="alf", hardware=None, seed=1, dtype=dtype,
+        config=api.ALFSpec(stage_remaining=api.ALF_TABLE2_STAGE_REMAINING))
+
+
+def _alf_resnet20():
+    return _alf_report().model
+
+
+def _shifted_layers(plan):
+    return [s.layer for s in plan.steps if "acc_ref" in s.refs]
+
+
+@pytest.mark.parametrize("method", ["dense", "alf"])
+def test_resnet20_shifted_convs_skip_im2col(method):
+    if method == "dense":
+        model = build_model("resnet20", rng=np.random.default_rng(0))
+    else:
+        model = _alf_resnet20()
+    plan = compile(model, (3, 32, 32), batch=2)
+    assert _shifted_layers(plan) == RESNET20_SHIFTED
+    im2col = {s.layer for s in plan.steps if "cols_ref" in s.refs}
+    assert im2col == {"ResNetCIFAR.stem_conv",
+                      "ResNetCIFAR.layers.layer3.conv1",
+                      "ResNetCIFAR.layers.layer3.shortcut.layer0",
+                      "ResNetCIFAR.layers.layer6.conv1",
+                      "ResNetCIFAR.layers.layer6.shortcut.layer0"}
+    x = np.random.default_rng(4).standard_normal((2, 3, 32, 32))
+    x = x.astype(plan.input_dtype)
+    assert plan(x).data.tobytes() == _eager(model, x).tobytes()
+
+
+def test_alf_resnet20_streamed_batch16_plan_is_bit_identical():
+    """The serving configuration: shifted convs are never banded, and the
+    convs that still stream (the stem, one stride-2 conv) cut every band
+    at a whole GEMM tile, so compile, save → load and bind all equal
+    eager bit for bit."""
+    report = _alf_report("float32")
+    model = report.model
+    x = np.random.default_rng(16).standard_normal((16, 3, 32, 32))
+    x = x.astype(np.float32)
+    ref, ref3 = _eager(model, x), _eager(model, x[:3])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        plan = report.plan(batch=16, memory_budget=1_250_000)
+        served = report.plan(batch=1, memory_budget=1_250_000).bind(16)
+    assert [s.layer for s in plan.steps if s.streamed is not None] == [
+        "ResNetCIFAR.stem_conv", "ResNetCIFAR.layers.layer3.conv1"]
+    assert not any(ragged_bands(s) for s in _streamed(plan))
+    assert plan(x).data.tobytes() == ref.tobytes()
+    assert served(x).data.tobytes() == ref.tobytes()
+    data = plan.to_bytes()
+    loaded = InferencePlan.from_bytes(data)
+    assert loaded.to_bytes() == data
+    assert loaded(x).data.tobytes() == ref.tobytes()
+    assert loaded.bind(3)(x[:3]).data.tobytes() == ref3.tobytes()
 
 
 def test_band_plan_respects_budget_and_floor():
@@ -409,10 +515,11 @@ def test_unachievable_budget_warns_and_reports_achievable_peak():
     assert band_overrun(MIN_BAND_ROWS, 10_000, 1) == MIN_BAND_ROWS * 10_000 - 1
     model = build_model("resnet20", rng=np.random.default_rng(0))
     with pytest.warns(UserWarning, match="MIN_BAND_ROWS") as captured:
-        plan = compile(model, (3, 32, 32), batch=4, memory_budget=1)
+        plan = compile(model, (3, 30, 30), batch=4, memory_budget=1)
     assert any("not achievable for conv layer" in str(w.message)
                for w in captured)
     assert plan.stats.streamed_convs > 0
+    assert any(ragged_bands(s) for s in _streamed(plan))
     assert plan.stats.streaming_peak_bytes > 1  # the honest peak, not the ask
     # The warning names the caller's line, however deep compile, bind or
     # report.plan reached the lowering.
@@ -482,15 +589,6 @@ def test_compressed_conv_lowers_to_two_fused_steps():
 # --------------------------------------------------------------------------- #
 # Conv epilogues: frozen BN, residual add and activation inside the conv step
 # --------------------------------------------------------------------------- #
-def _alf_resnet20():
-    import repro.api as api
-
-    report = api.compress(
-        "resnet20", method="alf", hardware=None, seed=1,
-        config=api.ALFSpec(stage_remaining=api.ALF_TABLE2_STAGE_REMAINING))
-    return report.model
-
-
 @pytest.mark.parametrize("name, steps", [("dense", 25), ("alf", 44)])
 def test_resnet20_plans_run_one_step_per_conv(name, steps):
     # Every BN, residual add and relu rides in a conv step; only the pooled
@@ -601,8 +699,6 @@ PRE_EPILOGUE_PLAN = (Path(__file__).parent / "data"
 
 
 def test_plan_saved_before_epilogues_loads_bit_identically():
-    from test_generated_models import generated_net
-
     backend = get_backend("numpy32")
     model, shape = generated_net(7, backend)
     data = PRE_EPILOGUE_PLAN.read_bytes()

@@ -15,6 +15,10 @@ For every seed, in float32 and float64, three contracts hold:
 * save → load → save is a byte fixed point, and the loaded plan computes
   the same bytes;
 * ``plan.bind(k)`` at a random batch ``k`` equals eager at that batch.
+
+They hold under a tight ``memory_budget`` too, which streams most convs in
+row bands: bit for bit where every band starts at a whole GEMM column
+tile, to the dtype's tolerance where some band cannot (a ragged width).
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ import pytest
 
 from repro.core.deploy import CompressedConv2d
 from repro.deploy import InferencePlan, compile
+from repro.deploy.tiling import GEMM_COLUMN_TILE, aligned_band_rows
 from repro.nn import Tensor, no_grad
 from repro.nn import functional as F
 from repro.nn.backend import get_backend, use_backend
@@ -219,3 +224,65 @@ def test_generator_covers_the_traced_layer_set():
         "AvgPool2d", "_Residual", "_Concat", "CompressedConv2d",
         "stride1", "stride2", "pad0", "pad1", "bias", "no-bias",
         "bn_inter", "no-bn_inter", "sigma_inter"}
+
+
+#: Column-block bytes a conv may hold: most generated convs stream, and
+#: on some the MIN_BAND_ROWS floor wins (which only warns).
+TIGHT_BUDGET = 2048
+
+
+def ragged_bands(stream) -> bool:
+    """Whether some band of a streamed conv starts inside a GEMM column
+    tile, so the banded conv only matches the unbanded one to tolerance."""
+    out_w = stream.out_hw[1]
+    return aligned_band_rows(stream.band_rows, out_w) * out_w \
+        % GEMM_COLUMN_TILE != 0
+
+
+def _assert_matches_eager(plan, out, ref):
+    """Bytes equal unless a streamed conv has ragged bands."""
+    assert out.dtype == ref.dtype and out.shape == ref.shape
+    if any(ragged_bands(s.streamed) for s in plan.steps
+           if s.streamed is not None):
+        tol = 1e-4 if ref.dtype == np.float32 else 1e-10
+        np.testing.assert_allclose(out, ref, rtol=tol, atol=tol)
+    else:
+        assert out.tobytes() == ref.tobytes(), "plan diverged from eager"
+
+
+@pytest.mark.parametrize("backend", ["numpy32", "numpy64"])
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.filterwarnings("ignore:memory_budget=.* MIN_BAND_ROWS")
+def test_generated_net_streamed_plan_contracts(seed, backend):
+    backend = get_backend(backend)
+    model, shape = generated_net(seed, backend)
+    rng = np.random.default_rng(2000 + seed)
+    batch, k = (int(b) for b in rng.integers(1, 5, size=2))
+    x = rng.standard_normal((max(batch, k),) + shape).astype(backend.dtype)
+    with use_backend(backend):
+        plan = compile(model, shape, batch=batch, memory_budget=TIGHT_BUDGET)
+        out = plan(x[:batch]).data
+        _assert_matches_eager(plan, out, _eager(model, x[:batch]))
+
+        data = plan.to_bytes()
+        loaded = InferencePlan.from_bytes(data)
+        assert loaded.to_bytes() == data
+        assert loaded(x[:batch]).data.tobytes() == out.tobytes()
+
+        bound = plan.bind(k)
+        _assert_matches_eager(bound, bound(x[:k]).data,
+                              _eager(model, x[:k]))
+
+
+@pytest.mark.filterwarnings("ignore:memory_budget=.* MIN_BAND_ROWS")
+def test_tight_budget_streams_exact_and_ragged_bands():
+    """Across the seeds the budgeted suite covers both kinds of banding."""
+    backend = get_backend("numpy64")
+    kinds = set()
+    for seed in SEEDS:
+        model, shape = generated_net(seed, backend)
+        with use_backend(backend):
+            plan = compile(model, shape, batch=2, memory_budget=TIGHT_BUDGET)
+        kinds.update(ragged_bands(s.streamed) for s in plan.steps
+                     if s.streamed is not None)
+    assert kinds == {False, True}

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.nn import Tensor
+from repro.nn import Tensor, no_grad
 from repro.nn import functional as F
 from repro.nn.utils import check_gradient
 
@@ -241,3 +241,84 @@ def test_im2col_out_matches_im2col_and_col2im_is_its_adjoint(dtype, seed):
     rhs = float(np.sum(x.astype(np.float64) * back))
     tol = 1e-4 if dtype == np.float32 else 1e-10
     assert lhs == pytest.approx(rhs, rel=tol, abs=tol)
+
+
+# --------------------------------------------------------------------------- #
+# Shifted-GEMM convolution (inference without im2col)
+# --------------------------------------------------------------------------- #
+#: (batch, ci, co, kernel, padding, (h, w)): ALF code-conv and dense widths,
+#: 3x3 and 5x5 kernels, padding 0 and 1, ragged output widths 7 and 15, a
+#: one-filter conv and batches 1, 3 and 16.
+SHIFTED_SHAPES = [
+    (1, 16, 7, 3, 1, (32, 32)),
+    (16, 16, 7, 3, 1, (12, 12)),
+    (3, 32, 13, 3, 1, (16, 16)),
+    (16, 64, 18, 3, 1, (8, 8)),
+    (3, 16, 16, 3, 0, (17, 17)),
+    (1, 24, 24, 5, 1, (17, 9)),
+    (16, 16, 9, 5, 0, (11, 19)),
+    (3, 20, 1, 3, 1, (7, 15)),
+    (1, 17, 17, 3, 0, (9, 9)),
+]
+
+
+def _shifted_case(batch, ci, co, k, padding, hw, dtype, seed=0):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((batch, ci) + hw).astype(dtype)
+    w = rng.standard_normal((co, ci, k, k)).astype(dtype)
+    return x, w
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("batch, ci, co, k, padding, hw", SHIFTED_SHAPES)
+def test_shifted_conv_matches_im2col_gemm(batch, ci, co, k, padding, hw,
+                                          dtype):
+    """Inference runs the shifted GEMM; training keeps im2col.  Both are
+    the same convolution to the dtype's tolerance, and the shifted output
+    of each image does not depend on the batch around it."""
+    x, w = _shifted_case(batch, ci, co, k, padding, hw, dtype)
+    assert F.shifted_conv_applies(ci, co, (k, k), (1, 1))
+    with no_grad():
+        out, ctx = F.conv2d_fwd(x, w, stride=(1, 1), padding=(padding,) * 2)
+        first, _ = F.conv2d_fwd(x[:1], w, stride=(1, 1),
+                                padding=(padding,) * 2)
+    assert ctx is None  # no im2col columns were built
+    cols, (oh, ow) = F.im2col(x, (k, k), (1, 1), (padding,) * 2)
+    ref = (w.reshape(co, -1) @ cols).reshape(batch, co, oh, ow)
+    assert out.shape == ref.shape and out.dtype == dtype
+    tol = 1e-4 if dtype == np.float32 else 1e-12
+    np.testing.assert_allclose(out, ref, rtol=tol, atol=tol)
+    assert out[:1].tobytes() == first.tobytes()
+
+    grad_out, grad_ctx = F.conv2d_fwd(x, w, stride=(1, 1),
+                                      padding=(padding,) * 2)
+    assert grad_ctx is not None and grad_out.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("ci, co, kernel, stride, shifted", [
+    (16, 7, (3, 3), (1, 1), True),     # ALF code convs
+    (32, 13, (3, 3), (1, 1), True),
+    (64, 18, (3, 3), (1, 1), True),
+    (16, 16, (3, 3), (1, 1), True),    # dense stride-1 convs
+    (64, 64, (3, 3), (1, 1), True),
+    (16, 16, (5, 5), (1, 1), True),
+    (16, 16, (1, 3), (1, 1), True),
+    (3, 16, (3, 3), (1, 1), False),    # stem: too few input channels
+    (8, 8, (3, 3), (1, 1), False),
+    (15, 7, (3, 3), (1, 1), False),
+    (16, 32, (3, 3), (1, 1), False),   # widening
+    (16, 32, (3, 3), (2, 2), False),   # stride 2
+    (32, 18, (3, 3), (2, 2), False),
+    (32, 32, (3, 3), (1, 2), False),
+    (64, 64, (1, 1), (1, 1), False),   # 1x1: no taps to shift
+])
+def test_shifted_conv_rule(ci, co, kernel, stride, shifted):
+    assert F.shifted_conv_applies(ci, co, kernel, stride) is shifted
+
+
+def test_shifted_conv_taps_are_row_major_filter_slices():
+    w = np.arange(4 * 3 * 2 * 3, dtype=np.float64).reshape(4, 3, 2, 3)
+    taps = F.shifted_conv_taps(w)
+    assert taps.shape == (6, 4, 3) and taps.flags.c_contiguous
+    for t in range(6):
+        assert np.array_equal(taps[t], w[:, :, t // 3, t % 3])

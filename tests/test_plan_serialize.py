@@ -267,6 +267,18 @@ def _fusion(op, **fields):
     return change
 
 
+def _node_index(key, at):
+    """Point the first node's ``key`` (``"inputs"`` edits its first input,
+    ``"out"`` its output) at value index ``at``."""
+    def change(header):
+        node = header["nodes"][0]
+        if key == "inputs":
+            node["inputs"][0] = at
+        else:
+            node[key] = at
+    return change
+
+
 def _epilogue(*entry):
     """The first conv's epilogue ``[entry]``; a callable entry item gets the
     node (to name its weight or output index)."""
@@ -324,6 +336,26 @@ HEADER_MUTATIONS = {
                                 "repro-plan/2 .* index -1 is out of"),
     "epilogue-index-not-int": (_epilogue("add", "0", 0),
                                "repro-plan/2 .* index '0' is out of"),
+    "node-input-negative": (_node_index("inputs", -15),
+                            "repro-plan/2 .* input value index -15 is out"),
+    "node-input-past-end": (_node_index("inputs", 10 ** 6),
+                            "repro-plan/2 .* index 1000000 is out of"),
+    "node-input-not-int": (_node_index("inputs", 0.0),
+                           "repro-plan/2 .* index 0.0 is out of"),
+    "node-input-bool": (_node_index("inputs", False),
+                        "repro-plan/2 .* index False is out of"),
+    "node-out-negative": (_node_index("out", -1),
+                          "repro-plan/2 .* output value index -1 is out"),
+    "node-out-not-int": (_node_index("out", "1"),
+                         "repro-plan/2 .* index '1' is out of"),
+    "plan-input-negative": (lambda h: h.update(input=-1),
+                            "repro-plan/2 input value index -1 is out"),
+    "plan-input-not-int": (lambda h: h.update(input=0.5),
+                           "repro-plan/2 input value index 0.5 is out"),
+    "plan-output-past-end": (lambda h: h.update(output=10 ** 6),
+                             "repro-plan/2 output value index 1000000"),
+    "plan-output-negative": (lambda h: h.update(output=-2),
+                             "repro-plan/2 output value index -2 is out"),
     "epilogue-operand-weight": (_epilogue("mul", _weight, 0),
                                 "repro-plan/2 .* neither a per-channel"),
     "epilogue-residual-later": (_epilogue("add", lambda n: n["out"], 0),
