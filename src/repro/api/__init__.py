@@ -81,7 +81,6 @@ from .adapters import (
     LowRankMethod,
     MagnitudeMethod,
     evaluate_accuracy,
-    pruned_conv_shapes,
 )
 from .cache import (
     CACHE_ENTRY_SCHEMA,
@@ -207,7 +206,7 @@ __all__ = [
     "LCNNSpec", "LowRankSpec",
     # adapters
     "ALFMethod", "MagnitudeMethod", "FPGMMethod", "AMCMethod", "LCNNMethod",
-    "LowRankMethod", "evaluate_accuracy", "pruned_conv_shapes",
+    "LowRankMethod", "evaluate_accuracy",
     # profiling passthrough (reports carry these on .profile)
     "OpProfile", "OpStat", "RunProfile",
     # hardware passthrough

@@ -7,18 +7,17 @@ Each adapter translates one method's bespoke calling convention
 prepare → fit → finalize lifecycle, including the method's own effective
 cost model and the per-layer workloads the Eyeriss model consumes.
 
-LCNN and low-rank share one adapter base: both deploy each eligible
-convolution as a code convolution plus a 1x1 expansion, the same form as
-a deployed ALF block, so their costs come from one
-:func:`~repro.baselines.factored_cost` loop and their workloads from one
-:func:`~repro.hardware.layer.factored_shapes` rule.
+Both are views of one layer table (:func:`~repro.metrics.profile_model`):
+ALF and the dense baseline read it as profiled, the pruning baselines
+through :meth:`~repro.metrics.ModelProfile.pruned`, and LCNN and low-rank,
+which deploy each eligible convolution as a code convolution plus a 1x1
+expansion, through :meth:`~repro.metrics.ModelProfile.factored`.
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import replace
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -30,13 +29,10 @@ from ..baselines import (
     LowRankDecomposer,
     PruningPlan,
     apply_filter_masks,
-    effective_cost,
-    factored_cost,
 )
 from ..core import ALFConfig, ALFTrainer, ClassifierTrainer, compress_model, convert_to_alf
 from ..core.trainer import evaluate_accuracy
-from ..hardware.layer import ConvLayerShape, conv_shapes_from_model, factored_shapes
-from ..metrics.ops import profile_model
+from ..metrics.ops import ModelProfile, profile_model
 from ..nn.module import Module
 from .protocol import CompressedModel
 from .registry import register_method
@@ -49,33 +45,6 @@ from .spec import (
     LowRankSpec,
     MagnitudeSpec,
 )
-
-
-def pruned_conv_shapes(model: Module, plan: PruningPlan,
-                       input_shape: Tuple[int, int, int],
-                       batch: int = 1, profile=None) -> List[ConvLayerShape]:
-    """Conv workloads of a structurally pruned model.
-
-    Mirrors :func:`repro.baselines.effective_cost`: pruned output filters
-    shrink the layer's output channels, and the following layer loses the
-    corresponding input channels.
-    """
-    shapes = conv_shapes_from_model(model, input_shape, batch=batch,
-                                    profile=profile)
-    decisions = {d.name: d for d in plan.decisions}
-    out: List[ConvLayerShape] = []
-    previous_survival = 1.0
-    for shape in shapes:
-        decision = decisions.get(shape.name)
-        out_fraction = (decision.num_kept / decision.total_filters
-                        if decision is not None else 1.0)
-        out.append(replace(
-            shape,
-            in_channels=max(1, int(round(shape.in_channels * previous_survival))),
-            out_channels=max(1, int(round(shape.out_channels * out_fraction))),
-        ).validate())
-        previous_survival = out_fraction
-    return out
 
 
 def _load_matching_state(model: Module, state) -> bool:
@@ -159,6 +128,19 @@ class CompressionAdapter:
             raise RuntimeError(f"{type(self).__name__}.prepare() was not called")
         return self.model
 
+    def _compressed(self, model: Module, table: ModelProfile,
+                    remaining_filter_fraction: float, detail) -> CompressedModel:
+        """Package ``model`` with its cost and workloads, both views of ``table``."""
+        return CompressedModel(
+            model=model,
+            method=self.name,
+            cost=table.cost(conv_only=self.spec.conv_only),
+            layer_shapes=table.workloads(self.spec.hardware_batch,
+                                         self.spec.layer_names),
+            remaining_filter_fraction=remaining_filter_fraction,
+            detail=detail,
+        )
+
 
 # --------------------------------------------------------------------------- #
 # ALF
@@ -217,27 +199,13 @@ class ALFMethod(CompressionAdapter):
         model = self._require_model()
         if not self._trained and self.config.forced_fractions():
             self._force_masks()
-        conv_only = self.spec.conv_only
-        profile = profile_model(model, self.input_shape)
-        cost = {
-            "params": float(profile.total_params(conv_only=conv_only)),
-            "macs": float(profile.total_macs(conv_only=conv_only)),
-            "ops": float(profile.total_ops(conv_only=conv_only)),
-        }
-        shapes = conv_shapes_from_model(
-            model, self.input_shape, batch=self.spec.hardware_batch,
-            names=self.spec.layer_names, profile=profile)
+        table = profile_model(model, self.input_shape)
         active = sum(block.active_filters() for _, block in self.blocks)
         total = sum(block.out_channels for _, block in self.blocks)
         deployment = compress_model(model) if self.config.deploy else None
-        return CompressedModel(
-            model=deployment.model if deployment is not None else model,
-            method=self.name,
-            cost=cost,
-            layer_shapes=shapes,
-            remaining_filter_fraction=active / max(1, total),
-            detail=deployment,
-        )
+        return self._compressed(
+            deployment.model if deployment is not None else model, table,
+            active / max(1, total), deployment)
 
 
 # --------------------------------------------------------------------------- #
@@ -292,19 +260,9 @@ class _FilterPruningAdapter(CompressionAdapter):
         # Idempotent re-application: the returned model must match the
         # plan the cost / hardware numbers are derived from.
         apply_filter_masks(model, plan)
-        profile = profile_model(model, self.input_shape)
-        cost = effective_cost(model, plan, self.input_shape,
-                              conv_only=self.spec.conv_only, profile=profile)
-        return CompressedModel(
-            model=model,
-            method=self.name,
-            cost={k: float(v) for k, v in cost.items()},
-            layer_shapes=pruned_conv_shapes(model, plan, self.input_shape,
-                                            batch=self.spec.hardware_batch,
-                                            profile=profile),
-            remaining_filter_fraction=1.0 - plan.overall_filter_reduction,
-            detail=plan,
-        )
+        table = profile_model(model, self.input_shape).pruned(plan.survival)
+        return self._compressed(model, table,
+                                1.0 - plan.overall_filter_reduction, plan)
 
 
 @register_method("magnitude", MagnitudeSpec, policy="Handcrafted",
@@ -365,8 +323,8 @@ class _FactorizationAdapter(CompressionAdapter):
 
     The factors are learned from the weights, so training is the optional
     classifier pre-training that gives them something to share.  Each
-    subclass names its factorizer, the factors' code width and the
-    remaining-filter fraction it reports.
+    subclass names its factorizer; the reported remaining-filter fraction
+    is the realized code width, ``Σ code_channels / Σ out_channels``.
     """
 
     def __init__(self, config, spec: CompressionSpec):
@@ -375,12 +333,6 @@ class _FactorizationAdapter(CompressionAdapter):
 
     def _factorize(self, model: Module) -> List:
         """Factor every eligible convolution; store the result on ``self.result``."""
-        raise NotImplementedError
-
-    def _code_channels(self, factor) -> int:
-        raise NotImplementedError
-
-    def _remaining_fraction(self, factors: List) -> float:
         raise NotImplementedError
 
     def fit(self, train_loader=None, val_loader=None, epochs: int = 0):
@@ -394,27 +346,13 @@ class _FactorizationAdapter(CompressionAdapter):
         model = self._require_model()
         # Profiled before the (optional) weight rewrite; costs and workload
         # shapes depend only on the layer geometry.
-        profile = profile_model(model, self.input_shape)
-        base_shapes = conv_shapes_from_model(model, self.input_shape,
-                                             batch=self.spec.hardware_batch,
-                                             profile=profile)
-        factors = {factor.name: factor for factor in self._factorize(model)}
-        cost = factored_cost(profile, factors, conv_only=self.spec.conv_only)
-        shapes: List[ConvLayerShape] = []
-        for shape in base_shapes:
-            factor = factors.get(shape.name)
-            if factor is None:
-                shapes.append(shape)
-            else:
-                shapes.extend(factored_shapes(shape, self._code_channels(factor)))
-        return CompressedModel(
-            model=model,
-            method=self.name,
-            cost={k: float(v) for k, v in cost.items()},
-            layer_shapes=shapes,
-            remaining_filter_fraction=self._remaining_fraction(list(factors.values())),
-            detail=self.result,
-        )
+        table = profile_model(model, self.input_shape)
+        factors = self._factorize(model)
+        kept = (sum(f.code_channels for f in factors)
+                / max(1, sum(f.out_channels for f in factors)))
+        return self._compressed(
+            model, table.factored({f.name: f for f in factors}), kept,
+            self.result)
 
 
 @register_method("lcnn", LCNNSpec, policy="Automatic",
@@ -433,12 +371,6 @@ class LCNNMethod(_FactorizationAdapter):
                                           apply=self.config.apply)
         return self.result.dictionaries
 
-    def _code_channels(self, factor) -> int:
-        return factor.dictionary_size
-
-    def _remaining_fraction(self, factors: List) -> float:
-        return self.config.dictionary_fraction
-
 
 @register_method("lowrank", LowRankSpec, policy="Handcrafted",
                  summary="Truncated-SVD factorization into code + 1x1 expansion")
@@ -453,10 +385,3 @@ class LowRankMethod(_FactorizationAdapter):
         self.result = decomposer.decompose(model, min_kernel=self.config.min_kernel,
                                            apply=self.config.apply)
         return self.result.factorizations
-
-    def _code_channels(self, factor) -> int:
-        return factor.rank
-
-    def _remaining_fraction(self, factors: List) -> float:
-        return (sum(f.rank for f in factors)
-                / max(1, sum(f.out_channels for f in factors)))

@@ -19,7 +19,6 @@ import numpy as np
 
 from ..data import DataLoader, SyntheticImageDataset
 from ..hardware import EYERISS_PAPER, EyerissSpec, NetworkReport, evaluate_layers
-from ..hardware.layer import conv_shapes_from_model
 from ..metrics.compression import MethodResult
 from ..metrics.ops import ModelProfile, profile_model
 from ..metrics.tables import format_count, format_reduction, render_table
@@ -367,20 +366,14 @@ class CompressionPipeline:
     def _dense_baseline(self, model: Module,
                         input_shape: Tuple[int, int, int]) -> DenseBaseline:
         profile = profile_model(model, input_shape)
-        conv_only = self.spec.conv_only
-        cost = {
-            "params": float(profile.total_params(conv_only=conv_only)),
-            "macs": float(profile.total_macs(conv_only=conv_only)),
-            "ops": float(profile.total_ops(conv_only=conv_only)),
-        }
         hardware_report = None
         if self.hardware is not None:
-            shapes = conv_shapes_from_model(
-                model, input_shape, batch=self.spec.hardware_batch,
-                names=self.spec.layer_names, profile=profile)
-            hardware_report = evaluate_layers(shapes, spec=self.hardware,
-                                              name="dense")
-        return DenseBaseline(profile=profile, cost=cost, hardware=hardware_report)
+            hardware_report = evaluate_layers(
+                profile.workloads(self.spec.hardware_batch, self.spec.layer_names),
+                spec=self.hardware, name="dense")
+        return DenseBaseline(profile=profile,
+                             cost=profile.cost(conv_only=self.spec.conv_only),
+                             hardware=hardware_report)
 
     # -- full run -------------------------------------------------------- #
     def run(self, model: Union[None, str, Module] = None, data: DataArg = None,

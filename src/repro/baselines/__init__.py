@@ -13,8 +13,6 @@ from .common import (
     LayerPruningDecision,
     PruningPlan,
     apply_filter_masks,
-    effective_cost,
-    factored_cost,
     keep_top_filters,
     prunable_convolutions,
 )
@@ -25,7 +23,7 @@ from .magnitude import MagnitudePruner
 
 __all__ = [
     "FilterPruner", "PruningPlan", "LayerPruningDecision",
-    "prunable_convolutions", "apply_filter_masks", "effective_cost", "factored_cost",
+    "prunable_convolutions", "apply_filter_masks",
     "keep_top_filters",
     "MagnitudePruner",
     "FPGMPruner", "geometric_median",

@@ -11,11 +11,10 @@ substrate as ALF.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
-from ..metrics.ops import OPS_PER_MAC, profile_model
 from ..nn.layers import Conv2d
 from ..nn.module import Module
 
@@ -51,6 +50,11 @@ class PruningPlan:
         raise KeyError(f"no pruning decision recorded for layer '{name}'")
 
     @property
+    def survival(self) -> Dict[str, float]:
+        """Fraction of output filters kept, per layer name."""
+        return {d.name: d.num_kept / d.total_filters for d in self.decisions}
+
+    @property
     def overall_filter_reduction(self) -> float:
         total = sum(d.total_filters for d in self.decisions)
         kept = sum(d.num_kept for d in self.decisions)
@@ -75,9 +79,9 @@ def apply_filter_masks(model: Module, plan: PruningPlan) -> None:
 
     The filters are not physically removed (removal would require rewiring
     the next layer's input channels); zeroing is sufficient both for
-    accuracy evaluation and for the *effective* Params / OPs accounting in
-    :func:`effective_cost`, which is how the compared papers report their
-    numbers.
+    accuracy evaluation and for the *effective* Params / OPs accounting of
+    :meth:`repro.metrics.ModelProfile.pruned`, which is how the compared
+    papers report their numbers.
     """
     modules = dict(model.named_modules())
     for decision in plan.decisions:
@@ -87,73 +91,6 @@ def apply_filter_masks(model: Module, plan: PruningPlan) -> None:
         module.weight.data[~keep] = 0.0
         if module.bias is not None:
             module.bias.data[~keep] = 0.0
-
-
-def effective_cost(model: Module, plan: PruningPlan,
-                   input_shape: Tuple[int, int, int],
-                   conv_only: bool = False, profile=None) -> Dict[str, float]:
-    """Params / MACs / OPs of the model with pruned filters removed.
-
-    Structured filter pruning removes entire output filters; the following
-    convolution loses the corresponding input channels.  This function
-    re-computes costs layer by layer, propagating the channel reductions the
-    same way the compared methods do in their papers.  ``profile`` accepts a
-    precomputed :func:`profile_model` result for the same model/geometry.
-    """
-    if profile is None:
-        profile = profile_model(model, input_shape)
-    decisions = {d.name: d for d in plan.decisions}
-    modules = dict(model.named_modules())
-
-    params = 0.0
-    macs = 0.0
-    # Fraction of surviving output channels per layer name (used to shrink the
-    # *input* side of the consumer layer).
-    survival: Dict[str, float] = {
-        name: decisions[name].num_kept / decisions[name].total_filters
-        for name in decisions
-    }
-    previous_survival = 1.0
-    for layer in profile.layers:
-        if conv_only and layer.kind == "linear":
-            continue
-        module = modules.get(layer.name)
-        out_fraction = survival.get(layer.name, 1.0)
-        if isinstance(module, Conv2d):
-            in_fraction = previous_survival
-            params += layer.params * out_fraction * in_fraction
-            macs += layer.macs * out_fraction * in_fraction
-            previous_survival = out_fraction
-        else:
-            params += layer.params * previous_survival
-            macs += layer.macs * previous_survival
-            previous_survival = 1.0
-    return {"params": params, "macs": macs, "ops": macs * OPS_PER_MAC}
-
-
-def factored_cost(profile, factors: Mapping[str, object],
-                  conv_only: bool = False) -> Dict[str, float]:
-    """Params / MACs / OPs of a profiled model with some layers factored.
-
-    ``factors`` maps a layer name to its factored replacement — an LCNN
-    :class:`~repro.baselines.LayerDictionary` or a low-rank
-    :class:`~repro.baselines.LayerFactorization` — whose ``params()`` and
-    ``macs(output_hw)`` stand in for the dense layer's cost; every other
-    layer of ``profile`` (a :func:`profile_model` result) counts as is.
-    """
-    params = 0.0
-    macs = 0.0
-    for layer in profile.layers:
-        if conv_only and layer.kind == "linear":
-            continue
-        factor = factors.get(layer.name)
-        if factor is None:
-            params += layer.params
-            macs += layer.macs
-        else:
-            params += factor.params()
-            macs += factor.macs(tuple(layer.output_shape[1:]))
-    return {"params": params, "macs": macs, "ops": macs * OPS_PER_MAC}
 
 
 def keep_top_filters(scores: np.ndarray, keep_count: int) -> np.ndarray:

@@ -36,7 +36,8 @@ class LayerDictionary:
     out_channels: int
 
     @property
-    def dictionary_size(self) -> int:
+    def code_channels(self) -> int:
+        """Dictionary atoms: the width of the code convolution."""
         return self.atoms.shape[0]
 
     @property
@@ -55,7 +56,7 @@ class LayerDictionary:
     def macs(self, output_hw: Tuple[int, int]) -> int:
         """Inference cost: dictionary convolution + sparse recombination."""
         oh, ow = output_hw
-        dictionary_conv = (self.dictionary_size * self.in_channels
+        dictionary_conv = (self.code_channels * self.in_channels
                            * self.kernel_size ** 2 * oh * ow)
         recombination = self.out_channels * self.sparsity * oh * ow
         return dictionary_conv + recombination
@@ -99,7 +100,7 @@ class LCNNCompressionResult:
 
 
 class LCNNCompressor:
-    """Learn per-layer filter dictionaries (costed by :func:`factored_cost`)."""
+    """Learn per-layer filter dictionaries (costed by ``ModelProfile.factored``)."""
 
     method_name = "LCNN"
     policy = "Automatic"

@@ -34,6 +34,11 @@ class LayerFactorization:
     kernel_size: int
     approximation_error: float
 
+    @property
+    def code_channels(self) -> int:
+        """The rank: the width of the code convolution."""
+        return self.rank
+
     def params(self) -> int:
         return int(self.code_weight.size + self.expansion_weight.size)
 

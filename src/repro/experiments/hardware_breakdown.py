@@ -15,13 +15,14 @@ This module regenerates both series with the analytical hardware model of
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Mapping, Optional
 
 import numpy as np
 
 from ..api import ALFSpec, CompressionSpec, SweepSession, print_progress
 from ..api.cache import CacheArg
 from ..hardware import EyerissSpec, EYERISS_PAPER, NetworkReport
+from ..metrics.ops import profile_model
 from ..metrics.tables import render_table
 from ..models import build_model
 from ..models.plain import plain_layer_names
@@ -111,23 +112,17 @@ class Fig3Result:
 
 
 def _conv_seconds(profile: Optional[OpProfile],
-                  names: Sequence[str]) -> Dict[str, float]:
-    """Map measured per-layer ``conv2d`` seconds onto the paper's CONV names.
+                  labels: Mapping[str, str]) -> Dict[str, float]:
+    """Measured per-layer ``conv2d`` seconds under the paper's CONV labels.
 
-    Both the profile's layer dict and ``names`` walk the network's
-    convolutions in forward order, so a positional zip aligns them.
-    ResNet variants execute extra 1x1 shortcut convolutions the paper's
-    naming does not cover — those (``.shortcut.`` paths) are dropped before
-    aligning.  An alignment that still disagrees in length yields ``{}``
-    rather than mislabelled numbers.
+    ``labels`` maps module paths to labels (``ModelProfile.labels``); the
+    op profile keys the same paths under the root module's class name.
     """
     if profile is None:
         return {}
-    per_layer = layer_op_seconds(profile, "conv2d")
-    paths = [path for path in per_layer if ".shortcut." not in path]
-    if len(paths) != len(names):
-        return {}
-    return {name: per_layer[path] for name, path in zip(names, paths)}
+    seconds = {path.partition(".")[2]: value
+               for path, value in layer_op_seconds(profile, "conv2d").items()}
+    return {label: seconds[path] for path, label in labels.items()}
 
 
 def run(architecture: str = "plain20", batch: int = 16,
@@ -148,7 +143,8 @@ def run(architecture: str = "plain20", batch: int = 16,
     ``REPRO_SWEEP_EXECUTOR``), and ``stream=True`` prints the session's
     scheduling milestones as they happen.  Layer labels follow the paper's
     CONV1..CONV432 naming; CONV1 (the stem) keeps a dense convolution, so
-    the forced per-layer fractions apply from CONV211 on.
+    the forced per-layer fractions apply from CONV211 on.  ResNet-20's two
+    1x1 shortcut projections take no label and keep their module paths.
 
     ``profile=True`` additionally measures one inference batch of each
     execution with the layer-scoped op profiler: the per-conv wall-clock
@@ -189,14 +185,15 @@ def run(architecture: str = "plain20", batch: int = 16,
 
     alf_profile = report.profile.eval if report.profile is not None else None
     vanilla_profile = None
+    labels: Dict[str, str] = {}
     if profile:
         # The sweep's dense stage is shared bookkeeping, not a profiled
         # forward — measure the vanilla execution here, on the same build.
-        vanilla_profile = profile_inference(
-            build_model(architecture, rng=np.random.default_rng(seed)),
-            CIFAR_INPUT, batch=batch)
-    vanilla_seconds = _conv_seconds(vanilla_profile, names)
-    alf_seconds = _conv_seconds(alf_profile, names)
+        vanilla = build_model(architecture, rng=np.random.default_rng(seed))
+        labels = profile_model(vanilla, CIFAR_INPUT).labels(names)
+        vanilla_profile = profile_inference(vanilla, CIFAR_INPUT, batch=batch)
+    vanilla_seconds = _conv_seconds(vanilla_profile, labels)
+    alf_seconds = _conv_seconds(alf_profile, labels)
 
     vanilla_energy = {r.layer.name: r.energy for r in vanilla_report.layers}
     vanilla_latency = {r.layer.name: r.latency.total_cycles for r in vanilla_report.layers}

@@ -10,7 +10,7 @@ level in normalized RF-read units and latency in cycles.
 from .dataflow import SpatialMapping, map_row_stationary
 from .energy import EnergyBreakdown, energy_breakdown
 from .latency import LatencyEstimate, latency_estimate
-from .layer import ConvLayerShape, conv_shapes_from_model
+from .layer import ConvLayerShape
 from .mapper import AccessCounts, Mapping, Tiling, search_mapping
 from .report import (
     HardwareComparison,
@@ -18,17 +18,16 @@ from .report import (
     NetworkReport,
     compare_networks,
     evaluate_layers,
-    evaluate_model,
 )
 from .spec import EYERISS_PAPER, EnergyTable, EyerissSpec
 
 __all__ = [
     "EyerissSpec", "EnergyTable", "EYERISS_PAPER",
-    "ConvLayerShape", "conv_shapes_from_model",
+    "ConvLayerShape",
     "SpatialMapping", "map_row_stationary",
     "Tiling", "AccessCounts", "Mapping", "search_mapping",
     "EnergyBreakdown", "energy_breakdown",
     "LatencyEstimate", "latency_estimate",
-    "LayerReport", "NetworkReport", "evaluate_layers", "evaluate_model",
+    "LayerReport", "NetworkReport", "evaluate_layers",
     "HardwareComparison", "compare_networks",
 ]

@@ -2,23 +2,19 @@
 
 A :class:`ConvLayerShape` captures exactly the geometry the analytical
 Eyeriss model needs: channel counts, kernel size, stride and the spatial
-extent of inputs/outputs, plus a batch size.  Helpers extract these shapes
-from ``repro`` models so that vanilla and ALF-compressed networks can be
-fed to the same hardware evaluation (Fig. 3).
+extent of inputs/outputs, plus a batch size.  The workloads of a model are
+a view of its layer table (:func:`repro.metrics.profile_model`): each
+convolution row holds its one shape, or, for a layer run as a code
+convolution plus a 1x1 expansion, the two shapes of
+:func:`factored_shapes`.  ``ModelProfile.workloads(batch, names)`` hands
+them to :func:`repro.hardware.evaluate_layers`, so vanilla and compressed
+networks of every method feed the same hardware evaluation (Fig. 3).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple
-
-import numpy as np
-
-from ..core.alf_block import ALFConv2d
-from ..core.deploy import CompressedConv2d
-from ..metrics.ops import profile_model
-from ..nn.layers import Conv2d
-from ..nn.module import Module
+from typing import List, Tuple
 
 
 @dataclass(frozen=True)
@@ -91,52 +87,3 @@ def factored_shapes(shape: ConvLayerShape,
         batch=shape.batch,
     ).validate()
     return [code, expansion]
-
-
-def conv_shapes_from_model(model: Module, input_shape: Tuple[int, int, int],
-                           batch: int = 1, names: Optional[Sequence[str]] = None,
-                           profile=None) -> List[ConvLayerShape]:
-    """Extract per-convolution workloads from a model via shape profiling.
-
-    Standard convolutions map to one :class:`ConvLayerShape`.  ALF blocks
-    and their deployed :class:`CompressedConv2d` form map to **two** shapes
-    (the reduced code convolution and the 1x1 expansion layer), which is how
-    the paper accounts for the expansion overhead in Fig. 3.
-
-    ``names`` optionally overrides the generated layer names (matched by
-    order of the underlying convolution modules, expansion layers get an
-    ``_exp`` suffix).  ``profile`` accepts a precomputed
-    :class:`repro.metrics.ModelProfile` of the same model/geometry so
-    callers that already profiled for cost accounting skip the second
-    forward pass.
-    """
-    if profile is None:
-        profile = profile_model(model, input_shape, batch_size=1)
-    module_by_name = dict(model.named_modules())
-    shapes: List[ConvLayerShape] = []
-    conv_index = 0
-    for layer in profile.layers:
-        module = module_by_name.get(layer.name)
-        if not isinstance(module, (Conv2d, ALFConv2d, CompressedConv2d)):
-            continue
-        # Conv2d keeps (h, w) pairs; the square ALF forms keep one int each.
-        square = not isinstance(module, Conv2d)
-        shape = ConvLayerShape(
-            name=(names[conv_index] if names and conv_index < len(names)
-                  else layer.name),
-            in_channels=module.in_channels,
-            out_channels=module.out_channels,
-            kernel_size=module.kernel_size if square else module.kernel_size[0],
-            input_hw=tuple(layer.input_shape[1:]),
-            stride=module.stride if square else module.stride[0],
-            padding=module.padding if square else module.padding[0],
-            batch=batch,
-        )
-        conv_index += 1
-        if isinstance(module, ALFConv2d):
-            shapes.extend(factored_shapes(shape, max(1, module.active_filters())))
-        elif isinstance(module, CompressedConv2d):
-            shapes.extend(factored_shapes(shape, module.code_channels))
-        else:
-            shapes.append(shape.validate())
-    return shapes

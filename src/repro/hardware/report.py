@@ -2,21 +2,21 @@
 
 :func:`evaluate_layers` runs the mapper on every convolutional workload of
 a network and returns per-layer energy breakdowns (register file / global
-buffer / DRAM) and latency estimates; :func:`evaluate_model` extracts the
-workloads from a model first.  :func:`compare_networks` aggregates two such
-reports into the relative energy / latency improvements the paper quotes
-(29% energy, 41% latency for ALF-compressed Plain-20/ResNet-20).
+buffer / DRAM) and latency estimates.  A model's workloads come from its
+layer table, ``profile_model(model, shape).workloads(batch)``.
+:func:`compare_networks` aggregates two such reports into the relative
+energy / latency improvements the paper quotes (29% energy, 41% latency
+for ALF-compressed Plain-20/ResNet-20).
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
-from ..nn.module import Module
 from .energy import EnergyBreakdown, energy_breakdown
 from .latency import LatencyEstimate, latency_estimate
-from .layer import ConvLayerShape, conv_shapes_from_model
+from .layer import ConvLayerShape
 from .mapper import Mapping, search_mapping
 from .spec import EYERISS_PAPER, EyerissSpec
 
@@ -148,14 +148,6 @@ def evaluate_layers(layers: Sequence[ConvLayerShape], spec: Optional[EyerissSpec
             latency=latency_estimate(mapping, spec),
         ))
     return report
-
-
-def evaluate_model(model: Module, input_shape: Tuple[int, int, int], batch: int = 1,
-                   spec: Optional[EyerissSpec] = None, name: str = "network",
-                   layer_names: Optional[Sequence[str]] = None) -> NetworkReport:
-    """Extract conv workloads from a model and evaluate them on the accelerator."""
-    shapes = conv_shapes_from_model(model, input_shape, batch=batch, names=layer_names)
-    return evaluate_layers(shapes, spec=spec, name=name)
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""``repro.metrics`` — parameter / operation counters and comparison reporting."""
+"""``repro.metrics`` — the layer table (params / OPs / workloads) and comparison reporting."""
 
 from .compression import (
     ComparisonTable,
@@ -11,16 +11,13 @@ from .ops import (
     OPS_PER_MAC,
     LayerProfile,
     ModelProfile,
-    count_macs,
-    count_ops,
-    count_params,
     profile_model,
 )
 from .tables import format_count, format_percent, format_reduction, render_table
 
 __all__ = [
     "profile_model", "ModelProfile", "LayerProfile",
-    "count_params", "count_ops", "count_macs", "OPS_PER_MAC",
+    "OPS_PER_MAC",
     "MethodResult", "ComparisonTable", "pareto_front", "dominates", "compression_summary",
     "render_table", "format_count", "format_percent", "format_reduction",
 ]

@@ -68,8 +68,7 @@ class OpProfile:
     ``ops`` aggregates across all layers; ``layers`` maps each layer's
     module path to its own per-op breakdown.  Both dicts preserve
     first-execution order, so iterating ``layers`` walks the model in
-    forward order — which is what lets the experiments align measured
-    per-layer time with the hardware model's layer tables.
+    forward order.
     """
 
     ops: Dict[str, OpStat] = field(default_factory=dict)
@@ -196,9 +195,9 @@ def _aligned(headers: Tuple[str, ...],
 def layer_op_seconds(profile: OpProfile, op: str) -> Dict[str, float]:
     """Seconds spent in ``op`` per layer path, in first-execution order.
 
-    The experiments use this with ``op="conv2d"`` to align measured
-    per-layer wall-clock with the hardware model's CONV-named layer rows:
-    both walk the network's convolutions in forward order.
+    The Fig. 3 experiment uses this with ``op="conv2d"`` and looks each
+    labelled convolution up by its module path (the layer table's key,
+    under the root module's class name).
     """
     return {layer: per_layer[op].seconds
             for layer, per_layer in profile.layers.items() if op in per_layer}

@@ -263,6 +263,38 @@ class TestRunSweep:
         np.testing.assert_array_equal(model.conv1.weight.data, before)
 
 
+class TestLayerIdentity:
+    @pytest.mark.parametrize("method", api.available_methods())
+    def test_layer_names_label_every_method(self, method):
+        """Every method's workloads carry the dense report's labels.
+
+        Each compressed workload is a dense workload or its ``_exp``
+        expansion, in dense order, so the grouped per-layer energy lines up
+        with the dense report row by row.
+        """
+        from repro.models.plain import plain_layer_names
+        report = api.compress("resnet20", method=method,
+                              layer_names=plain_layer_names(), hardware_batch=1)
+        dense = report.dense_hardware.layer_names()
+        assert "CONV432" in dense
+        allowed = set(dense) | {f"{name}_exp" for name in dense}
+        compressed = report.compressed_hardware.layer_names()
+        assert set(compressed) <= allowed
+        assert list(report.compressed_hardware.grouped_energy()) == dense
+
+    def test_lcnn_reports_the_dictionary_sizes_it_built(self):
+        """Table III's 0.12 on ResNet-18 rounds to 8/15/31/61-atom dictionaries."""
+        report = api.compress(
+            "resnet18", method="lcnn", hardware=None, input_shape=(3, 32, 32),
+            config=api.LCNNSpec(dictionary_fraction=0.12, sparsity=1,
+                                kmeans_iterations=1))
+        dictionaries = report.compressed.detail.dictionaries
+        assert sorted({d.code_channels for d in dictionaries}) == [8, 15, 31, 61]
+        # 5 x 8 + 4 x (15 + 31 + 61) atoms over 5 x 64 + 4 x (128 + 256 + 512) filters.
+        assert report.remaining_filter_fraction == 468 / 3904
+        assert report.remaining_filter_fraction != 0.12
+
+
 class TestFormatting:
     def test_format_reduction_handles_growth(self):
         from repro.metrics import format_reduction

@@ -11,8 +11,6 @@ from repro.baselines import (
     LowRankDecomposer,
     MagnitudePruner,
     apply_filter_masks,
-    effective_cost,
-    factored_cost,
     geometric_median,
     keep_top_filters,
     prunable_convolutions,
@@ -70,7 +68,7 @@ class TestCommonInfrastructure:
     def test_effective_cost_decreases_with_pruning(self, small_cnn):
         base = profile_model(small_cnn, (3, 16, 16))
         plan = MagnitudePruner().plan(small_cnn, prune_ratio=0.5)
-        cost = effective_cost(small_cnn, plan, (3, 16, 16))
+        cost = base.pruned(plan.survival).cost()
         assert cost["params"] < base.total_params()
         assert cost["ops"] < base.total_ops()
         assert cost["ops"] == 2 * cost["macs"]
@@ -79,7 +77,7 @@ class TestCommonInfrastructure:
         from repro.baselines.common import PruningPlan
         base = profile_model(small_cnn, (3, 16, 16))
         empty = PruningPlan(method="none")
-        cost = effective_cost(small_cnn, empty, (3, 16, 16))
+        cost = base.pruned(empty.survival).cost()
         assert cost["params"] == pytest.approx(base.total_params())
         assert cost["ops"] == pytest.approx(base.total_ops())
 
@@ -145,8 +143,9 @@ class TestAMCPruner:
         model = resnet8(rng=rng)
         pruner = AMCPruner(iterations=4, population=8, seed=0)
         plan = pruner.plan(model, prune_ratio=0.5)
-        cost = effective_cost(model, plan, (3, 16, 16), conv_only=True)
-        base = profile_model(model, (3, 16, 16)).total_ops(conv_only=True)
+        profile = profile_model(model, (3, 16, 16))
+        cost = profile.pruned(plan.survival).cost(conv_only=True)
+        base = profile.total_ops(conv_only=True)
         assert cost["ops"] < base  # strictly compressed
 
     def test_reward_uses_accuracy_and_budget(self):
@@ -194,7 +193,7 @@ class TestLCNN:
         compressor = LCNNCompressor(dictionary_fraction=0.25, sparsity=2, seed=0)
         result = compressor.compress(model)
         base = profile_model(model, (3, 8, 8))
-        cost = factored_cost(base, {d.name: d for d in result.dictionaries})
+        cost = base.factored({d.name: d for d in result.dictionaries}).cost()
         assert cost["params"] < base.total_params()
         assert cost["ops"] < base.total_ops()
 
@@ -286,7 +285,7 @@ class TestLowRank:
         decomposer = LowRankDecomposer(rank_fraction=0.25)
         result = decomposer.decompose(model)
         base = profile_model(model, (3, 8, 8))
-        cost = factored_cost(base, {f.name: f for f in result.factorizations})
+        cost = base.factored({f.name: f for f in result.factorizations}).cost()
         assert cost["params"] < base.total_params()
         assert cost["ops"] < base.total_ops()
 

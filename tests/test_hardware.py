@@ -14,15 +14,14 @@ from repro.hardware import (
     EnergyTable,
     EyerissSpec,
     compare_networks,
-    conv_shapes_from_model,
     energy_breakdown,
     evaluate_layers,
-    evaluate_model,
     latency_estimate,
     map_row_stationary,
     search_mapping,
 )
 from repro.hardware.mapper import _search_geometry
+from repro.metrics import profile_model
 from repro.models import plain8, plain20
 from repro.models.plain import plain_layer_names
 
@@ -177,8 +176,9 @@ class TestMappingMemo:
         convert_to_alf(alf, ALFConfig(), rng=rng)
 
         def payloads():
-            return [json.dumps(evaluate_model(model, (3, 16, 16), batch=2,
-                                              name=name).to_dict())
+            return [json.dumps(evaluate_layers(
+                        profile_model(model, (3, 16, 16)).workloads(batch=2),
+                        name=name).to_dict())
                     for name, model in (("dense", dense), ("alf", alf))]
 
         cold = payloads()
@@ -244,14 +244,14 @@ class TestNetworkReports:
 
     def test_conv_shapes_from_vanilla_model(self, rng):
         model = plain8(rng=rng)
-        shapes = conv_shapes_from_model(model, (3, 16, 16), batch=2)
+        shapes = profile_model(model, (3, 16, 16)).workloads(batch=2)
         assert len(shapes) == 7   # 1 stem + 6 stage convs for plain-8
         assert all(s.batch == 2 for s in shapes)
 
     def test_conv_shapes_from_alf_model_include_expansion(self, rng):
         model = plain8(rng=rng)
         convert_to_alf(model, ALFConfig(), rng=rng)
-        shapes = conv_shapes_from_model(model, (3, 16, 16))
+        shapes = profile_model(model, (3, 16, 16)).workloads()
         expansion = [s for s in shapes if s.name.endswith("_exp")]
         assert len(expansion) == 7
         assert all(s.kernel_size == 1 for s in expansion)
@@ -259,7 +259,7 @@ class TestNetworkReports:
     def test_grouping_merges_expansion_layers(self, rng):
         model = plain8(rng=rng)
         convert_to_alf(model, ALFConfig(), rng=rng)
-        report = evaluate_model(model, (3, 16, 16), batch=2)
+        report = evaluate_layers(profile_model(model, (3, 16, 16)).workloads(batch=2))
         grouped = report.grouped_energy()
         assert len(grouped) == 7
         assert not any(name.endswith("_exp") for name in grouped)
@@ -267,7 +267,8 @@ class TestNetworkReports:
     def test_layer_names_applied(self, rng):
         model = plain20(rng=rng)
         names = plain_layer_names()
-        report = evaluate_model(model, (3, 32, 32), batch=1, layer_names=names)
+        report = evaluate_layers(
+            profile_model(model, (3, 32, 32)).workloads(batch=1, names=names))
         assert report.layer_names() == names
 
     def test_comparison_reductions(self, rng):

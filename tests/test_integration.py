@@ -8,7 +8,7 @@ ALF path against a baseline pruner on the same data.
 import numpy as np
 import pytest
 
-from repro.baselines import FPGMPruner, effective_cost
+from repro.baselines import FPGMPruner
 from repro.core import (
     ALFConfig,
     ALFTrainer,
@@ -18,7 +18,7 @@ from repro.core import (
     convert_to_alf,
 )
 from repro.data import DataLoader, make_synthetic_dataset
-from repro.hardware import compare_networks, evaluate_model
+from repro.hardware import compare_networks, evaluate_layers
 from repro.metrics import profile_model
 from repro.models import lenet, plain8
 from repro.nn import Tensor
@@ -102,7 +102,7 @@ class TestEndToEndALF:
 
         assert fpgm_accuracy > 0.3
         assert alf_history.final.val_accuracy > 0.3
-        cost = effective_cost(baseline, plan, (1, 10, 10))
+        cost = profile_model(baseline, (1, 10, 10)).pruned(plan.survival).cost()
         assert cost["ops"] > 0
 
 
@@ -110,7 +110,8 @@ class TestHardwareIntegration:
     def test_compressed_model_cheaper_on_accelerator(self):
         """ALF-compressed plain-8 consumes less modelled energy than vanilla."""
         vanilla = plain8(rng=np.random.default_rng(0))
-        vanilla_report = evaluate_model(vanilla, (3, 16, 16), batch=4, name="vanilla")
+        vanilla_report = evaluate_layers(
+            profile_model(vanilla, (3, 16, 16)).workloads(batch=4), name="vanilla")
 
         compressed = plain8(rng=np.random.default_rng(0))
         blocks = convert_to_alf(compressed, ALFConfig(), rng=np.random.default_rng(1))
@@ -119,18 +120,18 @@ class TestHardwareIntegration:
             mask = np.zeros(block.out_channels)
             mask[:keep] = 1.0
             block.autoencoder.pruning_mask.mask.data = mask
-        alf_report = evaluate_model(compressed, (3, 16, 16), batch=4, name="alf")
+        alf_report = evaluate_layers(
+            profile_model(compressed, (3, 16, 16)).workloads(batch=4), name="alf")
 
         comparison = compare_networks(vanilla_report, alf_report)
         assert comparison.energy_reduction > 0.0
 
     def test_profile_consistent_with_hardware_macs(self):
         """The profiler's MAC count equals the sum of the hardware workloads' MACs."""
-        from repro.hardware import conv_shapes_from_model
         model = plain8(rng=np.random.default_rng(0))
-        profile_macs = profile_model(model, (3, 16, 16)).total_macs(conv_only=True)
-        shapes = conv_shapes_from_model(model, (3, 16, 16), batch=1)
-        assert sum(s.macs for s in shapes) == profile_macs
+        profile = profile_model(model, (3, 16, 16))
+        shapes = profile.workloads(batch=1)
+        assert sum(s.macs for s in shapes) == profile.total_macs(conv_only=True)
 
 
 class TestDeterminism:

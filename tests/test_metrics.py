@@ -5,15 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import ALFConfig, convert_to_alf, compress_model, alf_blocks
-from repro.hardware import conv_shapes_from_model
 from repro.metrics import (
     ComparisonTable,
     MethodResult,
     OPS_PER_MAC,
     compression_summary,
-    count_macs,
-    count_ops,
-    count_params,
     dominates,
     format_count,
     format_percent,
@@ -87,7 +83,7 @@ class TestProfiling:
         assert (alf_profile.total_macs(conv_only=True)
                 == deployed_profile.total_macs(conv_only=True))
         # The Eyeriss workloads of that block add up to the same cost.
-        shapes = [s for s in conv_shapes_from_model(model, (3, 32, 32))
+        shapes = [s for s in alf_profile.workloads()
                   if s.name in (name, f"{name}_exp")]
         assert [s.out_channels for s in shapes] == [1, 16]
         assert sum(s.weight_words for s in shapes) == alf_layer.params
@@ -107,11 +103,65 @@ class TestProfiling:
         with pytest.raises(KeyError):
             profile.by_name("missing")
 
-    def test_count_helpers_consistent(self, rng):
+    def test_cost_view_consistent(self, rng):
+        profile = profile_model(plain8(rng=rng), (3, 16, 16))
+        cost = profile.cost()
+        assert cost["ops"] == 2 * cost["macs"]
+        assert cost["params"] == profile.total_params()
+        assert cost["macs"] == profile.total_macs()
+
+
+class TestLayerTable:
+    def test_resnet20_labels_skip_shortcut_projections(self, rng):
+        from repro.models.plain import plain_layer_names
+        profile = profile_model(resnet20(rng=rng), (3, 32, 32))
+        labels = profile.labels(plain_layer_names())
+        assert len(labels) == 19
+        for path, label in labels.items():
+            (shape,) = profile.by_name(path).shapes
+            assert label.startswith("CONV") and shape.kernel_size == 3
+        names = [shape.name for shape in profile.workloads(names=plain_layer_names())]
+        assert [n for n in names if not n.startswith("CONV")] == [
+            "layers.layer3.shortcut.layer0", "layers.layer6.shortcut.layer0"]
+        assert labels["layers.layer3.conv1"] == "CONV311"
+        assert labels["layers.layer8.conv2"] == "CONV432"
+
+    def test_labels_carry_over_to_expansion_workloads(self, rng):
         model = plain8(rng=rng)
-        shape = (3, 16, 16)
-        assert count_ops(model, shape) == 2 * count_macs(model, shape)
-        assert count_params(model, shape) == profile_model(model, shape).total_params()
+        convert_to_alf(model, ALFConfig(), rng=rng)
+        shapes = profile_model(model, (3, 16, 16)).workloads(
+            batch=3, names=["A", "B"])
+        assert [s.name for s in shapes[:5]] == [
+            "A", "A_exp", "B", "B_exp", "features.layer1.conv"]
+        assert all(s.batch == 3 for s in shapes)
+
+    def test_pruned_view_keeps_both_survival_rules(self, rng):
+        model = Sequential(Conv2d(3, 8, 3, padding=1, bias=False, rng=rng),
+                           Conv2d(8, 6, 3, padding=1, bias=False, rng=rng),
+                           GlobalAvgPool2d(), Flatten(), Linear(6, 2, rng=rng))
+        profile = profile_model(model, (3, 4, 4))
+        pruned = profile.pruned({"layer0": 0.3, "layer1": 0.5})
+        first, second, head = pruned.layers
+        # Costs scale by the fractional product of out and in survival ...
+        assert first.params == 216 * 0.3
+        assert second.params == 432 * 0.5 * 0.3
+        assert head.params == 14 * 0.5
+        assert pruned.cost()["ops"] == 2 * pruned.total_macs()
+        # ... workloads keep whole channels, max(1, round(c * survival)).
+        (shape_a,), (shape_b,) = first.shapes, second.shapes
+        assert (shape_a.in_channels, shape_a.out_channels) == (3, 2)
+        assert (shape_b.in_channels, shape_b.out_channels) == (2, 3)
+        assert profile.pruned({}).cost() == profile.cost()
+
+    def test_factored_view_costs_the_factor_and_splits_the_workload(self, rng):
+        from repro.baselines import LowRankDecomposer
+        model = Sequential(Conv2d(3, 16, 3, padding=1, rng=rng))
+        (factor,) = LowRankDecomposer(rank_fraction=0.25).decompose(model).factorizations
+        (row,) = profile_model(model, (3, 8, 8)).factored({"layer0": factor}).layers
+        assert (row.params, row.macs) == (factor.params(), factor.macs((8, 8)))
+        code, expansion = row.shapes
+        assert (code.out_channels, expansion.name) == (4, "layer0_exp")
+        assert (expansion.in_channels, expansion.out_channels) == (4, 16)
 
 
 class TestComparisonHelpers:

@@ -528,6 +528,22 @@ class TestExperimentProfiles:
         rendered = result.render()
         assert "t (van) [s]" in rendered and "t (ALF) [s]" in rendered
 
+    def test_hardware_breakdown_resnet20_seconds_follow_labels(self):
+        from repro.experiments import hardware_breakdown
+        from repro.nn.profiler import layer_op_seconds
+
+        result = hardware_breakdown.run(architecture="resnet20", batch=1,
+                                        profile=True)
+        seconds = layer_op_seconds(result.vanilla_profile, "conv2d")
+        rows = {row.name: row for row in result.rows}
+        # The 1x1 shortcuts take no label, so CONV311 is the block's
+        # first 3x3 conv, not the projection that runs before it.
+        assert rows["CONV311"].vanilla_seconds == seconds[
+            "ResNetCIFAR.layers.layer3.conv1"]
+        assert rows["CONV432"].vanilla_seconds == seconds[
+            "ResNetCIFAR.layers.layer8.conv2"]
+        assert all(row.alf_seconds is not None for row in result.rows)
+
     def test_hardware_breakdown_unprofiled_stays_clean(self):
         from repro.experiments import hardware_breakdown
 
