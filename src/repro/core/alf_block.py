@@ -161,13 +161,16 @@ class ALFConv2d(Module):
     # ------------------------------------------------------------------ #
     def active_filters(self) -> int:
         """Number of code filters that currently survive the pruning mask."""
-        code = self.autoencoder.compute_code(self.weight.data)
-        per_filter = np.abs(code).reshape(self.out_channels, -1).sum(axis=1)
-        return int(np.count_nonzero(per_filter > 0))
+        return int(self.keep_indices().size)
 
-    def keep_indices(self) -> np.ndarray:
-        """Indices of the code filters kept at deployment time."""
-        code = self.autoencoder.compute_code(self.weight.data)
+    def keep_indices(self, code: Optional[np.ndarray] = None) -> np.ndarray:
+        """Indices of the code filters kept at deployment time.
+
+        ``code`` is the block's current code when the caller has already
+        computed it; otherwise the autoencoder computes it.
+        """
+        if code is None:
+            code = self.autoencoder.compute_code(self.weight.data)
         per_filter = np.abs(code).reshape(self.out_channels, -1).sum(axis=1)
         return np.nonzero(per_filter > 0)[0]
 

@@ -109,7 +109,7 @@ class CompressionResult:
 def compress_block(block: ALFConv2d) -> Tuple[CompressedConv2d, CompressionRecord]:
     """Build the deployed form of a single ALF block."""
     code = block.autoencoder.compute_code(block.weight.data)
-    keep = block.keep_indices()
+    keep = block.keep_indices(code)
     if keep.size == 0:
         # Never produce an empty layer: keep the single most salient filter.
         magnitudes = np.abs(block.weight.data).reshape(block.out_channels, -1).sum(axis=1)

@@ -7,23 +7,29 @@ with an im2col lowering (:func:`im2col`, shared with compiled plans via
 multiply, which keeps pure-numpy training of the small CNNs used in the
 ALF paper tractable.
 
-Inference (grad mode off) needs no columns for backward, so a conv that
-:func:`shifted_conv_applies` to — stride 1, a kernel larger than 1x1, at
-least :data:`SHIFTED_MIN_CHANNELS` input channels and no more output than
-input channels — skips im2col: :func:`shifted_conv` runs one GEMM per
-kernel tap over a zero-bordered copy of the input.  Compiled plans run the
-same kernel on the same shapes, so plans keep eager inference's bits; the
-two conv paths agree to rounding only.
+A conv that :func:`shifted_conv_applies` to — stride 1, a kernel larger
+than 1x1, at least :data:`SHIFTED_MIN_CHANNELS` input channels and no
+more output than input channels — skips im2col in every grad mode:
+:func:`shifted_conv` runs one GEMM per kernel tap over a zero-bordered
+copy of the input.  Compiled plans run the same kernel on the same shapes,
+so plans keep eager inference's bits, and a training forward has the
+bits of an inference one; the two conv paths agree to rounding only.
+Such a conv saves only its zero-bordered input for backward (about
+``1/(kh·kw)`` of the columns): the input gradient is a shifted conv of
+the output gradient zero-bordered by ``k - 1 - p`` with the flipped,
+channel-transposed filters, and the filter gradient one batched GEMM
+per tap.  The stem, strided and widening convs keep im2col and save the
+columns.  The input gradient of such a stride-1 conv (padding at most
+``k - 1``) is a transposed conv over im2col columns of the padded output
+gradient; :func:`col2im` scatter-add remains for strided convs, padding
+beyond ``k - 1`` and pools.
 
-Conv backward computes the input gradient of a stride-1 conv (padding at
-most ``k - 1``) as a transposed conv: im2col over the zero-padded output
-gradient and one GEMM with the flipped, channel-transposed filters.
-:func:`col2im` scatter-add remains only for strided convs and pools.
-
-The conv/pool primitives are **registered ops** (see
+The conv/pool primitives and training-mode batch norm
+(``batch_norm_train``, one op with an analytic backward instead of a
+tape of eltwise ops) are **registered ops** (see
 :func:`repro.nn.tensor.register_op`): their backward rules live next to
 the forward code, no per-call closures are allocated, and under
-:func:`~repro.nn.tensor.no_grad` the saved im2col columns are dropped
+:func:`~repro.nn.tensor.no_grad` the saved contexts are dropped
 immediately.
 """
 
@@ -33,8 +39,8 @@ from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
-from .tensor import (Tensor, apply_op, is_grad_enabled,  # noqa: F401
-                     register_op, unbroadcast)
+from .tensor import (Tensor, apply_op, register_op,  # noqa: F401
+                     unbroadcast)
 
 IntPair = Union[int, Tuple[int, int]]
 
@@ -207,30 +213,46 @@ def col2im(cols: np.ndarray, input_shape: Tuple[int, int, int, int],
 # --------------------------------------------------------------------------- #
 # Convolution / pooling ops
 # --------------------------------------------------------------------------- #
+def _zero_bordered(x: np.ndarray, border: Tuple[int, int]) -> np.ndarray:
+    """A fresh ``(N, C, H + 2·bh, W + 2·bw)`` copy of ``x`` inside a zero
+    border."""
+    n, c, h, w = x.shape
+    bh, bw = border
+    padded = np.zeros((n, c, h + 2 * bh, w + 2 * bw), dtype=x.dtype)
+    padded[:, :, bh:bh + h, bw:bw + w] = x
+    return padded
+
+
+def _run_shifted_conv(padded: np.ndarray, taps: np.ndarray,
+                      kernel: Tuple[int, int], dtype) -> np.ndarray:
+    """:func:`shifted_conv` of a zero-bordered ``(N, C, Hp, Wp)`` array
+    into fresh scratch; returns the ``(N, Co, OH, OW)`` output."""
+    n, c, hp, wp = padded.shape
+    co = taps.shape[1]
+    out_h, out_w = hp - kernel[0] + 1, wp - kernel[1] + 1
+    acc = np.empty((n, co, (out_h - 1) * wp + out_w), dtype=dtype)
+    out = np.empty((n, co, out_h, out_w), dtype=dtype)
+    shifted_conv(padded.reshape(n, c, hp * wp), taps, kernel, wp, acc,
+                 np.empty_like(acc), out)()
+    return out
+
+
 def _conv2d_fwd(x, weight, *bias, stride, padding):
     n, ci, h, w = x.shape
     co, ci_w, kh, kw = weight.shape
     if ci != ci_w:
         raise ValueError(f"input channels ({ci}) do not match weight channels ({ci_w})")
-    if not is_grad_enabled() and shifted_conv_applies(ci, co, (kh, kw),
-                                                      stride):
-        # Without a tape nothing reads im2col columns back, so this conv
-        # runs the shifted GEMM: the kernel and scratch shapes a compiled
-        # plan's conv step uses, hence the same bits.  A training forward
-        # keeps im2col below, since the backward reuses the columns.
-        ph, pw = padding
-        hp, wp = h + 2 * ph, w + 2 * pw
-        padded = np.zeros((n, ci, hp, wp), dtype=x.dtype)
-        padded[:, :, ph:ph + h, pw:pw + w] = x
-        out_h, out_w = hp - kh + 1, wp - kw + 1
-        dtype = np.result_type(x, weight)
-        acc = np.empty((n, co, (out_h - 1) * wp + out_w), dtype=dtype)
-        out = np.empty((n, co, out_h, out_w), dtype=dtype)
-        shifted_conv(padded.reshape(n, ci, hp * wp), shifted_conv_taps(weight),
-                     (kh, kw), wp, acc, np.empty_like(acc), out)()
+    b_shape = bias[0].shape if bias else None
+    if shifted_conv_applies(ci, co, (kh, kw), stride):
+        # The kernel and scratch shapes a compiled plan's conv step uses,
+        # hence the same bits in every grad mode.  The backward reads the
+        # zero-bordered input, not im2col columns kh·kw times its size.
+        padded = _zero_bordered(x, padding)
+        out = _run_shifted_conv(padded, shifted_conv_taps(weight), (kh, kw),
+                                np.result_type(x, weight))
         if bias:
             out += bias[0].reshape(1, co, 1, 1)
-        return out, None
+        return out, (True, padded, weight, x.shape, stride, padding, b_shape)
     cols, (out_h, out_w) = im2col(x, (kh, kw), stride, padding)
     w_mat = weight.reshape(co, -1)
     # (o, f) @ (n, f, l) -> (n, o, l): the same GEMM call the compiled plan
@@ -240,9 +262,7 @@ def _conv2d_fwd(x, weight, *bias, stride, padding):
         # The GEMM output is fresh and unshared, so the bias is added in
         # place without materializing a second full activation array.
         out += bias[0].reshape(1, co, 1, 1)
-    ctx = (cols, w_mat, x.shape, weight.shape, (kh, kw), stride, padding,
-           (out_h, out_w), bias[0].shape if bias else None)
-    return out, ctx
+    return out, (False, cols, weight, x.shape, stride, padding, b_shape)
 
 
 def _conv2d_grad_input(grad, w_mat, x_shape, kernel, stride, padding):
@@ -271,19 +291,74 @@ def _conv2d_grad_input(grad, w_mat, x_shape, kernel, stride, padding):
     return (w_t @ grad_cols).reshape(n, ci, h, w)
 
 
-def _conv2d_bwd(ctx, grad, needs):
-    cols, w_mat, x_shape, w_shape, kernel, stride, padding, out_hw, b_shape = ctx
-    n = x_shape[0]
-    co = w_shape[0]
-    out_h, out_w = out_hw
-    grad_mat = grad.reshape(n, co, out_h * out_w)
-    grad_x = grad_w = grad_b = None
+def _shifted_conv_grads(padded, weight, grad, x_shape, padding, needs):
+    """``(grad_x, grad_w)`` of a shifted-GEMM conv from its zero-bordered
+    ``(N, Ci, Hp, Wp)`` input.
+
+    ``grad_x`` is the transposed conv, itself a :func:`shifted_conv`: the
+    output gradient zero-bordered by ``k - 1 - p`` against the flipped,
+    channel-transposed filters.  Padding beyond ``k - 1`` scatters
+    through :func:`col2im` instead.  ``grad_w`` is one batched GEMM per
+    tap, ``Σ_n G[n] @ slice_t[n]ᵀ``, with ``slice_t`` the forward's input
+    slice and ``G`` the ``(N, Co, L)`` gradient laid out ``Wp`` columns
+    per row with zeros in the wrap columns.  Where the bordered gradient
+    is ``Wp`` wide (``2p = k - 1``, so its border fills the wrap columns)
+    ``G`` is a view of it; otherwise it is a zero-bordered copy.
+    """
+    n, ci, hp, wp = padded.shape
+    co, _, kh, kw = weight.shape
+    ph, pw = padding
+    out_h, out_w = grad.shape[2:]
+    span = (out_h - 1) * wp + out_w
+    dtype = np.result_type(padded, weight, grad)
+    border = (kh - 1 - ph, kw - 1 - pw)
+    transposed = min(border) >= 0
+    if transposed:
+        bordered = _zero_bordered(grad, border)
+    grad_x = grad_w = None
     if needs[1]:
-        grad_w = np.einsum("nol,nfl->of", grad_mat, cols,
-                           optimize=True).reshape(w_shape)
+        if transposed and bordered.shape[3] == wp:
+            start = border[0] * wp + border[1]
+            g = bordered.reshape(n, co, -1)[:, :, start:start + span]
+        else:
+            g = np.zeros((n, co, out_h, wp), dtype=grad.dtype)
+            g[:, :, :, :out_w] = grad
+            g = g.reshape(n, co, -1)[:, :, :span]
+        flat = padded.reshape(n, ci, hp * wp)
+        taps = np.empty((kh * kw, co, ci), dtype=dtype)
+        for i in range(kh):
+            for j in range(kw):
+                offset = i * wp + j
+                window = flat[:, :, offset:offset + span].transpose(0, 2, 1)
+                np.matmul(g, window).sum(axis=0, out=taps[i * kw + j])
+        grad_w = np.ascontiguousarray(
+            taps.reshape(kh, kw, co, ci).transpose(2, 3, 0, 1))
     if needs[0]:
-        grad_x = _conv2d_grad_input(grad, w_mat, x_shape, kernel, stride,
-                                    padding)
+        if transposed:
+            flipped = weight[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+            grad_x = _run_shifted_conv(bordered, shifted_conv_taps(flipped),
+                                       (kh, kw), dtype)
+        else:
+            grad_x = _conv2d_grad_input(grad, weight.reshape(co, -1), x_shape,
+                                        (kh, kw), (1, 1), padding)
+    return grad_x, grad_w
+
+
+def _conv2d_bwd(ctx, grad, needs):
+    shifted, saved, weight, x_shape, stride, padding, b_shape = ctx
+    if shifted:
+        grad_x, grad_w = _shifted_conv_grads(saved, weight, grad, x_shape,
+                                             padding, needs)
+    else:
+        co = weight.shape[0]
+        grad_x = grad_w = None
+        if needs[1]:
+            grad_w = np.einsum("nol,nfl->of", grad.reshape(x_shape[0], co, -1),
+                               saved, optimize=True).reshape(weight.shape)
+        if needs[0]:
+            grad_x = _conv2d_grad_input(grad, weight.reshape(co, -1), x_shape,
+                                        weight.shape[2:], stride, padding)
+    grad_b = None
     if len(needs) > 2 and needs[2]:
         grad_b = grad.sum(axis=(0, 2, 3)).reshape(b_shape)
     return (grad_x, grad_w, grad_b)[:len(needs)]
@@ -388,37 +463,72 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     return out
 
 
+def _batch_norm_train_fwd(x, gamma, beta, *, running_mean, running_var,
+                          momentum, eps):
+    # The composed formula's array ops in its order (``mean`` is ``sum ·
+    # (1/M)``, ``x - mean`` is ``x + (-mean)``, constants take the dtype
+    # of the array they meet), so outputs and running statistics keep
+    # the bytes of the former tape of eltwise ops.
+    axes = (0,) + tuple(range(2, x.ndim))
+    shape = (1, -1) + (1,) * (x.ndim - 2)
+    inv_count = np.asarray(1.0 / (x.size // x.shape[1]), dtype=x.dtype)
+    mean = x.sum(axis=axes, keepdims=True) * inv_count
+    centered = x + (-mean)
+    var = (centered * centered).sum(axis=axes, keepdims=True) * inv_count
+    running_mean *= (1.0 - momentum)
+    running_mean += momentum * mean.reshape(-1)
+    running_var *= (1.0 - momentum)
+    running_var += momentum * var.reshape(-1)
+    std = (var + np.asarray(eps, dtype=var.dtype)) ** 0.5
+    x_hat = centered / std
+    out = x_hat * gamma.reshape(shape) + beta.reshape(shape)
+    return out, (x_hat, std, gamma, beta.shape, axes, shape)
+
+
+def _batch_norm_train_bwd(ctx, grad, needs):
+    """``dx = γ/(σ·M) · (M·dy − Σdy − x̂·Σ(dy·x̂))``, ``dγ = Σ(dy·x̂)``,
+    ``dβ = Σdy``, the sums over every axis but the channel."""
+    x_hat, std, gamma, beta_shape, axes, shape = ctx
+    count = x_hat.size // x_hat.shape[1]
+    grad_sum = grad.sum(axis=axes, keepdims=True)
+    grad_dot = (grad * x_hat).sum(axis=axes, keepdims=True)
+    grad_x = None
+    if needs[0]:
+        scale = gamma.reshape(shape) / (std * count)
+        grad_x = scale * (count * grad - grad_sum - x_hat * grad_dot)
+    return (grad_x,
+            grad_dot.reshape(gamma.shape) if needs[1] else None,
+            grad_sum.reshape(beta_shape) if needs[2] else None)
+
+
+_BATCH_NORM_TRAIN = register_op("batch_norm_train", _batch_norm_train_fwd,
+                                _batch_norm_train_bwd)
+
+
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
                running_mean: np.ndarray, running_var: np.ndarray,
                training: bool, momentum: float = 0.1, eps: float = 1e-5) -> Tensor:
     """Batch normalization over the channel dimension of ``(N, C, H, W)`` or ``(N, C)``.
 
     ``running_mean``/``running_var`` are plain numpy buffers updated in place
-    when ``training`` is true.
+    when ``training`` is true.  Training runs one registered op,
+    ``batch_norm_train``, with an analytic backward; inference is composed
+    of eltwise ops, which compiled plans fuse into conv epilogues.
     """
     if x.ndim == 4:
-        axes = (0, 2, 3)
         shape = (1, -1, 1, 1)
     elif x.ndim == 2:
-        axes = (0,)
         shape = (1, -1)
     else:
         raise ValueError("batch_norm expects a 2D or 4D input")
 
     if training:
-        mean = x.mean(axis=axes, keepdims=True)
-        centered = x - mean
-        var = (centered * centered).mean(axis=axes, keepdims=True)
-        running_mean *= (1.0 - momentum)
-        running_mean += momentum * mean.data.reshape(-1)
-        running_var *= (1.0 - momentum)
-        running_var += momentum * var.data.reshape(-1)
-        x_hat = (x - mean) / (var + eps) ** 0.5
-    else:
-        mean = Tensor(running_mean.reshape(shape).astype(x.data.dtype, copy=False))
-        var = Tensor(running_var.reshape(shape).astype(x.data.dtype, copy=False))
-        x_hat = (x - mean) / (var + eps) ** 0.5
-
+        return apply_op(_BATCH_NORM_TRAIN, x, gamma, beta,
+                        running_mean=running_mean, running_var=running_var,
+                        momentum=momentum, eps=eps)
+    mean = Tensor(running_mean.reshape(shape).astype(x.data.dtype, copy=False))
+    var = Tensor(running_var.reshape(shape).astype(x.data.dtype, copy=False))
+    x_hat = (x - mean) / (var + eps) ** 0.5
     return x_hat * gamma.reshape(shape) + beta.reshape(shape)
 
 

@@ -356,6 +356,22 @@ class TestConvertAndDeploy:
         assert record.original_filters == 8
         assert record.filter_reduction == pytest.approx(1.0 - 3 / 8)
 
+    def test_compress_block_runs_the_autoencoder_once(self, monkeypatch):
+        block = ALFConv2d(3, 8, 3, padding=1, config=ALFConfig(),
+                          rng=np.random.default_rng(0))
+        block.autoencoder.pruning_mask.mask.data = np.array(
+            [1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 0.0, 1.0])
+        code = block.autoencoder.compute_code(block.weight.data)
+        keep = block.keep_indices()
+        calls = []
+        compute = block.autoencoder.compute_code
+        monkeypatch.setattr(block.autoencoder, "compute_code",
+                            lambda w: calls.append(1) or compute(w))
+        compressed, _ = compress_block(block)
+        assert len(calls) == 1
+        assert np.array_equal(keep, [0, 2, 4, 7])
+        assert compressed.code_weight.data.tobytes() == code[keep].tobytes()
+
     def test_compress_block_never_empty(self, rng):
         block = ALFConv2d(3, 4, 3, config=ALFConfig(), rng=np.random.default_rng(0))
         block.autoencoder.pruning_mask.mask.data = np.zeros(4)

@@ -74,6 +74,33 @@ def gradcheck(fn, *arrays, dtype=np.float64, seed=0):
 #: (kernel, padding) of every square conv with padding up to ``k - 1``.
 CONV_GEOMETRIES = [(k, p) for k in (1, 3, 5) for p in range(k)]
 
+#: (kernel, padding, image, bias) of convs the shifted GEMM runs: ``2p =
+#: k - 1`` (the output gradient's zero border doubles as ``grad_w``'s
+#: wrap columns), padding 0 (a separate zero-bordered gradient), a
+#: non-square image and kernel, and padding beyond ``k - 1`` on one axis
+#: (``grad_x`` through ``col2im``).
+SHIFTED_GEOMETRIES = [
+    ((3, 3), (1, 1), (5, 5), True),
+    ((5, 5), (2, 2), (5, 6), False),
+    ((3, 3), (0, 0), (5, 6), True),
+    ((3, 3), (1, 1), (4, 7), False),
+    ((3, 1), (1, 0), (5, 3), True),
+    ((3, 3), (3, 1), (3, 4), False),
+]
+
+
+def _shifted_id(value):
+    if isinstance(value, tuple):
+        return "x".join(map(str, value))
+    return "bias" if value else "nobias"
+
+
+def _shifted_arrays(rng, kernel, hw, ci=16, co=3, batch=2):
+    x = rng.standard_normal((batch, ci) + hw)
+    w = rng.standard_normal((co, ci) + kernel) * 0.25
+    b = rng.standard_normal(co)
+    return x, w, b
+
 
 @pytest.fixture(params=[np.float64, np.float32], ids=["float64", "float32"])
 def dtype(request):
@@ -117,6 +144,44 @@ class TestFunctionalGradcheck:
         w = rng.standard_normal((3, 2, 3, 1)) * 0.5
         gradcheck(lambda x_, w_: F.conv2d(x_, w_, stride=1, padding=(1, 1)),
                   x, w, dtype=dtype)
+
+    @pytest.mark.parametrize("kernel, padding, hw, bias", SHIFTED_GEOMETRIES,
+                             ids=_shifted_id)
+    def test_conv2d_shifted(self, dtype, rng, kernel, padding, hw, bias):
+        """Convs with 16 input channels run the shifted-GEMM forward and
+        backward: ``grad_x`` as a shifted transposed conv (or ``col2im``
+        past ``k - 1`` padding), ``grad_w`` as one batched GEMM per tap."""
+        x, w, b = _shifted_arrays(rng, kernel, hw)
+        assert F.shifted_conv_applies(x.shape[1], w.shape[0], kernel, (1, 1))
+        if bias:
+            gradcheck(lambda x_, w_, b_: F.conv2d(x_, w_, b_, padding=padding),
+                      x, w, b, dtype=dtype)
+        else:
+            gradcheck(lambda x_, w_: F.conv2d(x_, w_, padding=padding),
+                      x, w, dtype=dtype)
+
+    def test_conv2d_shifted_one_input_frozen(self, dtype, rng):
+        """The shifted backward skips the gradient nobody needs: a constant
+        input still gives ``grad_w``, a constant filter ``grad_x``."""
+        x, w, _ = _shifted_arrays(rng, (3, 3), (5, 4))
+        x, w = x.astype(dtype), w.astype(dtype)
+        gradcheck(lambda w_: F.conv2d(Tensor(x), w_, padding=1), w,
+                  dtype=dtype)
+        gradcheck(lambda x_: F.conv2d(x_, Tensor(w), padding=1), x,
+                  dtype=dtype)
+
+    def test_batch_norm_training_2d_frozen_affine(self, dtype, rng):
+        """``batch_norm_train`` on ``(N, C)`` input with constant γ, β."""
+        x = rng.standard_normal((6, 4)) * 2.0 + 1.0
+        gamma = (rng.standard_normal(4) * 0.5 + 1.0).astype(dtype)
+        beta = rng.standard_normal(4).astype(dtype)
+
+        def fn(x_):
+            return F.batch_norm(x_, Tensor(gamma), Tensor(beta),
+                                np.zeros(4, dtype=dtype),
+                                np.ones(4, dtype=dtype), training=True)
+
+        gradcheck(fn, x, dtype=dtype)
 
     def test_max_pool2d(self, dtype, rng):
         # A distinct-valued input avoids window ties, where the subgradient
@@ -210,3 +275,30 @@ def test_conv2d_grad_input_matches_col2im(kernel, padding, stride):
                          out.shape[2:])
     np.testing.assert_allclose(x.grad, reference, rtol=0,
                                atol=1e-13 * np.abs(reference).max())
+
+
+@pytest.mark.parametrize("kernel, padding, hw, bias", SHIFTED_GEOMETRIES,
+                         ids=_shifted_id)
+def test_conv2d_shifted_grads_match_im2col(kernel, padding, hw, bias):
+    """The shifted backward equals the im2col one within float64
+    rounding: ``grad_x`` against :func:`_conv2d_grad_input`, ``grad_w``
+    against the ``nol,nfl->of`` contraction with the im2col columns."""
+    rng = np.random.default_rng(5)
+    x, w, b = _shifted_arrays(rng, kernel, hw, ci=17, co=5, batch=3)
+    x = Tensor(x, requires_grad=True)
+    w = Tensor(w, requires_grad=True)
+    b = Tensor(b, requires_grad=True) if bias else None
+    out = F.conv2d(x, w, b, padding=padding)
+    grad = rng.standard_normal(out.shape)
+    out.backward(grad)
+    grad_mat = grad.reshape(3, 5, -1)
+    cols, _ = F.im2col(x.data, kernel, (1, 1), padding)
+    ref_w = np.einsum("nol,nfl->of", grad_mat, cols).reshape(w.shape)
+    ref_x = F._conv2d_grad_input(grad, w.data.reshape(5, -1), x.shape,
+                                 kernel, (1, 1), padding)
+    for got, ref in ((w.grad, ref_w), (x.grad, ref_x)):
+        np.testing.assert_allclose(got, ref, rtol=0,
+                                   atol=1e-13 * np.abs(ref).max())
+    if bias:
+        np.testing.assert_allclose(b.grad, grad.sum(axis=(0, 2, 3)),
+                                   rtol=1e-13)

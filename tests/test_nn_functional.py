@@ -144,6 +144,59 @@ class TestDenseAndNorm:
             F.batch_norm(Tensor(rng.standard_normal((2, 3, 4))), Tensor(np.ones(3)),
                          Tensor(np.zeros(3)), np.zeros(3), np.ones(3), training=True)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(8, 16, 5, 5), (6, 7)])
+    def test_batch_norm_train_keeps_composed_bytes(self, dtype, shape):
+        """The fused ``batch_norm_train`` op writes the output and running
+        statistics of the composed tape formula kept below, byte for byte,
+        and its analytic gradients agree with the composed tape's."""
+        def composed(x, gamma, beta, running_mean, running_var,
+                     momentum=0.1, eps=1e-5):
+            axes = (0,) + tuple(range(2, x.ndim))
+            view = (1, -1) + (1,) * (x.ndim - 2)
+            mean = x.mean(axis=axes, keepdims=True)
+            centered = x - mean
+            var = (centered * centered).mean(axis=axes, keepdims=True)
+            running_mean *= (1.0 - momentum)
+            running_mean += momentum * mean.data.reshape(-1)
+            running_var *= (1.0 - momentum)
+            running_var += momentum * var.data.reshape(-1)
+            x_hat = (x - mean) / (var + eps) ** 0.5
+            return x_hat * gamma.reshape(view) + beta.reshape(view)
+
+        rng = np.random.default_rng(11)
+        c = shape[1]
+        x = (rng.standard_normal(shape) * 3.0 + 1.0).astype(dtype)
+        arrays = [x, rng.standard_normal(c).astype(dtype),
+                  rng.standard_normal(c).astype(dtype)]
+        stats = [rng.standard_normal(c).astype(dtype),
+                 (rng.random(c) + 0.5).astype(dtype)]
+        grad = rng.standard_normal(shape).astype(dtype)
+        runs = []
+        for fn in (composed, F.batch_norm):
+            tensors = [Tensor(a, requires_grad=True) for a in arrays]
+            running = [a.copy() for a in stats]
+            kwargs = {"training": True} if fn is F.batch_norm else {}
+            out = fn(*tensors, *running, **kwargs)
+            out.backward(grad)
+            runs.append((out.data, running, [t.grad for t in tensors]))
+        (ref, ref_stats, ref_grads), (got, got_stats, got_grads) = runs
+        assert got.dtype == dtype and got.tobytes() == ref.tobytes()
+        for a, b in zip(got_stats, ref_stats):
+            assert a.tobytes() == b.tobytes()
+        tol = 1e-5 if dtype == np.float32 else 1e-13
+        for a, b in zip(got_grads, ref_grads):
+            assert a.dtype == dtype and a.shape == b.shape
+            np.testing.assert_allclose(a, b, rtol=0,
+                                       atol=tol * np.abs(b).max())
+
+    def test_batch_norm_train_is_one_tape_node(self, rng):
+        x = Tensor(rng.standard_normal((4, 3, 2, 2)), requires_grad=True)
+        out = F.batch_norm(x, Tensor(np.ones(3)), Tensor(np.zeros(3)),
+                           np.zeros(3), np.ones(3), training=True)
+        assert out._node.op.name == "batch_norm_train"
+        assert out._node.inputs[0] is x
+
     def test_dropout_identity_in_eval(self, rng):
         x = rng.standard_normal((4, 4))
         out = F.dropout(Tensor(x), p=0.5, training=False)
@@ -273,16 +326,17 @@ def _shifted_case(batch, ci, co, k, padding, hw, dtype, seed=0):
 @pytest.mark.parametrize("batch, ci, co, k, padding, hw", SHIFTED_SHAPES)
 def test_shifted_conv_matches_im2col_gemm(batch, ci, co, k, padding, hw,
                                           dtype):
-    """Inference runs the shifted GEMM; training keeps im2col.  Both are
-    the same convolution to the dtype's tolerance, and the shifted output
-    of each image does not depend on the batch around it."""
+    """Every grad mode runs the shifted GEMM.  It is the im2col conv to
+    the dtype's tolerance, the shifted output of each image does not
+    depend on the batch around it, and a training forward has the bytes
+    of the ``no_grad`` one and saves the zero-bordered input for backward,
+    not im2col columns."""
     x, w = _shifted_case(batch, ci, co, k, padding, hw, dtype)
     assert F.shifted_conv_applies(ci, co, (k, k), (1, 1))
     with no_grad():
-        out, ctx = F.conv2d_fwd(x, w, stride=(1, 1), padding=(padding,) * 2)
+        out, _ = F.conv2d_fwd(x, w, stride=(1, 1), padding=(padding,) * 2)
         first, _ = F.conv2d_fwd(x[:1], w, stride=(1, 1),
                                 padding=(padding,) * 2)
-    assert ctx is None  # no im2col columns were built
     cols, (oh, ow) = F.im2col(x, (k, k), (1, 1), (padding,) * 2)
     ref = (w.reshape(co, -1) @ cols).reshape(batch, co, oh, ow)
     assert out.shape == ref.shape and out.dtype == dtype
@@ -292,7 +346,11 @@ def test_shifted_conv_matches_im2col_gemm(batch, ci, co, k, padding, hw,
 
     grad_out, grad_ctx = F.conv2d_fwd(x, w, stride=(1, 1),
                                       padding=(padding,) * 2)
-    assert grad_ctx is not None and grad_out.tobytes() == ref.tobytes()
+    assert grad_out.tobytes() == out.tobytes()
+    saved = [a for a in grad_ctx if isinstance(a, np.ndarray)]
+    bordered = (batch, ci, hw[0] + 2 * padding, hw[1] + 2 * padding)
+    assert bordered in [a.shape for a in saved]
+    assert all(a.size < cols.size for a in saved)
 
 
 @pytest.mark.parametrize("ci, co, kernel, stride, shifted", [
