@@ -10,9 +10,9 @@ submission arrives again:
   JSON), :func:`~repro.wire.model_digest` (parameter-byte hash) and
   :func:`~repro.wire.data_digest` (the ``repro-job/1`` base64-npy
   data recipe), combined into one SHA-256.
-* :class:`ReportCache` — the store contract: five byte-level primitives
-  (``_read`` / ``_write`` / ``_remove`` / ``_keys`` / ``_nbytes``) keyed by
-  ``(kind, key)`` over three artifact kinds — ``entry`` (a digest-guarded
+* :class:`ReportCache` — the store contract: six byte-level primitives
+  (``_read`` / ``_write`` / ``_remove`` / ``_keys`` / ``_nbytes`` /
+  ``_stamp``) keyed by ``(kind, key)`` over three artifact kinds — ``entry`` (a digest-guarded
   ``repro-cache-entry/1`` JSON report), ``checkpoint`` (an ``.npz`` of the
   finalized compressed model's parameters) and ``plan`` (a ``repro-plan/2``
   container).  Every codec and all validation is shared: a corrupt,
@@ -23,6 +23,12 @@ submission arrives again:
   overridden by the ``REPRO_CACHE_DIR`` environment variable.
 * :class:`MemoryReportCache` — the same bytes in dicts, for tests and
   single-process warm layers.
+* Recency — each entry carries a monotonic ``seq``, stamped on ``put``
+  and refreshed on every ``get`` hit, that orders LRU eviction.  The
+  ``seq`` stays in the entry; each instance memoizes the ``seq`` it last
+  saw per entry under the entry's change token, so a scan re-parses only
+  entries whose token changed.  A hit costs one entry parse plus one
+  ``stat`` (token check) per stored entry.
 * Warm starts — :meth:`ReportCache.nearest_checkpoint` finds the entry with
   the same (method, model, data) whose spec payload is *closest* to a new
   near-miss submission, so its checkpoint can seed fine-tuning instead of
@@ -58,7 +64,8 @@ from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple, Union
 import numpy as np
 
 from ..deploy.serialize import unpack_container
-from ..wire import check_schema, data_digest, model_digest, payload_digest
+from ..wire import (check_schema, data_digest, decoded_payload_digest,
+                    model_digest, payload_digest)
 from .pipeline import CompressionReport
 from .spec import CompressionSpec
 
@@ -226,10 +233,12 @@ def _dump(payload: Mapping[str, Any]) -> bytes:
 class ReportCache:
     """Content-addressed report + checkpoint + plan store.
 
-    A store is five byte-level primitives over ``(kind, key)``, where
+    A store is six byte-level primitives over ``(kind, key)``, where
     ``kind`` is one of the artifact kinds in ``_KINDS`` (``"entry"``,
     ``"checkpoint"``, ``"plan"``): :meth:`_read`, :meth:`_write`,
-    :meth:`_remove`, :meth:`_keys` and :meth:`_nbytes`.  Everything else —
+    :meth:`_remove`, :meth:`_keys`, :meth:`_nbytes` and the change token
+    :meth:`_stamp` that lets recency scans skip unchanged entries.
+    Everything else —
     the UTF-8/JSON ``repro-cache-entry/1`` codec, the ``repro-plan/2``
     container check, the ``.npz`` checkpoint codec, validation, traffic
     counters, stats, LRU eviction and near-miss search — is shared here.
@@ -243,14 +252,20 @@ class ReportCache:
         self._hits = 0
         self._misses = 0
         self._writes = 0
+        # combined key -> (change token, seq) of the entry as last seen.
+        self._seqs: Dict[str, Tuple[Any, int]] = {}
 
     # -- primitives (subclass responsibility) ---------------------------- #
     def _read(self, kind: str, key: str) -> Optional[bytes]:
         """The stored bytes of one artifact, or ``None`` when absent."""
         raise NotImplementedError
 
-    def _write(self, kind: str, key: str, data: bytes) -> None:
-        """Store one artifact atomically: readers see old or new bytes."""
+    def _write(self, kind: str, key: str, data: bytes) -> Any:
+        """Store one artifact atomically: readers see old or new bytes.
+
+        Returns the change token of the stored bytes: what :meth:`_stamp`
+        reports until the artifact changes again.
+        """
         raise NotImplementedError
 
     def _remove(self, kind: str, key: str) -> None:
@@ -263,12 +278,18 @@ class ReportCache:
         Recency does **not** live here: filesystem mtimes are too coarse
         (1 s on some filesystems) to order same-second writes, so age is
         tracked by the monotonic ``seq`` number persisted inside each
-        entry — see :meth:`_lru_keys`.
+        entry — see :meth:`_lru_keys`.  Listing is cheap; reading each
+        entry's ``seq`` is not, which is what :meth:`_stamp` saves.
         """
         raise NotImplementedError
 
     def _nbytes(self, kind: str, key: str) -> int:
         """Stored size of one artifact in bytes (``0`` when absent)."""
+        raise NotImplementedError
+
+    def _stamp(self, kind: str, key: str) -> Any:
+        """A cheap token that changes whenever the artifact's bytes change
+        (``None`` when absent)."""
         raise NotImplementedError
 
     # -- artifact codecs --------------------------------------------------- #
@@ -304,8 +325,11 @@ class ReportCache:
     def _decode(cls, data: bytes) -> Dict[str, Any]:
         """Parse + validate raw entry bytes; raises :class:`CacheEntryError`."""
         payload = cls._parse(data, CACHE_ENTRY_SCHEMA)
+        # The payload is straight json.loads output, so the one-pass digest
+        # equals payload_digest's normalizing three-pass one.
         report_payload = payload.get("report")
-        if payload.get("report_digest") != payload_digest(report_payload):
+        if payload.get("report_digest") != decoded_payload_digest(
+                report_payload):
             raise CacheEntryError(
                 "report digest mismatch: the stored entry was corrupted")
         return payload
@@ -342,22 +366,57 @@ class ReportCache:
 
     # -- recency ----------------------------------------------------------- #
     def _entry_seq(self, combined: str) -> int:
-        """The persisted ``seq`` of one entry; ``-1`` for damaged/legacy."""
+        """The persisted ``seq`` of one entry; ``-1`` for damaged/legacy.
+
+        Memoized under the entry's :meth:`_stamp`: the entry is re-read and
+        re-parsed only when its token changed since this instance last saw
+        it, whichever instance or process wrote it.  The token is taken
+        before the read, so a write racing the read can only cost a later
+        re-parse, never a stale ``seq``.
+        """
+        stamp = self._stamp("entry", combined)
+        if stamp is not None:
+            with self._lock:
+                known = self._seqs.get(combined)
+            if known is not None and known[0] == stamp:
+                return known[1]
         data = self._read("entry", combined)
         if data is None:
             return -1
         try:
             seq = self._parse(data, CACHE_ENTRY_SCHEMA).get("seq")
         except CacheEntryError:
-            return -1
-        return seq if isinstance(seq, int) and not isinstance(seq, bool) else -1
+            seq = -1
+        if not isinstance(seq, int) or isinstance(seq, bool):
+            seq = -1
+        self._remember_seq(combined, stamp, seq)
+        return seq
+
+    def _remember_seq(self, combined: str, stamp: Any, seq: int) -> None:
+        if stamp is not None:
+            with self._lock:
+                self._seqs[combined] = (stamp, seq)
+
+    def _stored_seqs(self) -> Dict[str, int]:
+        """``seq`` of every stored entry: one :meth:`_stamp` each, and a
+        parse only for entries whose token changed."""
+        seqs = {combined: self._entry_seq(combined)
+                for combined in self._keys("entry")}
+        with self._lock:
+            for gone in set(self._seqs) - set(seqs):
+                del self._seqs[gone]
+        return seqs
 
     def _next_seq(self) -> int:
         """One more than the highest ``seq`` stored anywhere in this store."""
-        highest = -1
-        for combined in self._keys("entry"):
-            highest = max(highest, self._entry_seq(combined))
-        return highest + 1
+        return max(self._stored_seqs().values(), default=-1) + 1
+
+    def _write_entry(self, combined: str, entry: Dict[str, Any]) -> None:
+        """Stamp ``entry`` with the next ``seq`` and store it; the write's
+        token is memoized so the next scan does not re-parse the entry."""
+        entry["seq"] = seq = self._next_seq()
+        stamp = self._write("entry", combined, _dump(entry))
+        self._remember_seq(combined, stamp, seq)
 
     def _lru_keys(self) -> List[str]:
         """Combined keys, least recently used first.
@@ -365,15 +424,20 @@ class ReportCache:
         Ordered by the persisted ``seq`` (written on :meth:`put`, refreshed
         on every :meth:`get` hit) with the combined digest as a
         deterministic tie-break; legacy entries without a ``seq`` sort
-        first and are evicted before anything stamped.
+        first and are evicted before anything stamped.  The ``seq`` stays
+        in the entry; the scan re-parses only entries whose :meth:`_stamp`
+        changed since this instance last saw them.
         """
-        return sorted(self._keys("entry"),
-                      key=lambda combined: (self._entry_seq(combined),
-                                            combined))
+        seqs = self._stored_seqs()
+        return sorted(seqs, key=lambda combined: (seqs[combined], combined))
 
     # -- public API -------------------------------------------------------- #
     def get(self, key: CacheKey) -> Optional[CompressionReport]:
-        """The stored report for ``key``, or ``None`` (miss) — never raises."""
+        """The stored report for ``key``, or ``None`` (miss) — never raises.
+
+        A hit costs one entry parse (with a one-pass digest check) plus one
+        :meth:`_stamp` per stored entry to find the next ``seq``.
+        """
         entry = self.entry(key)
         if entry is None:
             with self._lock:
@@ -390,8 +454,7 @@ class ReportCache:
             # Touch: refresh the entry's seq so gc eviction is genuinely
             # least-recently-*used*, not write-order.  Best effort — a
             # read-only store must not turn a hit into a crash.
-            entry["seq"] = self._next_seq()
-            self._write("entry", key.combined, _dump(entry))
+            self._write_entry(key.combined, entry)
         except Exception:
             pass
         with self._lock:
@@ -424,8 +487,7 @@ class ReportCache:
                                 for name, array in checkpoint.items()})
             self._write("checkpoint", key.combined, buffer.getvalue())
         entry = self._encode(key, report, checkpoint is not None, warm_source)
-        entry["seq"] = self._next_seq()
-        self._write("entry", key.combined, _dump(entry))
+        self._write_entry(key.combined, entry)
         with self._lock:
             self._writes += 1
 
@@ -530,10 +592,12 @@ class ReportCache:
 
         Recency is the persisted per-entry ``seq``, not filesystem mtime —
         a :meth:`get` hit protects an entry from eviction, and same-second
-        writes still evict in a deterministic order.  ``clear=True``
-        empties the store, plan artifacts included.  Checkpoints are
-        removed with their entries.  Returns the number of entries
-        removed.
+        writes still evict in a deterministic order.  Finding the order
+        costs one :meth:`_stamp` per entry and a parse only of entries
+        whose token changed since this instance last saw them.
+        ``clear=True`` empties the store, plan artifacts included.
+        Checkpoints are removed with their entries.  Returns the number of
+        entries removed.
         """
         if max_entries is not None and max_entries < 0:
             raise ValueError("max_entries must be non-negative")
@@ -570,18 +634,26 @@ class MemoryReportCache(ReportCache):
     def __init__(self) -> None:
         super().__init__()
         self._blobs: Dict[str, Dict[str, bytes]] = {kind: {} for kind in _KINDS}
+        # Change tokens: the store-wide write count at each artifact's
+        # last write.
+        self._stamps: Dict[str, Dict[str, int]] = {kind: {} for kind in _KINDS}
+        self._write_count = 0
 
     def _read(self, kind: str, key: str) -> Optional[bytes]:
         with self._lock:
             return self._blobs[kind].get(key)
 
-    def _write(self, kind: str, key: str, data: bytes) -> None:
+    def _write(self, kind: str, key: str, data: bytes) -> int:
         with self._lock:
             self._blobs[kind][key] = bytes(data)
+            self._write_count += 1
+            self._stamps[kind][key] = self._write_count
+            return self._write_count
 
     def _remove(self, kind: str, key: str) -> None:
         with self._lock:
             self._blobs[kind].pop(key, None)
+            self._stamps[kind].pop(key, None)
 
     def _keys(self, kind: str) -> List[str]:
         with self._lock:
@@ -590,6 +662,10 @@ class MemoryReportCache(ReportCache):
     def _nbytes(self, kind: str, key: str) -> int:
         with self._lock:
             return len(self._blobs[kind].get(key, b""))
+
+    def _stamp(self, kind: str, key: str) -> Optional[int]:
+        with self._lock:
+            return self._stamps[kind].get(key)
 
 
 # --------------------------------------------------------------------------- #
@@ -604,6 +680,13 @@ class FileReportCache(ReportCache):
     half-written artifact that parses; anything damaged on disk is handled
     by the read-side validation (warning + miss), and an unreadable file is
     a warning plus a miss too.
+
+    An artifact's change token is its ``os.stat`` identity (inode, size,
+    mtime and ctime in ns).  Every write is a fresh file renamed into
+    place, so it gets a new inode while the old one is still linked; the
+    ctime also moves on ``os.utime``.  Only two rewrites by other writers
+    between two scans, reusing the inode number with the same size within
+    one filesystem timestamp tick, could look unchanged.
     """
 
     def __init__(self, root: Union[str, "os.PathLike[str]"]):
@@ -624,7 +707,7 @@ class FileReportCache(ReportCache):
             self._warn(key, exc)
             return None
 
-    def _write(self, kind: str, key: str, data: bytes) -> None:
+    def _write(self, kind: str, key: str, data: bytes) -> Tuple[int, ...]:
         path = self._path(kind, key)
         directory = os.path.dirname(path)
         os.makedirs(directory, exist_ok=True)
@@ -633,7 +716,11 @@ class FileReportCache(ReportCache):
         try:
             with os.fdopen(handle, "wb") as stream:
                 stream.write(data)
-            os.replace(tmp_path, path)
+                stream.flush()
+                os.replace(tmp_path, path)
+                # fstat of the still-open file is the token of *these*
+                # bytes even if another writer replaces the path meanwhile.
+                return _stat_token(os.fstat(stream.fileno()))
         except BaseException:
             try:
                 os.unlink(tmp_path)
@@ -662,6 +749,16 @@ class FileReportCache(ReportCache):
             return os.path.getsize(self._path(kind, key))
         except OSError:
             return 0
+
+    def _stamp(self, kind: str, key: str) -> Optional[Tuple[int, ...]]:
+        try:
+            return _stat_token(os.stat(self._path(kind, key)))
+        except OSError:
+            return None
+
+
+def _stat_token(stat: os.stat_result) -> Tuple[int, ...]:
+    return (stat.st_ino, stat.st_size, stat.st_mtime_ns, stat.st_ctime_ns)
 
 
 # --------------------------------------------------------------------------- #

@@ -22,7 +22,9 @@ This module is the one home of what those kinds have in common:
   hashes: ``repro-job/1`` guards its dense baseline with it,
   :meth:`CompressionSpec.digest() <repro.api.CompressionSpec.digest>`
   keys the report cache with it and ``repro-plan/2`` writes its header
-  in it.
+  in it.  :func:`decoded_payload_digest` is the same digest in one
+  encoding pass, for payloads ``json.loads`` just produced (stored cache
+  entries check their report digest with it).
 * :func:`model_digest` — a parameter-byte hash of a built
   :class:`~repro.nn.module.Module`: every named parameter and buffer
   contributes its name, dtype, shape and raw little-endian bytes, sorted by
@@ -96,12 +98,28 @@ def canonical_json(payload: Any) -> str:
     wire: keys sort by their JSON *string* form on both sides.
     """
     normalized = json.loads(json.dumps(payload, separators=(",", ":")))
-    return json.dumps(normalized, sort_keys=True, separators=(",", ":"))
+    return _sorted_json(normalized)
+
+
+def _sorted_json(payload: Any) -> str:
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 def payload_digest(payload: Any) -> str:
     """SHA-256 hex digest over the canonical JSON form of ``payload``."""
     return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
+
+
+def decoded_payload_digest(payload: Any) -> str:
+    """:func:`payload_digest` of a payload ``json.loads`` just produced.
+
+    Decoded JSON has only string keys and values that re-encode exactly,
+    so :func:`canonical_json`'s normalizing round trip is the identity on
+    it and one sorted encoding gives the same string.  Only for payloads
+    decoded from bytes: one built in memory can hold integer keys, which
+    must go through :func:`payload_digest`.
+    """
+    return hashlib.sha256(_sorted_json(payload).encode("utf-8")).hexdigest()
 
 
 def model_digest(model) -> str:

@@ -39,6 +39,7 @@ from repro.deploy import PLAN_SCHEMA, InferencePlan
 from repro.deploy.serialize import pack_container
 from repro.models import build_model
 from repro.nn.backend import use_backend
+from repro.wire import decoded_payload_digest
 
 INPUT_SHAPE = (1, 16, 16)  # lenet's native geometry
 EXECUTORS = ["serial", "thread", "process", "remote"]
@@ -254,6 +255,136 @@ class TestReportCacheStores:
         assert store.gc(max_entries=1) == 1
         assert store.entry(first) is None    # oldest write evicted
         assert store.entry(second) is not None
+
+
+def _family_key(key, index):
+    """A distinct cache key in ``key``'s (method, model, data) family."""
+    return api.CacheKey(method=key.method, spec=f"{index:064x}",
+                        model=key.model, data=key.data)
+
+
+def _unseen_view(store):
+    """A store over the same bytes whose recency memo has seen nothing."""
+    if isinstance(store, api.FileReportCache):
+        return api.FileReportCache(store.root)
+    view = api.MemoryReportCache()
+    view._blobs = {kind: dict(blobs) for kind, blobs in store._blobs.items()}
+    return view
+
+
+def _gc_victims(store, max_entries):
+    """What ``gc(max_entries=...)`` would remove, without removing it."""
+    removed = []
+    store._remove = lambda kind, key: removed.append((kind, key))
+    try:
+        count = store.gc(max_entries=max_entries)
+    finally:
+        del store._remove
+    return count, removed
+
+
+def _recency(store):
+    return store._next_seq(), store._lru_keys(), _gc_victims(store, 1)
+
+
+class TestRecencyMemo:
+    """Recency scans memoize each entry's seq under its change token; they
+    must still answer exactly what a full parse of the store answers."""
+
+    @pytest.fixture(params=["memory", "file"])
+    def writers(self, request, tmp_path):
+        """Instance A plus the instance other writes go through: a second
+        instance on the same root for files, A itself for memory."""
+        if request.param == "memory":
+            store = api.MemoryReportCache()
+            return store, store
+        root = tmp_path / "cache"
+        return api.FileReportCache(root), api.FileReportCache(root)
+
+    def test_memo_matches_a_full_parse(self, writers, report_and_key):
+        a, b = writers
+        report, key = report_and_key
+        k0, k1, k2, k3 = (_family_key(key, i) for i in range(4))
+
+        def rewrite_seq(store, entry_key, seq):
+            data = store._read("entry", entry_key.combined)
+            old = json.loads(data)["seq"]
+            new = data.replace(f'"seq": {old}'.encode(),
+                               f'"seq": {seq}'.encode())
+            assert new != data and len(new) == len(data)
+            store._write("entry", entry_key.combined, new)
+
+        def same_mtime(*entry_keys):
+            if isinstance(a, api.FileReportCache):
+                paths = [a._path("entry", k.combined) for k in entry_keys]
+                stamp = os.path.getmtime(paths[0])
+                for path in paths:
+                    os.utime(path, (stamp, stamp))
+
+        steps = [
+            lambda: a.put(k0, report),
+            lambda: b.put(k1, report),
+            lambda: a.get(k0),                  # touch by A
+            lambda: b.get(k1),                  # touch by the other writer
+            lambda: a.put(k2, report),
+            lambda: rewrite_seq(b, k0, 9),      # same byte length
+            lambda: same_mtime(k1, k2),
+            lambda: b._write("entry", k3.combined, b"{not json"),  # seq -1
+            lambda: b.put(k3, report),          # good entry over the damage
+            lambda: b.get(k2),
+            lambda: a.get(k3),
+            lambda: b.gc(max_entries=3),
+            lambda: a.put(k1, report),
+        ]
+        for step in steps:
+            step()
+            assert _recency(a) == _recency(_unseen_view(a))
+        assert a._next_seq() == 14
+        assert len(a) == 4
+
+    @pytest.fixture
+    def parsed(self, monkeypatch):
+        """The schema tag of every entry parse, in call order."""
+        parse, calls = api.ReportCache._parse, []
+
+        def counting_parse(data, tag):
+            calls.append(tag)
+            return parse(data, tag)
+
+        monkeypatch.setattr(api.ReportCache, "_parse",
+                            staticmethod(counting_parse))
+        return calls
+
+    def test_hit_parses_at_most_two_entries(self, store, report_and_key,
+                                            parsed):
+        """A hit parses its own entry, not the whole store."""
+        report, key = report_and_key
+        keys = [_family_key(key, i) for i in range(20)]
+        for entry_key in keys:
+            store.put(entry_key, report)
+        del parsed[:]
+        assert store.get(keys[7]) is not None
+        assert len(parsed) <= 2
+        assert store.entry(keys[7])["seq"] == 20
+
+    def test_other_instance_parses_the_store_once(self, tmp_path,
+                                                  report_and_key, parsed):
+        report, key = report_and_key
+        writer = api.FileReportCache(tmp_path / "cache")
+        keys = [_family_key(key, i) for i in range(20)]
+        for entry_key in keys:
+            writer.put(entry_key, report)
+        del parsed[:]
+        reader = api.FileReportCache(writer.root)
+        assert reader.get(keys[3]) is not None
+        assert len(parsed) == 21                # cold: every entry once
+        del parsed[:]
+        assert reader.get(keys[4]) is not None
+        assert len(parsed) <= 2
+        del parsed[:]
+        assert writer.get(keys[5]) is not None  # sees reader's two touches
+        assert len(parsed) <= 3
+        assert writer.entry(keys[5])["seq"] == 22
 
 
 class TestNearestCheckpoint:
@@ -539,6 +670,25 @@ class TestOnDiskLayout:
             if name.endswith(".json"):  # entry + plan bytes are unchanged
                 assert _read_bytes(os.path.join(store.root, name)) == \
                     _read_bytes(os.path.join(FIXTURE_STORE, name))
+
+    def test_one_pass_digest_equals_payload_digest(self):
+        entries = os.path.join(FIXTURE_STORE, "entries")
+        for name in sorted(os.listdir(entries)):
+            data = _read_bytes(os.path.join(entries, name))
+            entry = json.loads(data)
+            for payload in (entry, entry["report"]):
+                assert decoded_payload_digest(payload) == \
+                    api.payload_digest(payload)
+            assert api.ReportCache._decode(data)["report_digest"] == \
+                entry["report_digest"]
+            layer = entry["report"]["compressed_hardware"]["layers"][1]
+            layer["energy"]["dram"] += 1.0       # tamper a nested value
+            with pytest.raises(CacheEntryError, match="digest mismatch"):
+                api.ReportCache._decode(json.dumps(entry).encode())
+        # In-memory payloads can hold integer keys, which only the
+        # normalizing payload_digest maps onto their wire form.
+        assert decoded_payload_digest({8: 0.5, 16: 0.3}) != \
+            api.payload_digest({8: 0.5, 16: 0.3})
 
     def test_stored_v1_plan_is_recompiled_and_overwritten(self, tmp_path,
                                                           report_and_key):
