@@ -46,6 +46,7 @@ import numbers
 import threading
 import time
 import warnings
+import weakref
 from concurrent.futures import Executor, Future, as_completed, wait
 from dataclasses import dataclass
 from typing import (
@@ -185,13 +186,18 @@ class SweepFuture(Future):
     ``"timeout"`` / ``"cancelled"``).  :meth:`cancel` goes through the
     session's scheduler, and a cancelled future resolves with a
     :class:`SweepCancelledError`.
+
+    A future holds its session weakly: the session keeps every future it
+    made, so a strong link back would make each session a reference cycle,
+    and a closed, dropped session with every report and model it produced
+    would wait for the cyclic collector instead of being freed at once.
     """
 
     def __init__(self, session: "SweepSession", index: int,
                  spec: CompressionSpec, retry: RetryPolicy,
                  timeout: Optional[float]):
         super().__init__()
-        self._session = session
+        self._session = weakref.ref(session)
         self.index = index
         self.spec = spec
         self.retry = retry
@@ -221,9 +227,10 @@ class SweepFuture(Future):
         A pending future (queued, waiting for a retry backoff, or sitting
         unstarted in an executor pool) cancels immediately; a shard already
         running on a worker cannot be interrupted and ``cancel`` returns
-        ``False``.
+        ``False``, as it does once the session is gone.
         """
-        return self._session._cancel_future(self)
+        session = self._session()
+        return session is not None and session._cancel_future(self)
 
     def cancelled(self) -> bool:
         return self.category == CATEGORY_CANCELLED
@@ -849,6 +856,8 @@ class SweepSession:
             future._resolved = True
             future.category = category
             self._drop_timers(future)
+            # The pool future's done-callback closes over this session.
+            future._pool_future = None
         if error is None:
             if report is not None:
                 # Rebind onto the session's full dense baseline (worker

@@ -142,9 +142,10 @@ def run(architecture: str = "plain20", batch: int = 16,
     sweep executor selection (``workers`` / ``executor`` arguments or
     ``REPRO_SWEEP_EXECUTOR``), and ``stream=True`` prints the session's
     scheduling milestones as they happen.  Layer labels follow the paper's
-    CONV1..CONV432 naming; CONV1 (the stem) keeps a dense convolution, so
-    the forced per-layer fractions apply from CONV211 on.  ResNet-20's two
-    1x1 shortcut projections take no label and keep their module paths.
+    CONV1..CONV432 naming; every label, the stem's CONV1 included, names
+    the ALF block that ``per_layer_fractions`` forces.  ResNet-20's two
+    1x1 shortcut projections are not converted, take no label and keep
+    their module paths.
 
     ``profile=True`` additionally measures one inference batch of each
     execution with the layer-scoped op profiler: the per-conv wall-clock
@@ -164,7 +165,7 @@ def run(architecture: str = "plain20", batch: int = 16,
     config = ALFSpec(
         remaining_fraction=remaining_fraction,
         layer_fractions=per_layer_fractions,
-        layer_labels=names[1:],  # skip CONV1 (the stem keeps a dense conv)
+        layer_labels=names,  # one per converted conv, the stem included
         deploy=False,
     )
     alf_spec = CompressionSpec(method="alf", config=config,

@@ -512,8 +512,11 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
 
     ``running_mean``/``running_var`` are plain numpy buffers updated in place
     when ``training`` is true.  Training runs one registered op,
-    ``batch_norm_train``, with an analytic backward; inference is composed
-    of eltwise ops, which compiled plans fuse into conv epilogues.
+    ``batch_norm_train``, with an analytic backward.  Inference is one
+    per-channel affine, ``x · s + t`` with ``s = γ / sqrt(var + eps)`` and
+    ``t = β − mean · s``, both built from ``(1, C, 1, 1)`` tensors: two
+    passes over ``x``, which compiled plans freeze into ``s`` and ``t``
+    and fuse into conv epilogues as one ``mul`` and one ``add``.
     """
     if x.ndim == 4:
         shape = (1, -1, 1, 1)
@@ -528,8 +531,9 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
                         momentum=momentum, eps=eps)
     mean = Tensor(running_mean.reshape(shape).astype(x.data.dtype, copy=False))
     var = Tensor(running_var.reshape(shape).astype(x.data.dtype, copy=False))
-    x_hat = (x - mean) / (var + eps) ** 0.5
-    return x_hat * gamma.reshape(shape) + beta.reshape(shape)
+    scale = gamma.reshape(shape) / (var + eps) ** 0.5
+    shift = beta.reshape(shape) - mean * scale
+    return x * scale + shift
 
 
 def dropout(x: Tensor, p: float, training: bool,

@@ -230,6 +230,21 @@ class TestFunctionalGradcheck:
 
         gradcheck(fn, x, gamma, beta, dtype=dtype)
 
+    def test_batch_norm_eval_affine_4d(self, dtype, rng):
+        """Eval batch norm, ``x · s + t``, differentiates through ``s`` and
+        ``t`` to γ and β as well as to ``x``."""
+        x = rng.standard_normal((3, 4, 2, 3)) * 2.0
+        gamma = rng.standard_normal(4) * 0.5 + 1.0
+        beta = rng.standard_normal(4)
+        running_mean = rng.standard_normal(4).astype(dtype)
+        running_var = (rng.random(4) + 0.5).astype(dtype)
+
+        def fn(x_, g_, b_):
+            return F.batch_norm(x_, g_, b_, running_mean, running_var,
+                                training=False)
+
+        gradcheck(fn, x, gamma, beta, dtype=dtype)
+
     def test_softmax(self, dtype, rng):
         x = rng.standard_normal((3, 5))
         gradcheck(lambda x_: F.softmax(x_, axis=1), x, dtype=dtype)

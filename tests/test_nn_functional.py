@@ -133,6 +133,26 @@ class TestDenseAndNorm:
             running_var.reshape(1, 2, 1, 1) + 1e-5)
         assert np.allclose(out.data, expected)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(3, 16, 5, 5), (6, 7)])
+    def test_batch_norm_eval_is_one_affine(self, dtype, shape):
+        """Eval batch norm is ``x * s + t`` byte for byte, with
+        ``s = γ / sqrt(var + eps)`` and ``t = β − mean · s`` built on the
+        ``(1, C, 1, 1)`` (or ``(1, C)``) statistics."""
+        rng = np.random.default_rng(12)
+        c, eps = shape[1], 1e-5
+        x, gamma, beta, mean = (
+            rng.standard_normal(size).astype(dtype) for size in
+            (shape, c, c, c))
+        var = (rng.random(c) + 0.5).astype(dtype)
+        view = (1, -1) + (1,) * (len(shape) - 2)
+        out = F.batch_norm(Tensor(x), Tensor(gamma), Tensor(beta), mean, var,
+                           training=False, eps=eps)
+        s = gamma.reshape(view) / (var.reshape(view) + eps) ** 0.5
+        t = beta.reshape(view) - mean.reshape(view) * s
+        assert out.dtype == dtype
+        assert out.data.tobytes() == (x * s + t).tobytes()
+
     def test_batch_norm_2d_input(self, rng):
         x = rng.standard_normal((16, 5))
         out = F.batch_norm(Tensor(x), Tensor(np.ones(5)), Tensor(np.zeros(5)),

@@ -19,6 +19,8 @@ Four guarantees are pinned down:
 
 from __future__ import annotations
 
+import collections
+import gc
 import io
 import json
 import os
@@ -26,6 +28,7 @@ import subprocess
 import sys
 import threading
 import time
+import weakref
 import concurrent.futures as cf
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -447,6 +450,38 @@ class TestFutures:
             session.submit(api.CompressionSpec(method="magnitude"))
             sweep = session.result()
             assert session.dense is sweep.dense
+
+
+# --------------------------------------------------------------------------- #
+# Lifetime: a finished session is freed by reference counting
+# --------------------------------------------------------------------------- #
+@pytest.mark.parametrize("executor", EXECUTORS)
+def test_closed_dropped_session_leaves_nothing_to_the_cyclic_gc(executor):
+    """With the cyclic GC off, a closed and deleted session frees itself,
+    its futures and their reports at once: ``gc.collect()`` then finds no
+    object of the ``repro`` package."""
+    gc.collect()
+    gc.disable()
+    try:
+        with api.SweepSession(model="lenet", hardware=None,
+                              executor=executor, max_workers=2) as session:
+            futures = session.submit_all(cost_specs())
+            session.result()
+        owned = [session] + futures + [f.result() for f in futures]
+        refs = [weakref.ref(obj) for obj in owned]
+        del session, futures, owned
+        alive = [ref() for ref in refs if ref() is not None]
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        found = collections.Counter(
+            type(obj).__qualname__ for obj in gc.garbage
+            if type(obj).__module__.startswith("repro"))
+    finally:
+        gc.garbage.clear()
+        gc.set_debug(0)
+        gc.enable()
+    assert not alive, [type(obj).__name__ for obj in alive]
+    assert not found, found.most_common(5)
 
 
 # --------------------------------------------------------------------------- #
